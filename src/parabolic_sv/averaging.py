@@ -7,15 +7,27 @@ function f(y, z) the module computes
   ``sqrt(E_p[f^2])`` (the centering condition of the Poisson equation below
   forces the mean-square convention; the plain mean ``E_p[f]`` is available
   behind ``definition="mean"`` for comparison),
-* ``phi'(y)``        -- derivative of the solution of the Poisson equation
-  ``(m - y) phi' + nu^2 phi'' = f^2 - sigma_bar^2`` via the integrating-factor
-  form ``phi'(y) = (1 / (nu^2 p(y))) * integral_{-inf}^{y} (f^2 - sigma_bar^2) p du``,
 * ``V``              -- ``(nu * rho_xy / sqrt(2)) * E_p[f * phi']``, the
-  coefficient of the first-order price correction.
+  coefficient of the first-order price correction, where phi solves the
+  Poisson equation ``(m - y) phi' + nu^2 phi'' = f^2 - sigma_bar^2``.
 
-Expectations over smooth built-in kinds use Gauss-Hermite quadrature with node
-doubling; the phi'/V pipeline runs on a dense grid over [m - 8 nu, m + 8 nu]
-with trapezoid cumulative integration and Richardson-accelerated doubling.
+Integrating by parts with ``F' = f`` removes the Poisson solve:
+``E_p[f phi'] = -(1/nu^2) E_p[F (f^2 - sigma_bar^2)]``.  Every vol kind then
+has an exact expression, one code path per quantity:
+
+* ``y_constant``     ``sigma_bar = z`` and ``V = 0``;
+* ``separable_exp``  lognormal moments: ``sigma_bar = z e^{m + nu^2}`` (rms)
+  or ``z e^{m + nu^2/2}`` (mean), and
+  ``V = rho_xy z^3 / (sqrt(2) nu) e^{3m + 5nu^2/2} (1 - e^{2nu^2})``;
+* ``tabulated``      f is piecewise linear and F piecewise quadratic, so each
+  expectation is a sum over the pieces of Gaussian partial moments of order
+  at most 4.  The clamped ends are pieces that run out to -inf and +inf.
+
+The integrating-factor form ``phi'(y) = (1 / (nu^2 p(y))) * integral_{-inf}^{y}
+(f^2 - sigma_bar^2) p du`` on a dense trapezoid grid
+(:func:`solve_phi_derivative`) and the residual of the Poisson equation on it
+(:func:`phi_residual_check`) remain as an independent oracle for ``diagnose``
+and the tests; pricing never runs them.
 """
 from __future__ import annotations
 
@@ -26,12 +38,12 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.special import ndtr
 
 from .errors import (
     CenteringFailureError,
     InputDomainError,
-    QuadratureFailureError,
+    NumericalOverflowError,
 )
 from .params import ModelParams
 
@@ -47,22 +59,13 @@ __all__ = [
     "phi_residual_check",
 ]
 
-#: Half-width of the dense grid in units of nu.
+#: Half-width of the oracle's dense grid in units of nu.
 GRID_WIDTH = 8.0
-#: Relative stability target of the node-doubling refinements.
-REFINE_TOL = 1e-10
-#: Absolute ceiling on the centering integral of the Poisson source.
+#: Ceiling on the oracle's centering integral, relative to sigma_bar^2.
 CENTERING_TOL = 1e-8
 
-_GH_NODE_COUNTS = (16, 32, 64, 128, 256, 512)
-_gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _gh_cache:
-        nodes, weights = np.polynomial.hermite.hermgauss(n)
-        _gh_cache[n] = (nodes, weights / math.sqrt(math.pi))
-    return _gh_cache[n]
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,26 @@ class VolFunction:
 
 
 # ---------------------------------------------------------------------------
-# sigma_bar
+# exact averages
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EffectiveParams:
+    """Averaged quantities at one slow-factor level and how they were computed.
+
+    ``method`` names the exact expression used (``closed_form`` or
+    ``piecewise_gaussian``), ``n_nodes`` counts the pieces it sums (1 for a
+    closed form) and ``refine_delta`` is the error estimate, 0.0 for an exact
+    result.
+    """
+
+    sigma_bar: float
+    v: float
+    z: float
+    n_nodes: int
+    refine_delta: float
+    method: str
 
 
 def _check_state(z: float, m: float, nu: float) -> None:
@@ -168,89 +189,111 @@ def _check_state(z: float, m: float, nu: float) -> None:
         raise InputDomainError(f"nu = {nu:g} must be > 0")
 
 
-def _gh_expect(g: Callable[[np.ndarray], np.ndarray], m: float, nu: float) -> tuple[float, int, float]:
-    """E[g(Y)], Y ~ N(m, nu^2), Gauss-Hermite with node doubling to stability."""
-    prev = None
-    for n in _GH_NODE_COUNTS:
-        nodes, weights = _gh_rule(n)
-        val = float(weights @ g(m + math.sqrt(2.0) * nu * nodes))
-        if prev is not None:
-            delta = abs(val - prev) / max(abs(val), 1e-300)
-            if delta <= REFINE_TOL:
-                return val, n, delta
-        prev = val
-    raise QuadratureFailureError(
-        f"Gauss-Hermite expectation did not stabilise to {REFINE_TOL:g} by {_GH_NODE_COUNTS[-1]} nodes"
-    )
+def _gauss_partial_moments(sa: np.ndarray, sb: np.ndarray) -> list[np.ndarray]:
+    """``J[n]`` = integral of ``s^n phi(s)`` over ``[sa, sb]``, n = 0..4.
+
+    ``phi`` is the standard normal density; the edges are arrays and may be
+    infinite.  Uses ``J[n] = (n-1) J[n-2] + sa^(n-1) phi(sa) - sb^(n-1) phi(sb)``.
+    """
+    pdf_a = np.exp(-0.5 * sa * sa) / _SQRT_2PI
+    pdf_b = np.exp(-0.5 * sb * sb) / _SQRT_2PI
+    # an infinite edge contributes nothing; zero it so s^n * 0 stays 0
+    a = np.where(np.isfinite(sa), sa, 0.0)
+    b = np.where(np.isfinite(sb), sb, 0.0)
+    # pieces right of the mean take the difference of upper tails, which does
+    # not cancel where both edges lie far out
+    j = [np.where(sa >= 0.0, ndtr(-sa) - ndtr(-sb), ndtr(sb) - ndtr(sa)), pdf_a - pdf_b]
+    edge_a, edge_b = pdf_a, pdf_b
+    for n in range(2, 5):
+        edge_a, edge_b = edge_a * a, edge_b * b
+        j.append((n - 1) * j[n - 2] + edge_a - edge_b)
+    return j
 
 
-def _gauss_partial_moments(alpha: np.ndarray, beta: np.ndarray, m: float, nu: float):
-    """(M0, M1, M2): integrals of (1, y, y^2) * p(y) over [alpha, beta]."""
-    from scipy.special import ndtr
+def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, float, float]:
+    """Exact ``(E[f], E[f^2], E[f phi'])`` of the clamped linear interpolant.
 
-    sa, sb = (alpha - m) / nu, (beta - m) / nu
-    pdf_a = np.exp(-0.5 * sa * sa) / (nu * math.sqrt(2 * math.pi))
-    pdf_b = np.exp(-0.5 * sb * sb) / (nu * math.sqrt(2 * math.pi))
-    m0 = ndtr(sb) - ndtr(sa)
-    m1 = m * m0 - nu * nu * (pdf_b - pdf_a)
-    # integral of (y - m)^2 p over the slab, then shift
-    central2 = nu * nu * m0 - nu * nu * ((beta - m) * pdf_b - (alpha - m) * pdf_a)
-    m2 = central2 + 2.0 * m * m1 - m * m * m0
-    return m0, m1, m2
-
-
-def _tabulated_expect(vol: VolFunction, power: int, m: float, nu: float) -> float:
-    """Exact E[f^power] for the piecewise-linear interpolant (power 1 or 2).
-
-    Within each table piece f is linear, so f^2 is quadratic and the Gaussian
-    partial moments integrate it in closed form; outside the table f clamps
-    to the end values.
+    Pieces: the clamped left end (-inf, y_0), the table intervals, and the
+    clamped right end (y_last, +inf).  Each piece is anchored at its left
+    table node (the left end at y_0).  In ``s = (y - m) / nu`` the piece has
+    ``f = c0 + c1 s`` and ``F = d0 + d1 s + d2 s^2``, with ``F`` the
+    antiderivative of ``f`` from y_0.
     """
     y = np.asarray(vol.y_nodes)
     f = np.asarray(vol.f_values)
-    lo, hi = m - GRID_WIDTH * nu, m + GRID_WIDTH * nu
-    # interior pieces
-    a = np.maximum(y[:-1], lo)
-    b = np.minimum(y[1:], hi)
-    keep = b > a
-    slope = (f[1:] - f[:-1]) / (y[1:] - y[:-1])
-    icept = f[:-1] - slope * y[:-1]
-    slope, icept = slope[keep], icept[keep]
-    m0, m1, m2 = _gauss_partial_moments(a[keep], b[keep], m, nu)
-    if power == 1:
-        total = float(np.sum(icept * m0 + slope * m1))
-    else:
-        total = float(np.sum(icept * icept * m0 + 2 * slope * icept * m1 + slope * slope * m2))
-    # clamped tails within the integration window
-    tails = []
-    if y[0] > lo:
-        tails.append((lo, min(y[0], hi), f[0]))
-    if y[-1] < hi:
-        tails.append((max(y[-1], lo), hi, f[-1]))
-    for ta, tb, fv in tails:
-        if tb > ta:
-            t0, _, _ = _gauss_partial_moments(np.array([ta]), np.array([tb]), m, nu)
-            total += float(fv**power * t0[0])
-    return total
+    h = np.diff(y)
+    y_a = np.concatenate((y[:1], y))
+    f_a = np.concatenate((f[:1], f))
+    slope = np.concatenate(([0.0], np.diff(f) / h, [0.0]))
+    big_f = np.cumsum(np.concatenate(([0.0], 0.5 * (f[:-1] + f[1:]) * h)))
+    big_f_a = np.concatenate((big_f[:1], big_f))
+    s_nodes = (y - m) / nu
+    j = _gauss_partial_moments(
+        np.concatenate(([-np.inf], s_nodes)), np.concatenate((s_nodes, [np.inf]))
+    )
+
+    u0 = m - y_a  # y - y_a = u0 + nu s
+    c0 = f_a + slope * u0
+    c1 = slope * nu
+    d0 = big_f_a + u0 * (f_a + 0.5 * slope * u0)
+    d1 = nu * c0
+    d2 = 0.5 * nu * c1
+
+    mean_f = float(np.sum(c0 * j[0] + c1 * j[1]))
+    mean_f2 = float(np.sum(c0 * c0 * j[0] + 2.0 * c0 * c1 * j[1] + c1 * c1 * j[2]))
+    # centre F at its mean so that its constant part cancels to rounding only
+    d0 = d0 - float(np.sum(d0 * j[0] + d1 * j[1] + d2 * j[2]))
+    e0, e1, e2 = c0 * c0 - mean_f2, 2.0 * c0 * c1, c1 * c1  # f^2 - sigma_bar^2
+    cov = np.sum(
+        d0 * e0 * j[0]
+        + (d0 * e1 + d1 * e0) * j[1]
+        + (d0 * e2 + d1 * e1 + d2 * e0) * j[2]
+        + (d1 * e2 + d2 * e1) * j[3]
+        + d2 * e2 * j[4]
+    )
+    return mean_f, mean_f2, -float(cov) / (nu * nu)
 
 
-def _sigma_bar_meta(
-    vol: VolFunction, z: float, m: float, nu: float, definition: str = "rms"
-) -> tuple[float, int, float]:
+def _averages(
+    vol: VolFunction, z: float, m: float, nu: float, rho_xy: float, definition: str
+) -> EffectiveParams:
+    """sigma_bar and V at slow-factor level ``z``; the one path behind every public entry.
+
+    V always uses the mean-square centering, whatever ``definition`` selects
+    for sigma_bar.  It is exactly zero when rho_xy = 0 or f does not depend
+    on y.
+    """
     _check_state(z, m, nu)
     if definition not in ("rms", "mean"):
         raise InputDomainError(f"unknown sigma_bar definition {definition!r}")
     if vol.kind == "y_constant":
-        return z, 1, 0.0
-    if vol.kind == "tabulated":
-        if definition == "mean":
-            return _tabulated_expect(vol, 1, m, nu), len(vol.y_nodes), 0.0
-        return math.sqrt(_tabulated_expect(vol, 2, m, nu)), len(vol.y_nodes), 0.0
-    if definition == "mean":
-        val, n, delta = _gh_expect(lambda y: vol(y, z), m, nu)
-        return val, n, delta
-    val, n, delta = _gh_expect(lambda y: vol(y, z) ** 2, m, nu)
-    return math.sqrt(val), n, delta
+        return EffectiveParams(sigma_bar=z, v=0.0, z=z, n_nodes=1, refine_delta=0.0, method="closed_form")
+    if vol.kind == "separable_exp":
+        # lognormal moments, with z inside the exponentials so that a result
+        # beyond the float range raises there instead of turning into inf:
+        #   sigma_bar = z e^{m + nu^2} (rms) or z e^{m + nu^2/2} (mean)
+        #   V = (rho_xy / sqrt 2) z^3 e^{3m + 9nu^2/2} (e^{-2nu^2} - 1) / nu
+        var = nu * nu
+        log_z = math.log(z)
+        try:
+            sb = math.exp(log_z + m + (var if definition == "rms" else 0.5 * var))
+            v = 0.0
+            if rho_xy != 0.0:
+                v = rho_xy / _SQRT2 * math.exp(3.0 * (log_z + m) + 4.5 * var) * math.expm1(-2.0 * var) / nu
+        except OverflowError:
+            raise NumericalOverflowError(
+                f"separable_exp moments overflow at z = {z:g}, m = {m:g}, nu = {nu:g}"
+            ) from None
+        return EffectiveParams(sigma_bar=sb, v=v, z=z, n_nodes=1, refine_delta=0.0, method="closed_form")
+    mean_f, mean_f2, e_f_phi = _tabulated_moments(vol, m, nu)
+    return EffectiveParams(
+        sigma_bar=math.sqrt(mean_f2) if definition == "rms" else mean_f,
+        v=nu * rho_xy / _SQRT2 * e_f_phi if rho_xy != 0.0 else 0.0,
+        z=z,
+        n_nodes=len(vol.y_nodes) + 1,
+        refine_delta=0.0,
+        method="piecewise_gaussian",
+    )
 
 
 def sigma_bar(vol: VolFunction, z: float, m: float, nu: float, *, definition: str = "rms") -> float:
@@ -259,104 +302,7 @@ def sigma_bar(vol: VolFunction, z: float, m: float, nu: float, *, definition: st
     ``definition="rms"`` (default) returns ``sqrt(E[f^2])``; ``"mean"``
     returns ``E[f]``.
     """
-    return _sigma_bar_meta(vol, z, m, nu, definition)[0]
-
-
-# ---------------------------------------------------------------------------
-# phi' and V
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhiSolution:
-    """phi' sampled on the dense quadrature grid."""
-
-    y: np.ndarray
-    phi_prime: np.ndarray
-    rhs: np.ndarray
-    centering_residual: float
-    n_points: int
-
-
-def _grid(vol: VolFunction, m: float, nu: float, n_points: int) -> np.ndarray:
-    y = np.linspace(m - GRID_WIDTH * nu, m + GRID_WIDTH * nu, n_points)
-    if vol.kind == "tabulated":
-        knots = np.asarray(vol.y_nodes)
-        knots = knots[(knots > y[0]) & (knots < y[-1])]
-        if knots.size:
-            y = np.unique(np.concatenate([y, knots]))
-    return y
-
-
-def _density(y: np.ndarray, m: float, nu: float) -> np.ndarray:
-    s = (y - m) / nu
-    return np.exp(-0.5 * s * s) / (nu * math.sqrt(2.0 * math.pi))
-
-
-def solve_phi_derivative(
-    vol: VolFunction,
-    z: float,
-    m: float,
-    nu: float,
-    *,
-    sigma_bar_sq: float | None = None,
-    n_points: int = 8193,
-) -> PhiSolution:
-    """Integrating-factor solution of the Poisson equation on the dense grid.
-
-    The source f^2 - sigma_bar^2 must integrate to zero against the invariant
-    density (mean-square centering); ``sigma_bar_sq`` defaults to the
-    internally computed E[f^2] and is validated either way.
-
-    Raises:
-        CenteringFailureError: if the source fails to center to CENTERING_TOL,
-            signalling an inconsistent sigma_bar.
-    """
-    _check_state(z, m, nu)
-    if sigma_bar_sq is None:
-        sigma_bar_sq = _sigma_bar_meta(vol, z, m, nu, "rms")[0] ** 2
-    y = _grid(vol, m, nu, n_points)
-    p = _density(y, m, nu)
-    f = np.asarray(vol(y, z), dtype=float)
-    rhs = f * f - sigma_bar_sq
-    mass = float(np.trapezoid(rhs * p, y))
-    if abs(mass) > CENTERING_TOL:
-        raise CenteringFailureError(
-            f"source integrates to {mass:.3e} against the density (tol {CENTERING_TOL:g}); "
-            "sigma_bar inconsistent with (f, z, m, nu)"
-        )
-    # remove the sub-tolerance remainder so the antiderivative decays cleanly
-    source = (rhs - mass / float(np.trapezoid(p, y))) * p
-    cum = cumulative_trapezoid(source, y, initial=0.0)
-    phi_prime = cum / (nu * nu * p)
-    return PhiSolution(y=y, phi_prime=phi_prime, rhs=rhs, centering_residual=mass, n_points=y.size)
-
-
-def _v_raw(vol: VolFunction, z: float, m: float, nu: float, sigma_bar_sq: float, n_points: int) -> float:
-    sol = solve_phi_derivative(vol, z, m, nu, sigma_bar_sq=sigma_bar_sq, n_points=n_points)
-    p = _density(sol.y, m, nu)
-    f = np.asarray(vol(sol.y, z), dtype=float)
-    return float(np.trapezoid(f * sol.phi_prime * p, sol.y) / np.trapezoid(p, sol.y))
-
-
-def _e_f_phi_prime(vol: VolFunction, z: float, m: float, nu: float) -> tuple[float, int, float]:
-    """E[f * phi'] by grid doubling with Richardson acceleration."""
-    sigma_sq = _sigma_bar_meta(vol, z, m, nu, "rms")[0] ** 2
-    n = 8193
-    raw_prev = _v_raw(vol, z, m, nu, sigma_sq, n)
-    rich_prev = None
-    while n <= (1 << 21):
-        n = 2 * n - 1
-        raw = _v_raw(vol, z, m, nu, sigma_sq, n)
-        rich = raw + (raw - raw_prev) / 3.0  # trapezoid error is O(h^2)
-        if rich_prev is not None:
-            delta = abs(rich - rich_prev) / max(abs(rich), 1e-300)
-            if delta <= REFINE_TOL:
-                return rich, n, delta
-        raw_prev, rich_prev = raw, rich
-    raise QuadratureFailureError(
-        f"E[f*phi'] did not stabilise to {REFINE_TOL:g} within {n} grid points"
-    )
+    return _averages(vol, z, m, nu, 0.0, definition).sigma_bar
 
 
 def effective_v(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) -> float:
@@ -364,22 +310,7 @@ def effective_v(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) 
 
     Exactly zero when rho_xy = 0 or f does not depend on y (phi' vanishes).
     """
-    _check_state(z, m, nu)
-    if rho_xy == 0.0 or vol.kind == "y_constant":
-        return 0.0
-    e_f_phi, _, _ = _e_f_phi_prime(vol, z, m, nu)
-    return nu * rho_xy / math.sqrt(2.0) * e_f_phi
-
-
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Averaged quantities at one slow-factor level, with refinement metadata."""
-
-    sigma_bar: float
-    v: float
-    z: float
-    n_nodes: int
-    refine_delta: float
+    return _averages(vol, z, m, nu, rho_xy, "rms").v
 
 
 class AveragingCache:
@@ -415,19 +346,89 @@ def effective_params(
     """Assemble sigma_bar and V for the pricer at slow-factor level ``z``."""
 
     def compute() -> EffectiveParams:
-        sb, n_sb, d_sb = _sigma_bar_meta(vol, z, model.m, model.nu, definition)
-        if model.rho_xy == 0.0 or vol.kind == "y_constant":
-            return EffectiveParams(sigma_bar=sb, v=0.0, z=z, n_nodes=n_sb, refine_delta=d_sb)
-        e_f_phi, n_v, d_v = _e_f_phi_prime(vol, z, model.m, model.nu)
-        v = model.nu * model.rho_xy / math.sqrt(2.0) * e_f_phi
-        return EffectiveParams(
-            sigma_bar=sb, v=v, z=z, n_nodes=max(n_sb, n_v), refine_delta=max(d_sb, d_v)
-        )
+        return _averages(vol, z, model.m, model.nu, model.rho_xy, definition)
 
     if cache is None:
         return compute()
     key = (vol.cache_key(), z, model.m, model.nu, model.rho_xy, definition)
     return cache.get_or_compute(key, compute)
+
+
+# ---------------------------------------------------------------------------
+# the dense-grid oracle: phi' and the Poisson residual
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PhiSolution:
+    """phi' sampled on the dense quadrature grid."""
+
+    y: np.ndarray
+    phi_prime: np.ndarray
+    rhs: np.ndarray
+    centering_residual: float
+    n_points: int
+
+
+def _grid(vol: VolFunction, m: float, nu: float, n_points: int) -> np.ndarray:
+    hi = m + GRID_WIDTH * nu
+    if vol.kind == "separable_exp":
+        # f^2 p is a multiple of the N(m + 2 nu^2, nu^2) density, so the right
+        # end follows that mean to keep the mass of E[f^2] on the grid
+        hi += 2.0 * nu * nu
+    y = np.linspace(m - GRID_WIDTH * nu, hi, n_points)
+    if vol.kind == "tabulated":
+        knots = np.asarray(vol.y_nodes)
+        knots = knots[(knots > y[0]) & (knots < y[-1])]
+        if knots.size:
+            y = np.unique(np.concatenate([y, knots]))
+    return y
+
+
+def _density(y: np.ndarray, m: float, nu: float) -> np.ndarray:
+    s = (y - m) / nu
+    return np.exp(-0.5 * s * s) / (nu * _SQRT_2PI)
+
+
+def solve_phi_derivative(
+    vol: VolFunction,
+    z: float,
+    m: float,
+    nu: float,
+    *,
+    sigma_bar_sq: float | None = None,
+    n_points: int = 8193,
+) -> PhiSolution:
+    """Integrating-factor solution of the Poisson equation on the dense grid.
+
+    The source f^2 - sigma_bar^2 must integrate to zero against the invariant
+    density (mean-square centering); ``sigma_bar_sq`` defaults to the exact
+    E[f^2] and is validated either way.
+
+    Raises:
+        CenteringFailureError: if the source fails to center to CENTERING_TOL
+            relative to sigma_bar^2, signalling an inconsistent sigma_bar.
+    """
+    from scipy.integrate import cumulative_trapezoid
+
+    _check_state(z, m, nu)
+    if sigma_bar_sq is None:
+        sigma_bar_sq = sigma_bar(vol, z, m, nu) ** 2
+    y = _grid(vol, m, nu, n_points)
+    p = _density(y, m, nu)
+    f = np.asarray(vol(y, z), dtype=float)
+    rhs = f * f - sigma_bar_sq
+    mass = float(np.trapezoid(rhs * p, y))
+    if abs(mass) > CENTERING_TOL * sigma_bar_sq:
+        raise CenteringFailureError(
+            f"source integrates to {mass:.3e} against the density, {abs(mass) / sigma_bar_sq:.3e} "
+            f"of sigma_bar^2 (tol {CENTERING_TOL:g}); sigma_bar inconsistent with (f, z, m, nu)"
+        )
+    # remove the sub-tolerance remainder so the antiderivative decays cleanly
+    source = (rhs - mass / float(np.trapezoid(p, y))) * p
+    cum = cumulative_trapezoid(source, y, initial=0.0)
+    phi_prime = cum / (nu * nu * p)
+    return PhiSolution(y=y, phi_prime=phi_prime, rhs=rhs, centering_residual=mass, n_points=y.size)
 
 
 def phi_residual_check(

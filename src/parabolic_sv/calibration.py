@@ -35,6 +35,7 @@ from .errors import (
     InsufficientDataError,
     LogDomainError,
     NoInteriorMinimumError,
+    NumericalOverflowError,
     PricingError,
     SingularTimeError,
 )
@@ -378,7 +379,7 @@ def calibrate_effective(
                 penalty += 1e3 * (A_EXCLUSION - gap) / A_EXCLUSION
         try:
             _, resid = profiled_v(a, k, sig)
-        except (SingularTimeError, LogDomainError, InputDomainError):
+        except (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError):
             return 1e9
         return float(np.sqrt(np.mean(resid**2))) + penalty
 

@@ -6,8 +6,8 @@ output is printed with 10 significant digits; reports are deterministic given
 the config, and the parallelism degree (``n_workers``) never appears in a
 report so changing it leaves the bytes unchanged.
 
-Exit codes: 0 success, 2 config/validation errors, 3 numerical singularities
-or quadrature failures, 4 insufficient data.
+Exit codes: 0 success, 2 config/validation errors, 3 numerical singularities,
+overflow or centering failures, 4 insufficient data.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ from .errors import (
     LogDomainError,
     NoInteriorMinimumError,
     NonPositiveDefiniteError,
+    NumericalOverflowError,
     PricingError,
-    QuadratureFailureError,
     SingularTimeError,
 )
 from .calibration import calibrate_effective, estimate_a, load_chain
@@ -67,7 +67,7 @@ _EXIT_BY_ERROR = (
         (
             SingularTimeError,
             LogDomainError,
-            QuadratureFailureError,
+            NumericalOverflowError,
             CenteringFailureError,
             NoInteriorMinimumError,
         ),
@@ -459,10 +459,7 @@ def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
         rows += [
             ("sigma_bar", eff.sigma_bar),
             ("v", eff.v),
-            (
-                "quadrature",
-                f"PASS nodes={eff.n_nodes} refine_delta={_fmt(eff.refine_delta)}",
-            ),
+            ("quadrature", f"PASS method={eff.method} pieces={eff.n_nodes}"),
         ]
         resid = phi_residual_check(vol, z_t, model.m, model.nu)
         rows.append(
@@ -471,8 +468,10 @@ def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
                 f"{'PASS' if resid <= 1e-6 else 'FAIL'} residual={_fmt(resid)}",
             )
         )
-    except (QuadratureFailureError, CenteringFailureError) as exc:
+    except NumericalOverflowError as exc:
         rows.append(("quadrature", f"WARN {exc}"))
+    except CenteringFailureError as exc:
+        rows.append(("phi_residual", f"WARN {exc}"))
 
     try:
         probe = OptionSpec(spot=opt.spot, strike=opt.strike, t=t_eval, maturity=opt.maturity)

@@ -59,10 +59,10 @@ class InputDomainError(PricingError):
     code = "DomainError"
 
 
-class QuadratureFailureError(PricingError):
-    """Node-doubling refinement did not stabilise within the node budget."""
+class NumericalOverflowError(PricingError):
+    """A result is finite in exact arithmetic but beyond the floating-point range."""
 
-    code = "QuadratureFailure"
+    code = "Overflow"
 
 
 class CenteringFailureError(PricingError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .averaging import AveragingCache, EffectiveParams, VolFunction, effective_params
 from .black_scholes import BsInputs, bs_call_price, d1d2_call
-from .errors import InputDomainError, LogDomainError, SingularTimeError
+from .errors import InputDomainError, LogDomainError, NumericalOverflowError, SingularTimeError
 from .params import ModelParams, OptionSpec
 from .slow_factor import SINGULAR_FLOOR, gamma_coefficient, parabolic_coefficients
 
@@ -44,14 +44,24 @@ __all__ = [
 def modification_factor(t: float, a: float, r: float, k: float, *, floor: float = SINGULAR_FLOOR) -> float:
     """Deterministic multiplier ``1+g`` applied to the classical price.
 
+    Computed in log space, ``(e/k) log q - e/(k q) + e t/2`` with ``e = a - 2r``
+    and ``q = |k t - 2|``, so large opposite terms cancel before exponentiation.
+
     Raises:
         SingularTimeError: when ``|k t - 2|`` is below ``floor``.
+        NumericalOverflowError: when the factor itself exceeds the float range.
     """
     q = abs(k * t - 2.0)
     if q < floor:
         raise SingularTimeError(f"|k*t - 2| = {q:.3g} below floor {floor:g}")
     e = a - 2.0 * r
-    return q ** (e / k) * math.exp(-e / (k * q)) * math.exp(e * t / 2.0)
+    log_factor = e / k * math.log(q) - e / (k * q) + e * t / 2.0
+    try:
+        return math.exp(log_factor)
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"modification factor e^{log_factor:.6g} overflows (a = {a:g}, r = {r:g}, k = {k:g}, t = {t:g})"
+        ) from None
 
 
 def p1_time_factor(t: float, maturity: float, k: float, *, floor: float = SINGULAR_FLOOR) -> float:

@@ -69,9 +69,9 @@ class TestSigmaBar:
     def test_exponential_closed_form_grid(self):
         for z in (0.1, 0.2, 0.35):
             for m in (0.0, -0.1):
-                for nu in (0.2, 0.3, 0.5):
+                for nu in (0.2, 0.3, 0.5, 1.0, 1.5, 2.0):
                     assert sigma_bar(EXP, z, m, nu) == pytest.approx(
-                        sigma_bar_exp_closed(z, m, nu), rel=1e-10
+                        sigma_bar_exp_closed(z, m, nu), rel=1e-12
                     )
 
     def test_mean_definition_exponential(self):
@@ -91,10 +91,11 @@ class TestSigmaBar:
 
     def test_tabulated_matches_brute_force(self):
         vol = VolFunction.tabulated(TABLE_Y, TABLE_F)
-        want_rms, _ = brute_pipeline(
-            lambda y: np.interp(y, TABLE_Y, TABLE_F), 0.2, 0.0, 0.3, 0.0
-        )
-        assert sigma_bar(vol, 0.2, 0.0, 0.3) == pytest.approx(want_rms, abs=1e-8)
+        for nu in (0.3, 1.5, 2.0):
+            want_rms, _ = brute_pipeline(
+                lambda y: np.interp(y, TABLE_Y, TABLE_F), 0.2, 0.0, nu, 0.0
+            )
+            assert sigma_bar(vol, 0.2, 0.0, nu) == pytest.approx(want_rms, abs=1e-8), nu
 
     @pytest.mark.parametrize(
         "z,m,nu", [(0.0, 0.0, 0.3), (-0.1, 0.0, 0.3), (0.2, 0.0, 0.0), (math.nan, 0.0, 0.3)]
@@ -116,11 +117,11 @@ class TestEffectiveV:
     def test_exponential_closed_form_grid(self):
         for z in (0.1, 0.2, 0.35):
             for m in (0.0, -0.1):
-                for nu in (0.2, 0.3, 0.5):
+                for nu in (0.2, 0.3, 0.5, 1.0, 1.5, 2.0):
                     for rho in (-0.5, 0.3):
                         got = effective_v(EXP, z, m, nu, rho)
                         assert got == pytest.approx(
-                            v_exp_closed(z, m, nu, rho), rel=1e-9
+                            v_exp_closed(z, m, nu, rho), rel=1e-12
                         ), (z, m, nu, rho)
 
     def test_cubic_in_z(self):
@@ -142,11 +143,12 @@ class TestEffectiveV:
 
     def test_tabulated_matches_brute_force(self):
         vol = VolFunction.tabulated(TABLE_Y, TABLE_F)
-        _, want = brute_pipeline(
-            lambda y: np.interp(y, TABLE_Y, TABLE_F), 0.2, 0.0, 0.3, -0.5
-        )
-        got = effective_v(vol, 0.2, 0.0, 0.3, -0.5)
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-10)
+        for nu in (0.3, 1.5, 2.0):
+            _, want = brute_pipeline(
+                lambda y: np.interp(y, TABLE_Y, TABLE_F), 0.2, 0.0, nu, -0.5
+            )
+            got = effective_v(vol, 0.2, 0.0, nu, -0.5)
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-10), nu
 
 
 class TestPhiSolution:
@@ -161,13 +163,17 @@ class TestPhiSolution:
             solve_phi_derivative(EXP, 0.2, 0.0, 0.3, sigma_bar_sq=2.0 * sb2)
 
     def test_residual_small_for_exponential(self):
-        assert phi_residual_check(EXP, 0.2, 0.0, 0.3) <= 1e-6
+        # at nu = 1.5 the weight f^2 p sits 2 nu^2 right of the mean, so this
+        # also checks that the grid carries the whole of E[f^2]
+        for nu in (0.3, 1.5):
+            assert phi_residual_check(EXP, 0.2, 0.0, nu) <= 1e-6, nu
 
     def test_residual_small_for_tabulated(self):
         # the interpolant's corners cap the central-difference accuracy at the
         # knots, so the bound is looser than for the smooth kind
         vol = VolFunction.tabulated(TABLE_Y, TABLE_F)
-        assert 0.0 < phi_residual_check(vol, 0.2, 0.0, 0.3) <= 1e-3
+        for nu in (0.3, 2.0):
+            assert 0.0 < phi_residual_check(vol, 0.2, 0.0, nu) <= 1e-3, nu
 
     def test_residual_exact_zero_for_flat(self):
         assert phi_residual_check(FLAT, 0.2, 0.0, 0.3) == 0.0
@@ -179,8 +185,11 @@ class TestEffectiveParams:
         assert eff.sigma_bar == pytest.approx(sigma_bar_exp_closed(0.2, 0.0, 0.3), rel=1e-10)
         assert eff.v == pytest.approx(v_exp_closed(0.2, 0.0, 0.3, -0.5), rel=1e-9)
         assert eff.z == 0.2
-        assert eff.n_nodes >= 32
-        assert 0.0 <= eff.refine_delta <= 1e-10
+        # exact expressions: one closed form, or one piece per table interval
+        # plus the two clamped ends, with no refinement error
+        assert (eff.method, eff.n_nodes, eff.refine_delta) == ("closed_form", 1, 0.0)
+        tab = effective_params(VolFunction.tabulated(TABLE_Y, TABLE_F), 0.2, build_model(rho_xy=-0.5))
+        assert (tab.method, tab.n_nodes, tab.refine_delta) == ("piecewise_gaussian", 6, 0.0)
 
     def test_mean_definition_propagates(self):
         eff = effective_params(EXP, 0.2, build_model(), definition="mean")

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, determinism, dump files."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,13 @@ class TestExitCodes:
         assert main(["price", "--config", cfg]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_modification_factor_is_numerical_error(self, tmp_path, capsys):
+        # (a - 2r) / k ~ 4.5e4 puts the factor near e^8638, beyond the float range
+        cfg = self.good_price_cfg(tmp_path, k=1e-5, a=0.5)
+        assert main(["price", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_empty_chain_is_data_error(self, tmp_path):
         chain = tmp_path / "chain.csv"
         chain.write_text("t,T,K,mid,x,r\n")
@@ -265,6 +273,15 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--config", cfg]) == 0
         assert capsys.readouterr().out == first
 
+    def test_fit_effective_survives_extreme_random_start(self, tmp_path, capsys):
+        # a random start of seed 7755 lands near k = 1.4e-4, a = -0.27, where the
+        # modification factor is ~e^-444: finite, though its terms overflow
+        chain = Path(__file__).resolve().parents[1] / "configs" / "chain_sample.csv"
+        cfg = write_cfg(tmp_path, "c.cfg", chain=str(chain), fit="effective", seed=7755)
+        assert main(["calibrate", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
+
 
 class TestDiagnoseCommand:
     def test_all_checks_pass_at_defaults(self, tmp_path, capsys):
@@ -278,6 +295,26 @@ class TestDiagnoseCommand:
         assert report["classical_pde_residual"].startswith("PASS")
         assert report["p0_pde_residual"].startswith("INFO")
         assert float(report["t_eval"]) == 0.125
+
+    def test_wide_fast_factor_reports_each_check_once(self, tmp_path, capsys):
+        # at nu = 1.5 the oracle's grid must carry the mass of f^2 p, which
+        # sits 2 nu^2 right of the mean, or the phi residual row turns to WARN
+        cfg = write_cfg(tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5, nu=1.5)
+        assert main(["diagnose", "--config", cfg]) == 0
+        text = capsys.readouterr().out
+        keys = [line.split(None, 1)[0] for line in text.strip().splitlines()]
+        assert len(keys) == len(set(keys))
+        report = parse_report(text)
+        assert report["quadrature"] == "PASS method=closed_form pieces=1"
+        assert report["phi_residual"].startswith("PASS")
+
+    def test_overflowing_averages_warn_but_exit_zero(self, tmp_path, capsys):
+        # at nu = 20 the exponential kind's V is beyond the float range
+        cfg = write_cfg(tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5, nu=20.0)
+        assert main(["diagnose", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["quadrature"].startswith("WARN")
+        assert report["p0_pde_residual"].startswith("WARN")
 
     def test_flat_vol_residual_exactly_zero(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -189,6 +189,16 @@ class TestAssembly:
         with pytest.raises(InputDomainError):
             price_first_order(ATM, build_model(), EXP, assembly="nested")
 
+    def test_pricing_never_runs_the_grid_oracle(self, monkeypatch):
+        def oracle(*args, **kwargs):
+            raise AssertionError("solve_phi_derivative called while pricing")
+
+        monkeypatch.setattr("parabolic_sv.averaging.solve_phi_derivative", oracle)
+        table = VolFunction.tabulated((-1.0, 0.0, 1.0), (0.15, 0.22, 0.35))
+        for vol in (EXP, table):
+            got = price_first_order(ATM, build_model(nu=1.5, rho_xy=-0.5), vol)
+            assert math.isfinite(got.total) and got.v != 0.0
+
     def test_cache_reuse_is_bit_identical(self):
         cache = AveragingCache()
         first = price_first_order(ATM, build_model(), EXP, cache=cache)
