@@ -61,6 +61,11 @@ __all__ = [
 
 #: Half-width of the oracle's dense grid in units of nu.
 GRID_WIDTH = 8.0
+#: Default point count of the oracle's grid up to nu = 1; wider grids get more
+#: points, so the spacing never exceeds that of the same kind's grid at nu = 1.
+ORACLE_POINTS = 32769
+#: Ceiling on the default point count, which keeps the grid's memory bounded.
+ORACLE_MAX_POINTS = 2**20 + 1
 #: Ceiling on the oracle's centering integral, relative to sigma_bar^2.
 CENTERING_TOL = 1e-8
 
@@ -370,13 +375,29 @@ class PhiSolution:
     n_points: int
 
 
-def _grid(vol: VolFunction, m: float, nu: float, n_points: int) -> np.ndarray:
+def _grid_ends(vol: VolFunction, m: float, nu: float) -> tuple[float, float]:
     hi = m + GRID_WIDTH * nu
     if vol.kind == "separable_exp":
         # f^2 p is a multiple of the N(m + 2 nu^2, nu^2) density, so the right
         # end follows that mean to keep the mass of E[f^2] on the grid
         hi += 2.0 * nu * nu
-    y = np.linspace(m - GRID_WIDTH * nu, hi, n_points)
+    return m - GRID_WIDTH * nu, hi
+
+
+def _default_points(vol: VolFunction, m: float, nu: float) -> int:
+    """Grid points that keep the spacing at or below the nu = 1 grid's.
+
+    f, and the table's knots, vary on a fixed scale in y, so the trapezoid
+    and central-difference errors of the oracle follow the absolute spacing.
+    """
+    lo, hi = _grid_ends(vol, m, nu)
+    lo_1, hi_1 = _grid_ends(vol, m, 1.0)
+    cells = (ORACLE_POINTS - 1) * (hi - lo) / (hi_1 - lo_1)
+    return min(max(ORACLE_POINTS, math.ceil(cells) + 1), ORACLE_MAX_POINTS)
+
+
+def _grid(vol: VolFunction, m: float, nu: float, n_points: int) -> np.ndarray:
+    y = np.linspace(*_grid_ends(vol, m, nu), n_points)
     if vol.kind == "tabulated":
         knots = np.asarray(vol.y_nodes)
         knots = knots[(knots > y[0]) & (knots < y[-1])]
@@ -397,13 +418,14 @@ def solve_phi_derivative(
     nu: float,
     *,
     sigma_bar_sq: float | None = None,
-    n_points: int = 8193,
+    n_points: int | None = None,
 ) -> PhiSolution:
     """Integrating-factor solution of the Poisson equation on the dense grid.
 
     The source f^2 - sigma_bar^2 must integrate to zero against the invariant
     density (mean-square centering); ``sigma_bar_sq`` defaults to the exact
-    E[f^2] and is validated either way.
+    E[f^2] and is validated either way.  ``n_points`` defaults to
+    ``ORACLE_POINTS``, raised with the grid's width beyond nu = 1.
 
     Raises:
         CenteringFailureError: if the source fails to center to CENTERING_TOL
@@ -414,7 +436,7 @@ def solve_phi_derivative(
     _check_state(z, m, nu)
     if sigma_bar_sq is None:
         sigma_bar_sq = sigma_bar(vol, z, m, nu) ** 2
-    y = _grid(vol, m, nu, n_points)
+    y = _grid(vol, m, nu, _default_points(vol, m, nu) if n_points is None else n_points)
     p = _density(y, m, nu)
     f = np.asarray(vol(y, z), dtype=float)
     rhs = f * f - sigma_bar_sq
@@ -437,7 +459,7 @@ def phi_residual_check(
     m: float,
     nu: float,
     *,
-    n_points: int = 32769,
+    n_points: int | None = None,
     interior_width: float = 6.0,
 ) -> float:
     """Sup-norm relative residual of the Poisson equation on the grid.

@@ -1,15 +1,31 @@
-"""Classical Black-Scholes call pricing, greeks and the x(x^2 C_xx)_x operator."""
+"""Classical Black-Scholes call pricing, greeks and the x(x^2 C_xx)_x operator.
+
+The scalar functions price one contract with :mod:`math`; :func:`call_and_d1d2`
+prices a whole chain at one volatility with numpy, from per-contract
+constants (:class:`CallConstants`) computed once.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from scipy.special import ndtr
 
 from .errors import InputDomainError
 
-__all__ = ["BsInputs", "Greeks", "bs_call_price", "bs_greeks", "d1d2_call", "norm_cdf", "norm_pdf"]
+__all__ = [
+    "BsInputs",
+    "CallConstants",
+    "Greeks",
+    "bs_call_price",
+    "bs_greeks",
+    "call_and_d1d2",
+    "d1d2_call",
+    "norm_cdf",
+    "norm_pdf",
+]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -104,3 +120,44 @@ def d1d2_call(inp: BsInputs) -> float:
     _require_interior(inp, "d1d2_call")
     d1, _, st = _d1_d2(inp)
     return inp.spot * norm_pdf(d1) / st * (1.0 - d1 / st)
+
+
+class CallConstants(NamedTuple):
+    """Per-contract constants of :func:`call_and_d1d2`: everything but sigma.
+
+    Build with :meth:`of`; the inputs are taken as already validated
+    (positive spot and strike, positive finite ``tau``).
+    """
+
+    spot: np.ndarray
+    log_moneyness: np.ndarray  # log(spot / strike)
+    rate: np.ndarray
+    tau: np.ndarray
+    sqrt_tau: np.ndarray
+    disc_strike: np.ndarray  # strike * exp(-rate * tau)
+
+    @classmethod
+    def of(cls, spot, strike, rate, tau) -> "CallConstants":
+        spot, strike, rate, tau = (np.asarray(v, dtype=float) for v in (spot, strike, rate, tau))
+        return cls(
+            spot=spot,
+            log_moneyness=np.log(spot / strike),
+            rate=rate,
+            tau=tau,
+            sqrt_tau=np.sqrt(tau),
+            disc_strike=strike * np.exp(-rate * tau),
+        )
+
+
+def call_and_d1d2(c: CallConstants, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Call value and D1D2 of every contract in ``c`` at volatility ``sigma``.
+
+    Array form of :func:`bs_call_price` and :func:`d1d2_call` sharing one
+    ``d1``; defined on interior inputs only (``sigma > 0``, ``tau > 0``), so
+    the caller rules out the boundary cases.
+    """
+    st = sigma * c.sqrt_tau
+    d1 = (c.log_moneyness + (c.rate + 0.5 * sigma**2) * c.tau) / st
+    call = c.spot * ndtr(d1) - c.disc_strike * ndtr(d1 - st)
+    d1d2 = c.spot * (np.exp(-0.5 * d1 * d1) / _SQRT_2PI) / st * (1.0 - d1 / st)
+    return call, d1d2

@@ -21,13 +21,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .black_scholes import BsInputs, bs_call_price, d1d2_call
+from .black_scholes import BsInputs, CallConstants, bs_call_price, call_and_d1d2
 from .errors import (
     ChainParseError,
     EmptyChainError,
@@ -242,7 +243,7 @@ def estimate_a(
     sigma = _atm_sigma(quotes)
 
     def sse_fn(sub: list[OptionQuote]):
-        q0 = np.array([bs_call_price(BsInputs(q.spot, q.strike, q.rate, sigma, q.tau)) for q in sub])
+        q0, _ = call_and_d1d2(_call_constants(sub), sigma)
         mids = np.array([q.mid for q in sub])
         ts = [q.t for q in sub]
 
@@ -292,14 +293,82 @@ def estimate_a(
     )
 
 
+def _call_constants(quotes: list[OptionQuote]) -> CallConstants:
+    return CallConstants.of(
+        [q.spot for q in quotes],
+        [q.strike for q in quotes],
+        [q.rate for q in quotes],
+        [q.tau for q in quotes],
+    )
+
+
+def _require_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise InputDomainError(f"sigma_bar = {sigma!r} must be positive and finite")
+
+
 def effective_quote_price(
     q: OptionQuote, a: float, k: float, v_eff: float, sigma_bar_val: float
 ) -> float:
     """Quote model of the effective fit: ``M * (Q0 + v_eff * tf * D1D2 Q0)``."""
-    inp = BsInputs(q.spot, q.strike, q.rate, sigma_bar_val, q.tau)
+    _require_sigma(sigma_bar_val)
+    q0, dd = call_and_d1d2(_call_constants([q]), sigma_bar_val)
     tf = p1_time_factor(q.t, q.maturity, k)
     mod = modification_factor(q.t, a, q.rate, k)
-    return mod * (bs_call_price(inp) + v_eff * tf * d1d2_call(inp))
+    return float(mod * (q0[0] + v_eff * tf * dd[0]))
+
+
+def _profiled_objective(
+    quotes: list[OptionQuote], lo: np.ndarray, hi: np.ndarray, v_box: tuple[float, float]
+):
+    """Price-RMSE objective of :func:`calibrate_effective` over (a, k, sigma_bar)
+    and the profiled ``v_eff`` behind it.
+
+    The chain's constants are computed here once.  Per evaluation the
+    modification and time factors are computed once per distinct (t, T, r)
+    date and broadcast to its quotes; the rest is one vector expression.
+    """
+    mids = np.array([q.mid for q in quotes])
+    bs = _call_constants(quotes)
+    keys = [(q.t, q.maturity, q.rate) for q in quotes]
+    dates = list(dict.fromkeys(keys))
+    date_of = np.array([dates.index(key) for key in keys])
+    rate_counts = Counter(2.0 * q.rate for q in quotes)
+    n_quotes = len(quotes)
+    a_lo, k_lo, s_lo = lo.tolist()
+    a_hi, k_hi, s_hi = hi.tolist()
+    v_lo, v_hi = v_box
+
+    def profiled_v(a: float, k: float, sig: float) -> tuple[float, np.ndarray]:
+        """Least-squares v_eff given the nonlinear parameters (model is linear in it)."""
+        _require_sigma(sig)
+        mod = np.array([modification_factor(t, a, r, k) for t, _, r in dates])
+        mod_tf = mod * np.array([p1_time_factor(t, mat, k) for t, mat, _ in dates])
+        call, dd = call_and_d1d2(bs, sig)
+        base = mod[date_of] * call
+        slope = mod_tf[date_of] * dd
+        target = mids - base
+        ss = float(slope @ slope)
+        v = float(slope @ target) / ss if ss > 1e-300 else 0.0
+        v = min(max(v, v_lo), v_hi)
+        return v, target - v * slope
+
+    def objective(theta: np.ndarray) -> float:
+        a, k, sig = theta.tolist()
+        if a < a_lo or a > a_hi or k < k_lo or k > k_hi or sig < s_lo or sig > s_hi:
+            return 1e6 * (1.0 + float(np.sum(np.maximum(lo - theta, 0) + np.maximum(theta - hi, 0))))
+        penalty = 0.0
+        for two_r, count in rate_counts.items():
+            gap = abs(a - two_r)
+            if gap < A_EXCLUSION:
+                penalty += count * 1e3 * (A_EXCLUSION - gap) / A_EXCLUSION
+        try:
+            _, resid = profiled_v(a, k, sig)
+        except (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError):
+            return 1e9
+        return math.sqrt(float(resid @ resid) / n_quotes) + penalty
+
+    return objective, profiled_v
 
 
 @dataclass(frozen=True)
@@ -348,40 +417,10 @@ def calibrate_effective(
             f"{len(quotes)} quotes, {n_maturities} maturities, {n_strikes} strikes"
         )
 
-    mids = np.array([q.mid for q in quotes])
     names = ("a", "k", "sigma_bar")
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
-    v_lo, v_hi = box["v_eff"]
-
-    def profiled_v(a: float, k: float, sig: float) -> tuple[float, np.ndarray]:
-        """Least-squares v_eff given the nonlinear parameters (model is linear in it)."""
-        base = np.empty(len(quotes))
-        slope = np.empty(len(quotes))
-        for i, q in enumerate(quotes):
-            inp = BsInputs(q.spot, q.strike, q.rate, sig, q.tau)
-            mod = modification_factor(q.t, a, q.rate, k)
-            base[i] = mod * bs_call_price(inp)
-            slope[i] = mod * p1_time_factor(q.t, q.maturity, k) * d1d2_call(inp)
-        ss = float(slope @ slope)
-        v = float(slope @ (mids - base)) / ss if ss > 1e-300 else 0.0
-        v = min(max(v, v_lo), v_hi)
-        return v, mids - base - v * slope
-
-    def objective(theta: np.ndarray) -> float:
-        a, k, sig = theta
-        if np.any(theta < lo) or np.any(theta > hi):
-            return 1e6 * (1.0 + float(np.sum(np.maximum(lo - theta, 0) + np.maximum(theta - hi, 0))))
-        penalty = 0.0
-        for q in quotes:
-            gap = abs(a - 2.0 * q.rate)
-            if gap < A_EXCLUSION:
-                penalty += 1e3 * (A_EXCLUSION - gap) / A_EXCLUSION
-        try:
-            _, resid = profiled_v(a, k, sig)
-        except (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError):
-            return 1e9
-        return float(np.sqrt(np.mean(resid**2))) + penalty
+    objective, profiled_v = _profiled_objective(quotes, lo, hi, box["v_eff"])
 
     rng = np.random.default_rng(seed)
     try:

@@ -430,11 +430,11 @@ def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
 
     rep = truncation_report(model, opt.maturity)
     if rep.bound_applies:
-        ok = rep.abs_error <= rep.bound * (1 + 1e-12) + 1e-15
         rows.append(
             (
                 "truncation",
-                f"{'PASS' if ok else 'FAIL'} abs_error={_fmt(rep.abs_error)} bound={_fmt(rep.bound)}",
+                f"{'PASS' if rep.within_bound else 'FAIL'} abs_error={_fmt(rep.abs_error)} "
+                f"bound={_fmt(rep.bound)}",
             )
         )
     else:

@@ -17,12 +17,16 @@ from parabolic_sv import (
     sigma_bar,
     solve_phi_derivative,
 )
+from parabolic_sv.averaging import CENTERING_TOL, ORACLE_MAX_POINTS, _default_points
 
 EXP = VolFunction.separable_exp()
 FLAT = VolFunction.y_constant()
 
 TABLE_Y = (-1.2, -0.5, 0.0, 0.4, 1.1)
 TABLE_F = (0.15, 0.18, 0.22, 0.27, 0.35)
+# the 7-row smile of configs/vol_table_sample.txt
+SMILE_Y = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+SMILE_F = (0.12, 0.14, 0.17, 0.22, 0.28, 0.34, 0.40)
 
 
 def sigma_bar_exp_closed(z, m, nu):
@@ -177,6 +181,38 @@ class TestPhiSolution:
 
     def test_residual_exact_zero_for_flat(self):
         assert phi_residual_check(FLAT, 0.2, 0.0, 0.3) == 0.0
+
+    def test_default_grid_keeps_the_unit_nu_spacing(self):
+        # 32769 points up to nu = 1; wider grids get more points, never a
+        # coarser spacing than the same kind's grid at nu = 1
+        smile = VolFunction.tabulated(SMILE_Y, SMILE_F)
+        for vol in (EXP, smile):
+            unit = solve_phi_derivative(vol, 0.2, 0.0, 1.0).y
+            unit_step = (unit[-1] - unit[0]) / 32768
+            for nu in (0.3, 1.0, 1.5, 2.0):
+                y = solve_phi_derivative(vol, 0.2, 0.0, nu).y
+                assert y.size >= 32769, (vol.kind, nu)
+                assert np.max(np.diff(y)) <= unit_step * (1.0 + 1e-12), (vol.kind, nu)
+        # an explicit count still wins, and the default stays bounded
+        assert solve_phi_derivative(EXP, 0.2, 0.0, 2.0, n_points=8193).n_points == 8193
+        assert _default_points(smile, 0.0, 100.0) == ORACLE_MAX_POINTS
+
+    def test_default_grid_centres_the_smile_at_wide_nu(self):
+        # on 8193 points the trapezoid error at the table's kinks pushed the
+        # centering mass past CENTERING_TOL from nu = 1.5 on
+        smile = VolFunction.tabulated(SMILE_Y, SMILE_F)
+        for nu in (1.5, 2.0):
+            sb2 = sigma_bar(smile, 0.2, 0.0, nu) ** 2
+            sol = solve_phi_derivative(smile, 0.2, 0.0, nu)
+            assert abs(sol.centering_residual) <= CENTERING_TOL * sb2, nu
+            assert 0.0 < phi_residual_check(smile, 0.2, 0.0, nu) <= 1e-3, nu
+
+    def test_default_grid_resolves_exponential_at_wide_nu(self):
+        # on 32769 points the residual was 1.19e-6 at nu = 2.0
+        for nu in (1.5, 2.0):
+            sol = solve_phi_derivative(EXP, 0.2, 0.0, nu)
+            assert abs(sol.centering_residual) <= CENTERING_TOL * sigma_bar(EXP, 0.2, 0.0, nu) ** 2, nu
+            assert phi_residual_check(EXP, 0.2, 0.0, nu) <= 1e-6, nu
 
 
 class TestEffectiveParams:

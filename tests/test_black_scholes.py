@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from parabolic_sv import BsInputs, InputDomainError, bs_call_price, bs_greeks, d1d2_call
-from parabolic_sv.black_scholes import norm_pdf
+from parabolic_sv.black_scholes import CallConstants, call_and_d1d2, norm_pdf
 
 
 def call_by_quadrature(spot, strike, rate, sigma, tau):
@@ -202,3 +202,41 @@ class TestOperatorD1D2:
             d1d2_call(BsInputs(100.0, 100.0, 0.0264, 0.0, 1.0))
         with pytest.raises(InputDomainError):
             d1d2_call(BsInputs(100.0, 100.0, 0.0264, 0.2, 0.0))
+
+
+class TestArrayKernel:
+    """call_and_d1d2 against the scalar bs_call_price / d1d2_call."""
+
+    MONEYNESS = (0.2, 0.5, 0.8, 0.95, 1.0, 1.05, 1.25, 2.0, 5.0)  # strike / spot
+
+    def test_matches_scalar_functions_on_a_grid(self):
+        spot = 100.0
+        strikes = [spot * m for m in self.MONEYNESS]
+        n = len(strikes)
+        for rate in (0.0, 0.0264, 0.08):
+            for tau in (0.01, 0.25, 1.0, 5.0):
+                consts = CallConstants.of([spot] * n, strikes, [rate] * n, [tau] * n)
+                for sigma in (0.02, 0.2, 0.8, 2.0):
+                    call, dd = call_and_d1d2(consts, sigma)
+                    for i, strike in enumerate(strikes):
+                        inp = BsInputs(spot, strike, rate, sigma, tau)
+                        ctx = (strike, rate, tau, sigma)
+                        # deep out of the money the price underflows towards
+                        # zero, so a floor far below any quoted price applies
+                        assert call[i] == pytest.approx(bs_call_price(inp), rel=1e-13, abs=1e-15), ctx
+                        assert dd[i] == pytest.approx(d1d2_call(inp), rel=1e-13, abs=1e-15), ctx
+
+    def test_mixed_contracts_in_one_call(self):
+        spots = [80.0, 100.0, 125.0]
+        strikes = [100.0, 90.0, 140.0]
+        rates = [0.0, 0.0264, 0.05]
+        taus = [0.1, 1.0, 3.0]
+        call, dd = call_and_d1d2(CallConstants.of(spots, strikes, rates, taus), 0.3)
+        for i, args in enumerate(zip(spots, strikes, rates, [0.3] * 3, taus)):
+            assert call[i] == pytest.approx(bs_call_price(BsInputs(*args)), rel=1e-13)
+            assert dd[i] == pytest.approx(d1d2_call(BsInputs(*args)), rel=1e-13)
+
+    def test_frozen_at_the_money_values(self):
+        call, dd = call_and_d1d2(CallConstants.of([100.0], [100.0], [0.0264], [0.5]), 0.2)
+        assert call[0] == pytest.approx(6.2802357505251, abs=1e-10)
+        assert dd[0] == pytest.approx(-44.531895790019, rel=1e-10)

@@ -22,7 +22,13 @@ from parabolic_sv import (
     modification_factor,
     p1_time_factor,
 )
-from parabolic_sv.calibration import effective_quote_price
+from parabolic_sv.calibration import (
+    A_EXCLUSION,
+    DEFAULT_BOUNDS,
+    _profiled_objective,
+    effective_quote_price,
+)
+from parabolic_sv.errors import LogDomainError, NumericalOverflowError, SingularTimeError
 
 
 def model_mid(t, maturity, strike, spot, r, a, k, sigma, v_eff):
@@ -280,3 +286,113 @@ class TestCalibrateEffective:
             calibrate_effective(synth_quotes(maturities=(0.5,)))
         with pytest.raises(InsufficientDataError):
             calibrate_effective(synth_quotes(strikes=(100.0,)))
+
+
+def loop_objective(quotes, theta, lo, hi, v_box):
+    """The profiled RMSE objective, one quote at a time from the scalar functions."""
+    a, k, sig = theta
+    if np.any(theta < lo) or np.any(theta > hi):
+        return 1e6 * (1.0 + float(np.sum(np.maximum(lo - theta, 0) + np.maximum(theta - hi, 0))))
+    penalty = 0.0
+    for q in quotes:
+        gap = abs(a - 2.0 * q.rate)
+        if gap < A_EXCLUSION:
+            penalty += 1e3 * (A_EXCLUSION - gap) / A_EXCLUSION
+    base, slope = [], []
+    try:
+        for q in quotes:
+            inp = BsInputs(q.spot, q.strike, q.rate, sig, q.tau)
+            mod = modification_factor(q.t, a, q.rate, k)
+            base.append(mod * bs_call_price(inp))
+            slope.append(mod * p1_time_factor(q.t, q.maturity, k) * d1d2_call(inp))
+    except (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError):
+        return 1e9
+    mids = np.array([q.mid for q in quotes])
+    base, slope = np.array(base), np.array(slope)
+    ss = float(slope @ slope)
+    v = float(slope @ (mids - base)) / ss if ss > 1e-300 else 0.0
+    v = min(max(v, v_box[0]), v_box[1])
+    resid = mids - base - v * slope
+    return float(np.sqrt(np.mean(resid**2))) + penalty
+
+
+def box(**over):
+    bounds = {**DEFAULT_BOUNDS, **over}
+    names = ("a", "k", "sigma_bar")
+    return (np.array([bounds[n][0] for n in names]), np.array([bounds[n][1] for n in names]),
+            bounds["v_eff"])
+
+
+def quotes_at(t, maturities, rate=0.0264, strikes=(90.0, 100.0, 110.0)):
+    return [
+        OptionQuote(t=t, maturity=mat, strike=strike, mid=12.0 - 0.1 * strike + 2.0 * mat,
+                    spot=100.0, rate=rate)
+        for mat in maturities for strike in strikes
+    ]
+
+
+class TestVectorObjective:
+    """The vectorised objective of calibrate_effective against a per-quote loop."""
+
+    CHAINS = {
+        "single_date": synth_quotes(a=0.06, sigma=0.21, v_eff=0.003),
+        # two valuation dates and two rates: factors per (t, T, r), penalty per rate
+        "mixed": synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
+        + quotes_at(0.4, (0.9, 1.6), rate=0.03),
+    }
+    THETAS = (
+        (0.06, 0.008, 0.21),
+        (0.03, 0.2, 0.5),
+        (-0.3, 0.9, 0.05),
+        (0.4, 1e-3, 1.9),
+        (2 * 0.0264 + 5e-5, 0.05, 0.2),  # inside the excluded band around 2r
+        (2 * 0.03 - 2e-5, 0.05, 0.2),
+        (-0.27, 1.4e-4, 0.2),  # the factor is ~e^-444: finite in log space
+        (0.7, 0.5, 0.2),  # outside the box
+        (0.1, 0.5, 0.001),
+    )
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_matches_per_quote_loop(self, chain):
+        quotes = self.CHAINS[chain]
+        lo, hi, v_box = box()
+        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
+        for theta in self.THETAS:
+            theta = np.array(theta)
+            want = loop_objective(quotes, theta, lo, hi, v_box)
+            assert math.isfinite(want) and want != 1e9, theta
+            assert objective(theta) == pytest.approx(want, rel=1e-12), theta
+
+    def test_profiled_v_matches_the_fit(self):
+        quotes = self.CHAINS["single_date"]
+        res = calibrate_effective(quotes, seed=0)
+        _, profiled_v = _profiled_objective(quotes, *box())
+        v, resid = profiled_v(res.a_hat, res.k_hat, res.sigma_bar_hat)
+        assert v == res.v_eff_hat
+        assert math.sqrt(float(np.mean(resid**2))) == pytest.approx(res.objective, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "quotes, theta, why",
+        [
+            (quotes_at(2.5, (3.0, 3.5)), (0.06, 0.8, 0.2), "k t = 2"),
+            (quotes_at(2.5 - 1e-13, (3.0, 3.5)), (0.06, 0.8, 0.2), "k t within the floor of 2"),
+            (quotes_at(1.5, (2.2, 2.5)), (0.06, 1.0, 0.2), "t and T straddle 2/k"),
+            (synth_quotes(), (0.5, 1e-5, 0.2), "the factor overflows"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else "",
+    )
+    def test_infeasible_points_score_1e9(self, quotes, theta, why):
+        lo, hi, v_box = box()
+        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
+        theta = np.array(theta)
+        assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9, why
+        assert objective(theta) == 1e9, why
+
+    def test_zero_sigma_scores_1e9_in_a_widened_box(self):
+        # sigma_bar = 0 is outside the kernel's domain, as it is outside d1d2_call's
+        quotes = self.CHAINS["single_date"]
+        lo, hi, v_box = box(sigma_bar=(0.0, 2.0))
+        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
+        theta = np.array([0.06, 0.008, 0.0])
+        assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9
+        assert objective(theta) == 1e9

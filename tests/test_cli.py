@@ -1,4 +1,5 @@
 """Command-line behavior: reports, exit codes, determinism, dump files."""
+import dataclasses
 import math
 from pathlib import Path
 
@@ -307,6 +308,26 @@ class TestDiagnoseCommand:
         report = parse_report(text)
         assert report["quadrature"] == "PASS method=closed_form pieces=1"
         assert report["phi_residual"].startswith("PASS")
+
+    def test_widest_fast_factor_passes_phi_residual(self, tmp_path, capsys):
+        # the oracle's default grid grows with its width; on a fixed 32769
+        # points the residual was 1.19e-6 at nu = 2.0
+        cfg = write_cfg(tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5, nu=2.0)
+        assert main(["diagnose", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["phi_residual"].startswith("PASS")
+
+    def test_truncation_row_reads_the_report(self, tmp_path, capsys, monkeypatch):
+        # the bound rule lives in truncation_report; diagnose only prints it
+        import parabolic_sv.cli as cli
+
+        real = cli.truncation_report
+        monkeypatch.setattr(
+            cli, "truncation_report", lambda *a: dataclasses.replace(real(*a), within_bound=False)
+        )
+        cfg = write_cfg(tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5)
+        assert main(["diagnose", "--config", cfg]) == 0
+        assert parse_report(capsys.readouterr().out)["truncation"].startswith("FAIL")
 
     def test_overflowing_averages_warn_but_exit_zero(self, tmp_path, capsys):
         # at nu = 20 the exponential kind's V is beyond the float range

@@ -77,12 +77,14 @@ class TestTruncation:
         assert rep.abs_error == pytest.approx(1.6258196404e-4, abs=1e-13)
         assert rep.bound == pytest.approx(1e-3 / 6.0, rel=1e-14)
         assert rep.abs_error <= rep.bound
+        assert rep.within_bound
 
     def test_half_of_mixing_horizon(self):
         p = build_model(z0=0.2, m_prime=0.1, k=1.0)
         rep = truncation_report(p, 0.5)
         assert rep.bound == pytest.approx(0.1 * 0.125 / 6.0, rel=1e-14)
         assert rep.abs_error <= rep.bound
+        assert rep.within_bound
 
     def test_bound_holds_on_random_inputs(self):
         rng = np.random.default_rng(13)
@@ -95,11 +97,13 @@ class TestTruncation:
             rep = truncation_report(build_model(z0=z0, m_prime=mp, k=k), t)
             assert rep.bound_applies
             assert rep.abs_error <= rep.bound * (1.0 + 1e-12) + 1e-15
+            assert rep.within_bound
             assert rep.bound == pytest.approx(abs(z0 - mp) * (k * t) ** 3 / 6.0, rel=1e-12)
 
     def test_beyond_mixing_horizon_only_reports(self):
         rep = truncation_report(build_model(z0=0.2, m_prime=0.1, k=1.0), 3.0)
         assert not rep.bound_applies  # no claim made there
+        assert not rep.within_bound
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

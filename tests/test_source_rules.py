@@ -1,0 +1,19 @@
+"""Rules on the package source itself."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "parabolic_sv").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_runtime_check_by_assert(path):
+    # python -O strips assert statements, so a check made with one vanishes
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at line(s) {lines}"
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 8
