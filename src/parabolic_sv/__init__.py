@@ -14,7 +14,6 @@ from .errors import (
     InvalidModelError,
     LogDomainError,
     NoInteriorMinimumError,
-    NonPositiveDefiniteError,
     NumericalOverflowError,
     PricingError,
     SingularTimeError,
@@ -25,7 +24,6 @@ from .params import (
     OptionSpec,
     build_model,
     correlation_matrix,
-    validate_correlations,
 )
 from .slow_factor import (
     ParabolicSlowFactor,
@@ -33,7 +31,6 @@ from .slow_factor import (
     gamma_coefficient,
     l2_time_coefficient_check,
     parabolic_coefficients,
-    slow_factor_value,
     truncation_report,
 )
 from .black_scholes import BsInputs, bs_call_price, bs_greeks, d1d2_call
@@ -42,7 +39,6 @@ from .averaging import (
     EffectiveParams,
     VolFunction,
     effective_params,
-    effective_v,
     phi_residual_check,
     sigma_bar,
     solve_phi_derivative,
@@ -50,7 +46,6 @@ from .averaging import (
 from .pricer import (
     PriceBreakdown,
     modification_factor,
-    p0,
     p0_pde_residual,
     p1_time_factor,
     price_first_order,
@@ -94,7 +89,6 @@ __all__ = [
     "McEstimate",
     "ModelParams",
     "NoInteriorMinimumError",
-    "NonPositiveDefiniteError",
     "NumericalOverflowError",
     "OptionQuote",
     "OptionSpec",
@@ -116,7 +110,6 @@ __all__ = [
     "correlation_matrix",
     "d1d2_call",
     "effective_params",
-    "effective_v",
     "epsilon_sweep",
     "estimate_a",
     "gamma_coefficient",
@@ -125,7 +118,6 @@ __all__ = [
     "load_chain",
     "mc_price",
     "modification_factor",
-    "p0",
     "p0_pde_residual",
     "p1_time_factor",
     "parabolic_coefficients",
@@ -133,9 +125,7 @@ __all__ = [
     "price_first_order",
     "sigma_bar",
     "simulate_terminal",
-    "slow_factor_value",
     "solve_phi_derivative",
     "truncation_report",
-    "validate_correlations",
     "__version__",
 ]

@@ -3,10 +3,9 @@
 The fast factor Y has invariant law N(m, nu^2) with density p.  For a vol
 function f(y, z) the module computes
 
-* ``sigma_bar(z)``   -- effective volatility, by default the root mean square
+* ``sigma_bar(z)``   -- effective volatility, the root mean square
   ``sqrt(E_p[f^2])`` (the centering condition of the Poisson equation below
-  forces the mean-square convention; the plain mean ``E_p[f]`` is available
-  behind ``definition="mean"`` for comparison),
+  forces the mean-square convention),
 * ``V``              -- ``(nu * rho_xy / sqrt(2)) * E_p[f * phi']``, the
   coefficient of the first-order price correction, where phi solves the
   Poisson equation ``(m - y) phi' + nu^2 phi'' = f^2 - sigma_bar^2``.
@@ -16,8 +15,7 @@ Integrating by parts with ``F' = f`` removes the Poisson solve:
 has an exact expression, one code path per quantity:
 
 * ``y_constant``     ``sigma_bar = z`` and ``V = 0``;
-* ``separable_exp``  lognormal moments: ``sigma_bar = z e^{m + nu^2}`` (rms)
-  or ``z e^{m + nu^2/2}`` (mean), and
+* ``separable_exp``  lognormal moments: ``sigma_bar = z e^{m + nu^2}`` and
   ``V = rho_xy z^3 / (sqrt(2) nu) e^{3m + 5nu^2/2} (1 - e^{2nu^2})``;
 * ``tabulated``      f is piecewise linear and F piecewise quadratic, so each
   expectation is a sum over the pieces of Gaussian partial moments of order
@@ -54,7 +52,6 @@ __all__ = [
     "sigma_bar",
     "solve_phi_derivative",
     "PhiSolution",
-    "effective_v",
     "effective_params",
     "phi_residual_check",
 ]
@@ -68,6 +65,11 @@ ORACLE_POINTS = 32769
 ORACLE_MAX_POINTS = 2**20 + 1
 #: Ceiling on the oracle's centering integral, relative to sigma_bar^2.
 CENTERING_TOL = 1e-8
+#: Half-width, in units of nu, of the window on which the residual is measured.
+RESIDUAL_WIDTH = 6.0
+#: A table knot closer than this fraction of a cell to a grid point already
+#: lies on the grid; inserting it would leave a cell too narrow to difference.
+_KNOT_SNAP = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -126,8 +128,12 @@ class VolFunction:
     @classmethod
     def from_table_file(cls, path) -> "VolFunction":
         """Read a two-column text table; '#' starts a comment, blank lines skipped."""
+        try:
+            lines = Path(path).read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputDomainError(f"cannot read vol table {path}: {exc}") from exc
         ys, fs = [], []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -154,11 +160,6 @@ class VolFunction:
             return out if out.shape else float(out)
         out = np.interp(y, np.asarray(self.y_nodes), np.asarray(self.f_values))
         return out if out.shape else float(out)
-
-    def cache_key(self) -> tuple:
-        if self.kind == "tabulated":
-            return (self.kind, self.y_nodes, self.f_values)
-        return (self.kind,)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,8 @@ def _gauss_partial_moments(sa: np.ndarray, sb: np.ndarray) -> list[np.ndarray]:
     return j
 
 
-def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, float, float]:
-    """Exact ``(E[f], E[f^2], E[f phi'])`` of the clamped linear interpolant.
+def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, float]:
+    """Exact ``(E[f^2], E[f phi'])`` of the clamped linear interpolant.
 
     Pieces: the clamped left end (-inf, y_0), the table intervals, and the
     clamped right end (y_last, +inf).  Each piece is anchored at its left
@@ -244,7 +245,6 @@ def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, fl
     d1 = nu * c0
     d2 = 0.5 * nu * c1
 
-    mean_f = float(np.sum(c0 * j[0] + c1 * j[1]))
     mean_f2 = float(np.sum(c0 * c0 * j[0] + 2.0 * c0 * c1 * j[1] + c1 * c1 * j[2]))
     # centre F at its mean so that its constant part cancels to rounding only
     d0 = d0 - float(np.sum(d0 * j[0] + d1 * j[1] + d2 * j[2]))
@@ -256,32 +256,26 @@ def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, fl
         + (d1 * e2 + d2 * e1) * j[3]
         + d2 * e2 * j[4]
     )
-    return mean_f, mean_f2, -float(cov) / (nu * nu)
+    return mean_f2, -float(cov) / (nu * nu)
 
 
-def _averages(
-    vol: VolFunction, z: float, m: float, nu: float, rho_xy: float, definition: str
-) -> EffectiveParams:
+def _averages(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) -> EffectiveParams:
     """sigma_bar and V at slow-factor level ``z``; the one path behind every public entry.
 
-    V always uses the mean-square centering, whatever ``definition`` selects
-    for sigma_bar.  It is exactly zero when rho_xy = 0 or f does not depend
-    on y.
+    V is exactly zero when rho_xy = 0 or f does not depend on y.
     """
     _check_state(z, m, nu)
-    if definition not in ("rms", "mean"):
-        raise InputDomainError(f"unknown sigma_bar definition {definition!r}")
     if vol.kind == "y_constant":
         return EffectiveParams(sigma_bar=z, v=0.0, z=z, n_nodes=1, refine_delta=0.0, method="closed_form")
     if vol.kind == "separable_exp":
         # lognormal moments, with z inside the exponentials so that a result
         # beyond the float range raises there instead of turning into inf:
-        #   sigma_bar = z e^{m + nu^2} (rms) or z e^{m + nu^2/2} (mean)
+        #   sigma_bar = z e^{m + nu^2}
         #   V = (rho_xy / sqrt 2) z^3 e^{3m + 9nu^2/2} (e^{-2nu^2} - 1) / nu
         var = nu * nu
         log_z = math.log(z)
         try:
-            sb = math.exp(log_z + m + (var if definition == "rms" else 0.5 * var))
+            sb = math.exp(log_z + m + var)
             v = 0.0
             if rho_xy != 0.0:
                 v = rho_xy / _SQRT2 * math.exp(3.0 * (log_z + m) + 4.5 * var) * math.expm1(-2.0 * var) / nu
@@ -290,9 +284,9 @@ def _averages(
                 f"separable_exp moments overflow at z = {z:g}, m = {m:g}, nu = {nu:g}"
             ) from None
         return EffectiveParams(sigma_bar=sb, v=v, z=z, n_nodes=1, refine_delta=0.0, method="closed_form")
-    mean_f, mean_f2, e_f_phi = _tabulated_moments(vol, m, nu)
+    mean_f2, e_f_phi = _tabulated_moments(vol, m, nu)
     return EffectiveParams(
-        sigma_bar=math.sqrt(mean_f2) if definition == "rms" else mean_f,
+        sigma_bar=math.sqrt(mean_f2),
         v=nu * rho_xy / _SQRT2 * e_f_phi if rho_xy != 0.0 else 0.0,
         z=z,
         n_nodes=len(vol.y_nodes) + 1,
@@ -301,25 +295,13 @@ def _averages(
     )
 
 
-def sigma_bar(vol: VolFunction, z: float, m: float, nu: float, *, definition: str = "rms") -> float:
-    """Effective volatility at slow-factor level ``z``.
-
-    ``definition="rms"`` (default) returns ``sqrt(E[f^2])``; ``"mean"``
-    returns ``E[f]``.
-    """
-    return _averages(vol, z, m, nu, 0.0, definition).sigma_bar
-
-
-def effective_v(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) -> float:
-    """Correlation coefficient ``V = (nu * rho_xy / sqrt(2)) * E[f * phi']``.
-
-    Exactly zero when rho_xy = 0 or f does not depend on y (phi' vanishes).
-    """
-    return _averages(vol, z, m, nu, rho_xy, "rms").v
+def sigma_bar(vol: VolFunction, z: float, m: float, nu: float) -> float:
+    """Effective volatility ``sqrt(E[f^2])`` at slow-factor level ``z``."""
+    return _averages(vol, z, m, nu, 0.0).sigma_bar
 
 
 class AveragingCache:
-    """Memo table for averaged quantities, keyed by (f, z, m, nu, definition).
+    """Memo table for averaged quantities, keyed by (f, z, m, nu, rho_xy).
 
     Reads and writes are serialized by a lock, so concurrent pricing threads
     can share one instance.
@@ -345,17 +327,20 @@ def effective_params(
     z: float,
     model: ModelParams,
     *,
-    definition: str = "rms",
     cache: AveragingCache | None = None,
 ) -> EffectiveParams:
-    """Assemble sigma_bar and V for the pricer at slow-factor level ``z``."""
+    """sigma_bar and V for the pricer at slow-factor level ``z``.
+
+    V is ``(nu * rho_xy / sqrt(2)) * E[f * phi']``, exactly zero when
+    rho_xy = 0 or f does not depend on y (phi' vanishes).
+    """
 
     def compute() -> EffectiveParams:
-        return _averages(vol, z, model.m, model.nu, model.rho_xy, definition)
+        return _averages(vol, z, model.m, model.nu, model.rho_xy)
 
     if cache is None:
         return compute()
-    key = (vol.cache_key(), z, model.m, model.nu, model.rho_xy, definition)
+    key = (vol, z, model.m, model.nu, model.rho_xy)
     return cache.get_or_compute(key, compute)
 
 
@@ -396,11 +381,22 @@ def _default_points(vol: VolFunction, m: float, nu: float) -> int:
     return min(max(ORACLE_POINTS, math.ceil(cells) + 1), ORACLE_MAX_POINTS)
 
 
+def _inner_knots(vol: VolFunction, y: np.ndarray) -> np.ndarray:
+    knots = np.asarray(vol.y_nodes)
+    return knots[(knots > y[0]) & (knots < y[-1])]
+
+
+def _nearest(y: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Index of the grid point nearest each knot; knots lie strictly inside the grid."""
+    i = np.searchsorted(y, knots)
+    return np.where(knots - y[i - 1] < y[i] - knots, i - 1, i)
+
+
 def _grid(vol: VolFunction, m: float, nu: float, n_points: int) -> np.ndarray:
     y = np.linspace(*_grid_ends(vol, m, nu), n_points)
     if vol.kind == "tabulated":
-        knots = np.asarray(vol.y_nodes)
-        knots = knots[(knots > y[0]) & (knots < y[-1])]
+        knots = _inner_knots(vol, y)
+        knots = knots[np.abs(y[_nearest(y, knots)] - knots) > _KNOT_SNAP * (y[1] - y[0])]
         if knots.size:
             y = np.unique(np.concatenate([y, knots]))
     return y
@@ -453,32 +449,43 @@ def solve_phi_derivative(
     return PhiSolution(y=y, phi_prime=phi_prime, rhs=rhs, centering_residual=mass, n_points=y.size)
 
 
-def phi_residual_check(
-    vol: VolFunction,
-    z: float,
-    m: float,
-    nu: float,
-    *,
-    n_points: int | None = None,
-    interior_width: float = 6.0,
-) -> float:
+def _difference_at_knots(y: np.ndarray, g: np.ndarray, k: np.ndarray, out: np.ndarray) -> None:
+    """Second-order ``g'`` at the grid indices ``k`` of knots and at their neighbours.
+
+    A table knot is a corner of phi'', so a difference across it is only
+    first-order.  Each stencil here stays within one piece: the three-point
+    formula for unequal spacing at each neighbour, and a one-sided stencil
+    from the right piece at the knot itself.  Writes into ``out``.
+    """
+    for i in (k - 1, k + 1):
+        h1, h2 = y[i] - y[i - 1], y[i + 1] - y[i]
+        out[i] = (h1 * h1 * (g[i + 1] - g[i]) + h2 * h2 * (g[i] - g[i - 1])) / (h1 * h2 * (h1 + h2))
+    h1, h2 = y[k + 1] - y[k], y[k + 2] - y[k + 1]
+    out[k] = ((h1 + h2) ** 2 * (g[k + 1] - g[k]) - h1 * h1 * (g[k + 2] - g[k])) / (h1 * h2 * (h1 + h2))
+
+
+def phi_residual_check(vol: VolFunction, z: float, m: float, nu: float) -> float:
     """Sup-norm relative residual of the Poisson equation on the grid.
 
     Applies the generator ``(m - y) d/dy + nu^2 d^2/dy^2`` to the computed
-    solution, approximating the second derivative by central differences of
-    phi' (numerics independent of the construction), and returns
+    solution, approximating the second derivative by differences of phi'
+    (numerics independent of the construction): central differences, and
+    stencils that keep to one piece at the knots of a table.  Returns
     ``max |L0 phi - rhs| / max |rhs|`` over the window ``|y - m| <=
-    interior_width * nu``.  Exactly zero for y-constant f.
+    RESIDUAL_WIDTH * nu``.  Exactly zero for y-constant f.
     """
     if vol.kind == "y_constant":
         return 0.0
-    sol = solve_phi_derivative(vol, z, m, nu, n_points=n_points)
+    sol = solve_phi_derivative(vol, z, m, nu)
     y, pp = sol.y, sol.phi_prime
     phi_dd = np.empty_like(pp)
     phi_dd[1:-1] = (pp[2:] - pp[:-2]) / (y[2:] - y[:-2])
     phi_dd[0], phi_dd[-1] = phi_dd[1], phi_dd[-2]
+    if vol.kind == "tabulated":
+        k = _nearest(y, _inner_knots(vol, y))
+        _difference_at_knots(y, pp, k[(k >= 2) & (k <= y.size - 3)], phi_dd)
     residual = (m - y) * pp + nu * nu * phi_dd - sol.rhs
-    window = np.abs(y - m) <= interior_width * nu
+    window = np.abs(y - m) <= RESIDUAL_WIDTH * nu
     window[:2] = window[-2:] = False
     scale = float(np.max(np.abs(sol.rhs[window])))
     return float(np.max(np.abs(residual[window])) / max(scale, 1e-300))

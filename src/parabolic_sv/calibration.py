@@ -59,6 +59,11 @@ CHAIN_HEADER = ("t", "T", "K", "mid", "x", "r")
 
 #: Half-width of the excluded band around a = 2r in the a-searches.
 A_EXCLUSION = 1e-4
+#: How far a mid may sit below the discounted intrinsic value before
+#: load_chain rejects its row.
+INTRINSIC_TOL = 1e-6
+#: Iteration cap of each Nelder-Mead descent in calibrate_effective.
+SIMPLEX_MAX_ITER = 4000
 
 DEFAULT_BOUNDS = {
     "a": (-0.5, 0.5),
@@ -97,7 +102,7 @@ class OptionQuote:
         return max(self.spot - self.strike * math.exp(-self.rate * self.tau), 0.0)
 
 
-def load_chain(path, *, intrinsic_tol: float = 1e-6) -> list[OptionQuote]:
+def load_chain(path) -> list[OptionQuote]:
     """Read a delimited chain file with header ``t,T,K,mid,x,r``.
 
     Structurally malformed rows raise :class:`ChainParseError`; rows violating
@@ -110,7 +115,7 @@ def load_chain(path, *, intrinsic_tol: float = 1e-6) -> list[OptionQuote]:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChainParseError(f"cannot read chain file {path}: {exc}") from exc
 
     reader = csv.reader(lines)
@@ -138,7 +143,7 @@ def load_chain(path, *, intrinsic_tol: float = 1e-6) -> list[OptionQuote]:
         except InputDomainError as exc:
             log.warning("%s: line %d: %s; row rejected", path, lineno, exc)
             continue
-        if q.mid <= q.intrinsic() - intrinsic_tol:
+        if q.mid <= q.intrinsic() - INTRINSIC_TOL:
             log.warning(
                 "%s: line %d: mid %.10g below intrinsic bound %.10g; row rejected",
                 path,
@@ -391,7 +396,6 @@ def calibrate_effective(
     bounds: dict | None = None,
     seed: int = 0,
     n_restarts: int = 3,
-    max_iter: int = 4000,
 ) -> CalibResult:
     """Joint fit of ``(a, k, v_eff, sigma_bar)`` to a quote chain.
 
@@ -450,7 +454,7 @@ def calibrate_effective(
                 x,
                 method="Nelder-Mead",
                 options={
-                    "maxiter": max_iter,
+                    "maxiter": SIMPLEX_MAX_ITER,
                     "xatol": 1e-12,
                     "fatol": 1e-14,
                     "adaptive": True,

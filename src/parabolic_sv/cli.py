@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import AveragingCache, VolFunction, effective_params, phi_residual_check
+from .averaging import VolFunction, effective_params, phi_residual_check
 from .errors import (
     CenteringFailureError,
     ChainParseError,
@@ -30,7 +30,6 @@ from .errors import (
     InvalidModelError,
     LogDomainError,
     NoInteriorMinimumError,
-    NonPositiveDefiniteError,
     NumericalOverflowError,
     PricingError,
     SingularTimeError,
@@ -54,13 +53,7 @@ EXIT_DATA = 4
 
 _EXIT_BY_ERROR = (
     (
-        (
-            ConfigError,
-            ChainParseError,
-            InvalidModelError,
-            NonPositiveDefiniteError,
-            InputDomainError,
-        ),
+        (ConfigError, ChainParseError, InvalidModelError, InputDomainError),
         EXIT_CONFIG,
     ),
     (
@@ -122,8 +115,6 @@ _CASTERS = {
     "maturity": float,
     "vol_kind": str,
     "vol_table": str,
-    "definition": str,
-    "assembly": str,
     "n_paths": int,
     "steps_per_year": int,
     "seed": int,
@@ -137,10 +128,10 @@ _CASTERS = {
     "n_restarts": int,
 }
 
-_COMMON_KEYS = set(_MODEL_KEYS) | {"vol_kind", "vol_table", "definition"}
+_COMMON_KEYS = set(_MODEL_KEYS) | {"vol_kind", "vol_table"}
 _OPTION_KEYS = {"spot", "strike", "t", "maturity"}
 _ALLOWED = {
-    "price": _COMMON_KEYS | _OPTION_KEYS | {"assembly"},
+    "price": _COMMON_KEYS | _OPTION_KEYS,
     "simulate": _COMMON_KEYS
     | _OPTION_KEYS
     | {"n_paths", "steps_per_year", "seed", "z_scheme", "antithetic", "y0", "n_workers", "eps_sweep"},
@@ -156,8 +147,6 @@ _REQUIRED = {
 
 _ENUMS = {
     "vol_kind": ("y_constant", "separable_exp", "tabulated"),
-    "definition": ("rms", "mean"),
-    "assembly": ("combined", "split"),
     "z_scheme": ("ou", "parabolic"),
     "fit": ("a", "effective"),
 }
@@ -166,7 +155,7 @@ _ENUMS = {
 def _read_pairs(path: Path) -> dict[str, str]:
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     pairs: dict[str, str] = {}
     for lineno, raw_line in enumerate(lines, start=1):
@@ -192,7 +181,6 @@ class RunConfig:
     command: str
     model: ModelParams
     vol: VolFunction
-    definition: str
     option: OptionSpec | None
     extras: dict = field(default_factory=dict)
     given: frozenset = frozenset()
@@ -246,7 +234,6 @@ def load_run_config(path, command: str) -> RunConfig:
         command=command,
         model=model,
         vol=vol,
-        definition=typed.get("definition", "rms"),
         option=option,
         extras=typed,
         given=frozenset(pairs),
@@ -273,20 +260,25 @@ def _delimited(rows: list[tuple[str, object]]) -> str:
     return "\n".join(f"{name}={_fmt(value)}" for name, value in rows) + "\n"
 
 
+def _write_file(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _emit(rows: list[tuple[str, object]], out_path: str | None) -> None:
-    sys.stdout.write(_aligned(rows))
+    # the file first, so a path that cannot be written leaves no report behind
     if out_path:
-        Path(out_path).write_text(_delimited(rows))
+        _write_file(out_path, _delimited(rows), "--out file")
+    sys.stdout.write(_aligned(rows))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_price(cfg: RunConfig, out_path: str | None) -> int:
-    assembly = cfg.extras.get("assembly", "combined")
-    bd = price_first_order(
-        cfg.option, cfg.model, cfg.vol, definition=cfg.definition, assembly=assembly
-    )
+    bd = price_first_order(cfg.option, cfg.model, cfg.vol)
     rows = [
         ("command", "price"),
         ("spot", cfg.option.spot),
@@ -355,7 +347,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         rows.append(("trend", "non-increasing" if ok else "increasing"))
     else:
         est = mc_price(cfg.model, cfg.option, cfg.vol, sim)
-        asym = price_first_order(cfg.option, cfg.model, cfg.vol, definition=cfg.definition).total
+        asym = price_first_order(cfg.option, cfg.model, cfg.vol).total
         rows += [
             ("price", est.price),
             ("std_error", est.std_error),
@@ -368,13 +360,13 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         n_keep = min(8, sim.n_paths)
         sample = simulate_terminal(cfg.model, cfg.option, cfg.vol, sim, return_paths=n_keep)
         dump = sample.paths
-        with open(paths_dump, "w") as fh:
-            fh.write("path,time,x,y,z\n")
-            for p in range(dump.x.shape[0]):
-                for j, tm in enumerate(dump.times):
-                    fh.write(
-                        f"{p},{_fmt(tm)},{_fmt(dump.x[p, j])},{_fmt(dump.y[p, j])},{_fmt(dump.z[p, j])}\n"
-                    )
+        lines = ["path,time,x,y,z\n"]
+        for p in range(dump.x.shape[0]):
+            for j, tm in enumerate(dump.times):
+                lines.append(
+                    f"{p},{_fmt(tm)},{_fmt(dump.x[p, j])},{_fmt(dump.y[p, j])},{_fmt(dump.z[p, j])}\n"
+                )
+        _write_file(paths_dump, "".join(lines), "--paths-dump file")
 
     _emit(rows, out_path)
     return EXIT_OK
@@ -452,10 +444,9 @@ def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
     except SingularTimeError as exc:
         rows.append(("time_coefficient", f"WARN {exc}"))
 
-    cache = AveragingCache()
     try:
         z_t = float(arc.value(opt.t))
-        eff = effective_params(vol, z_t, model, definition=cfg.definition, cache=cache)
+        eff = effective_params(vol, z_t, model)
         rows += [
             ("sigma_bar", eff.sigma_bar),
             ("v", eff.v),
@@ -476,10 +467,8 @@ def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
     try:
         probe = OptionSpec(spot=opt.spot, strike=opt.strike, t=t_eval, maturity=opt.maturity)
         z_probe = float(arc.value(t_eval))
-        eff_probe = effective_params(vol, z_probe, model, definition=cfg.definition, cache=cache)
-        classical = p0_pde_residual(
-            probe, model, eff_probe, force_gamma_zero=True, force_mod_one=True
-        )
+        eff_probe = effective_params(vol, z_probe, model)
+        classical = p0_pde_residual(probe, model, eff_probe, classical=True)
         rows.append(
             (
                 "classical_pde_residual",

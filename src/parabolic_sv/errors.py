@@ -35,12 +35,6 @@ class InvalidModelError(PricingError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-class NonPositiveDefiniteError(PricingError):
-    """Correlation triple does not define a positive-definite matrix."""
-
-    code = "NonPositiveDefinite"
-
-
 class SingularTimeError(PricingError):
     """A time-dependent denominator has been driven onto its singularity."""
 

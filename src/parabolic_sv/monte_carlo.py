@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import AveragingCache, VolFunction
+from .averaging import VolFunction
 from .errors import ConfigError
 from .params import ModelParams, OptionSpec, correlation_matrix
 from .slow_factor import parabolic_coefficients
@@ -294,11 +294,10 @@ def epsilon_sweep(
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError(f"eps_list = {eps!r} must be strictly descending")
 
-    cache = AveragingCache()
     rows = []
     for e in eps:
         model_e = replace(model, epsilon=e)
-        asym = price_first_order(spec, model_e, vol, cache=cache).total
+        asym = price_first_order(spec, model_e, vol).total
         est = mc_price(model_e, spec, vol, cfg)
         rows.append(
             SweepRow(

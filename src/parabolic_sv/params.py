@@ -16,18 +16,22 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidModelError, NonPositiveDefiniteError, Violation
+from .errors import InvalidModelError, Violation
 
 __all__ = [
     "ModelParams",
     "OptionSpec",
     "build_model",
-    "validate_correlations",
     "correlation_matrix",
 ]
 
 
 def _corr_quadratic(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
+    """``1 + 2 rho_xy rho_xz rho_yz - rho_xy^2 - rho_xz^2 - rho_yz^2``.
+
+    The determinant of the 3x3 correlation matrix: with each coefficient in
+    (-1, 1), the matrix is positive definite exactly when it is positive.
+    """
     return (
         1.0
         + 2.0 * rho_xy * rho_xz * rho_yz
@@ -35,29 +39,6 @@ def _corr_quadratic(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
         - rho_xz * rho_xz
         - rho_yz * rho_yz
     )
-
-
-def validate_correlations(rho_xy: float, rho_xz: float, rho_yz: float) -> float:
-    """Check positive definiteness of the 3x3 driving-noise correlation matrix.
-
-    Returns the determinant-style quadratic
-    ``1 + 2*rho_xy*rho_xz*rho_yz - rho_xy^2 - rho_xz^2 - rho_yz^2``,
-    which is positive exactly when the correlation matrix is positive
-    definite (given each coefficient lies in (-1, 1)).
-
-    Raises:
-        NonPositiveDefiniteError: if any coefficient has modulus >= 1 or the
-            quadratic is <= 0.
-    """
-    for name, rho in (("rho_xy", rho_xy), ("rho_xz", rho_xz), ("rho_yz", rho_yz)):
-        if not math.isfinite(rho) or abs(rho) >= 1.0:
-            raise NonPositiveDefiniteError(f"{name} = {rho!r} outside (-1, 1)")
-    quad = _corr_quadratic(rho_xy, rho_xz, rho_yz)
-    if quad <= 0.0:
-        raise NonPositiveDefiniteError(
-            f"correlation quadratic = {quad:.6g} <= 0; matrix not positive definite"
-        )
-    return quad
 
 
 @dataclass(frozen=True)

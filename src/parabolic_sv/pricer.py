@@ -31,29 +31,33 @@ from .errors import InputDomainError, LogDomainError, NumericalOverflowError, Si
 from .params import ModelParams, OptionSpec
 from .slow_factor import SINGULAR_FLOOR, gamma_coefficient, parabolic_coefficients
 
+#: Central-difference steps of :func:`p0_pde_residual`: relative in the spot,
+#: absolute (per year of maturity) in time.
+_DX_REL = 1e-4
+_DT_ABS = 1e-5
+
 __all__ = [
     "PriceBreakdown",
     "modification_factor",
     "p1_time_factor",
-    "p0",
     "price_first_order",
     "p0_pde_residual",
 ]
 
 
-def modification_factor(t: float, a: float, r: float, k: float, *, floor: float = SINGULAR_FLOOR) -> float:
+def modification_factor(t: float, a: float, r: float, k: float) -> float:
     """Deterministic multiplier ``1+g`` applied to the classical price.
 
     Computed in log space, ``(e/k) log q - e/(k q) + e t/2`` with ``e = a - 2r``
     and ``q = |k t - 2|``, so large opposite terms cancel before exponentiation.
 
     Raises:
-        SingularTimeError: when ``|k t - 2|`` is below ``floor``.
+        SingularTimeError: when ``|k t - 2|`` is below ``SINGULAR_FLOOR``.
         NumericalOverflowError: when the factor itself exceeds the float range.
     """
     q = abs(k * t - 2.0)
-    if q < floor:
-        raise SingularTimeError(f"|k*t - 2| = {q:.3g} below floor {floor:g}")
+    if q < SINGULAR_FLOOR:
+        raise SingularTimeError(f"|k*t - 2| = {q:.3g} below floor {SINGULAR_FLOOR:g}")
     e = a - 2.0 * r
     log_factor = e / k * math.log(q) - e / (k * q) + e * t / 2.0
     try:
@@ -64,7 +68,7 @@ def modification_factor(t: float, a: float, r: float, k: float, *, floor: float 
         ) from None
 
 
-def p1_time_factor(t: float, maturity: float, k: float, *, floor: float = SINGULAR_FLOOR) -> float:
+def p1_time_factor(t: float, maturity: float, k: float) -> float:
     """Maturity-dependent coefficient of the first-order correction.
 
     ``2 [ (1/k) log((kT-2)/(kt-2)) + (T-t) / ((kT-2)(kt-2)) ]``; identically
@@ -72,13 +76,13 @@ def p1_time_factor(t: float, maturity: float, k: float, *, floor: float = SINGUL
 
     Raises:
         SingularTimeError: if either denominator ``k t - 2`` / ``k T - 2`` is
-            within ``floor`` of zero.
+            within ``SINGULAR_FLOOR`` of zero.
         LogDomainError: if the log argument is not positive (the valuation and
             maturity dates straddle the singular time 2/k).
     """
     dt_ = k * t - 2.0
     dT = k * maturity - 2.0
-    if abs(dt_) < floor or abs(dT) < floor:
+    if abs(dt_) < SINGULAR_FLOOR or abs(dT) < SINGULAR_FLOOR:
         raise SingularTimeError(f"|k*t - 2| = {abs(dt_):.3g}, |k*T - 2| = {abs(dT):.3g}; singular")
     ratio = dT / dt_
     if ratio <= 0.0:
@@ -110,34 +114,18 @@ def _require_regular_horizon(model: ModelParams, spec: OptionSpec) -> None:
         )
 
 
-def p0(spec: OptionSpec, model: ModelParams, eff: EffectiveParams) -> float:
-    """Leading-order price: modification factor times the classical value."""
-    _require_regular_horizon(model, spec)
-    if spec.t == spec.maturity:
-        return max(spec.spot - spec.strike, 0.0)
-    q0 = bs_call_price(BsInputs(spec.spot, spec.strike, model.r, eff.sigma_bar, spec.tau))
-    return modification_factor(spec.t, model.a, model.r, model.k) * q0
-
-
 def price_first_order(
     spec: OptionSpec,
     model: ModelParams,
     vol: VolFunction,
     *,
-    definition: str = "rms",
     cache: AveragingCache | None = None,
-    assembly: str = "combined",
 ) -> PriceBreakdown:
-    """First-order price with its full component breakdown.
+    """First-order price ``mod * (q0 + sqrt(eps) * tf * V * dd)`` with its components.
 
-    ``assembly`` selects the algebraically equivalent grouping used for the
-    final sum: ``"combined"`` (default) computes
-    ``mod * (q0 + sqrt(eps) * tf * V * dd)``; ``"split"`` computes
-    ``mod * q0 + sqrt(eps) * tf * V * (mod * dd)``, i.e. the correction applied
-    to the modified leading order.  Exposed for differential testing.
+    ``p0 = mod * q0`` is the leading order.  At ``t = maturity`` the price is
+    the payoff.
     """
-    if assembly not in ("combined", "split"):
-        raise InputDomainError(f"unknown assembly {assembly!r}")
     _require_regular_horizon(model, spec)
 
     if spec.t == spec.maturity:
@@ -156,17 +144,13 @@ def price_first_order(
         )
 
     z = float(parabolic_coefficients(model).value(spec.t))
-    eff = effective_params(vol, z, model, definition=definition, cache=cache)
+    eff = effective_params(vol, z, model, cache=cache)
     inp = BsInputs(spec.spot, spec.strike, model.r, eff.sigma_bar, spec.tau)
     q0 = bs_call_price(inp)
     dd = d1d2_call(inp)
     tf = p1_time_factor(spec.t, spec.maturity, model.k)
     mod = modification_factor(spec.t, model.a, model.r, model.k)
-    core = math.sqrt(model.epsilon) * tf * eff.v * dd
-    if assembly == "combined":
-        total = mod * (q0 + core)
-    else:
-        total = mod * q0 + math.sqrt(model.epsilon) * tf * eff.v * (mod * dd)
+    total = mod * (q0 + math.sqrt(model.epsilon) * tf * eff.v * dd)
     p0_val = mod * q0
     return PriceBreakdown(
         z=z,
@@ -187,19 +171,16 @@ def p0_pde_residual(
     model: ModelParams,
     eff: EffectiveParams,
     *,
-    force_gamma_zero: bool = False,
-    force_mod_one: bool = False,
-    dx_rel: float = 1e-4,
-    dt_abs: float = 1e-5,
+    classical: bool = False,
 ) -> float:
     """Residual of the modified pricing operator on P0, by central differences.
 
     Evaluates ``(1 + gamma) dP0/dt + 0.5 sigma_bar^2 x^2 d2P0/dx2 +
     r (x dP0/dx - P0)`` at the valuation point with sigma_bar frozen at the
     level carried by ``eff``, normalized by ``r * P0``.  Nonzero in general;
-    with ``force_gamma_zero`` and ``force_mod_one`` the operator reduces to
-    the classical one, for which the residual is a pure finite-difference
-    error.
+    ``classical`` sets gamma = 0 and the modification factor to one, which
+    reduces the operator and P0 to the classical ones, for which the residual
+    is a pure finite-difference error.
 
     Requires an interior valuation date ``0 < t < maturity``.
     """
@@ -210,13 +191,13 @@ def p0_pde_residual(
     sb = eff.sigma_bar
 
     def price(s: float, x: float) -> float:
-        mod = 1.0 if force_mod_one else modification_factor(s, model.a, model.r, model.k)
+        mod = 1.0 if classical else modification_factor(s, model.a, model.r, model.k)
         return mod * bs_call_price(BsInputs(x, spec.strike, model.r, sb, spec.maturity - s))
 
-    gamma = 0.0 if force_gamma_zero else gamma_coefficient(model.k, spec.t)
+    gamma = 0.0 if classical else gamma_coefficient(model.k, spec.t)
     t, x = spec.t, spec.spot
-    ht = min(dt_abs * max(1.0, spec.maturity), 0.45 * t, 0.45 * (spec.maturity - t))
-    hx = dx_rel * x
+    ht = min(_DT_ABS * max(1.0, spec.maturity), 0.45 * t, 0.45 * (spec.maturity - t))
+    hx = _DX_REL * x
 
     p_mid = price(t, x)
     dp_dt = (price(t + ht, x) - price(t - ht, x)) / (2.0 * ht)

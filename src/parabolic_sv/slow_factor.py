@@ -20,7 +20,6 @@ from .params import ModelParams
 __all__ = [
     "ParabolicSlowFactor",
     "parabolic_coefficients",
-    "slow_factor_value",
     "truncation_report",
     "TruncationReport",
     "gamma_coefficient",
@@ -52,11 +51,6 @@ def parabolic_coefficients(p: ModelParams) -> ParabolicSlowFactor:
         b_coef=-gap * p.k,
         c_coef=p.z0,
     )
-
-
-def slow_factor_value(arc: ParabolicSlowFactor, t):
-    """Evaluate the arc at time ``t``."""
-    return arc.value(t)
 
 
 @dataclass(frozen=True)
@@ -102,16 +96,18 @@ def truncation_report(p: ModelParams, t: float) -> TruncationReport:
     )
 
 
-def gamma_coefficient(k: float, t: float, *, floor: float = SINGULAR_FLOOR) -> float:
+def gamma_coefficient(k: float, t: float) -> float:
     """Time coefficient ``(1 - kt + (kt)^2/2) / (1 - kt)``.
 
     Raises:
-        SingularTimeError: when ``|1 - k t|`` is below ``floor``.
+        SingularTimeError: when ``|1 - k t|`` is below ``SINGULAR_FLOOR``.
     """
     kt = k * t
     den = 1.0 - kt
-    if abs(den) < floor:
-        raise SingularTimeError(f"|1 - k*t| = {abs(den):.3g} below floor {floor:g} (k*t = {kt:g})")
+    if abs(den) < SINGULAR_FLOOR:
+        raise SingularTimeError(
+            f"|1 - k*t| = {abs(den):.3g} below floor {SINGULAR_FLOOR:g} (k*t = {kt:g})"
+        )
     return (1.0 - kt + 0.5 * kt * kt) / den
 
 

@@ -12,7 +12,6 @@ from parabolic_sv import (
     VolFunction,
     build_model,
     effective_params,
-    effective_v,
     phi_residual_check,
     sigma_bar,
     solve_phi_derivative,
@@ -43,6 +42,10 @@ def v_exp_closed(z, m, nu, rho):
         * math.exp(3.0 * m + 2.5 * nu * nu)
         * (1.0 - math.exp(2.0 * nu * nu))
     )
+
+
+def v_of(vol, z, m, nu, rho):
+    return effective_params(vol, z, build_model(m=m, nu=nu, rho_xy=rho)).v
 
 
 def brute_pipeline(f_of_y, z, m, nu, rho, n=400_001):
@@ -78,11 +81,6 @@ class TestSigmaBar:
                         sigma_bar_exp_closed(z, m, nu), rel=1e-12
                     )
 
-    def test_mean_definition_exponential(self):
-        # E[z e^Y] = z e^{m + nu^2/2}
-        got = sigma_bar(EXP, 0.2, 0.0, 0.3, definition="mean")
-        assert got == pytest.approx(0.2 * math.exp(0.045), rel=1e-10)
-
     def test_flat_kind_returns_z(self):
         assert sigma_bar(FLAT, 0.27, 0.0, 0.3) == 0.27
 
@@ -108,14 +106,10 @@ class TestSigmaBar:
         with pytest.raises(InputDomainError):
             sigma_bar(EXP, z, m, nu)
 
-    def test_unknown_definition_rejected(self):
-        with pytest.raises(InputDomainError):
-            sigma_bar(EXP, 0.2, 0.0, 0.3, definition="median")
-
 
 class TestEffectiveV:
     def test_frozen_exponential_value(self):
-        got = effective_v(EXP, 0.2, 0.0, 0.3, -0.5)
+        got = v_of(EXP, 0.2, 0.0, 0.3, -0.5)
         assert got == pytest.approx(0.0023285477331581, rel=1e-9)
 
     def test_exponential_closed_form_grid(self):
@@ -123,27 +117,27 @@ class TestEffectiveV:
             for m in (0.0, -0.1):
                 for nu in (0.2, 0.3, 0.5, 1.0, 1.5, 2.0):
                     for rho in (-0.5, 0.3):
-                        got = effective_v(EXP, z, m, nu, rho)
+                        got = v_of(EXP, z, m, nu, rho)
                         assert got == pytest.approx(
                             v_exp_closed(z, m, nu, rho), rel=1e-12
                         ), (z, m, nu, rho)
 
     def test_cubic_in_z(self):
-        base = effective_v(EXP, 0.1, 0.0, 0.3, -0.4)
+        base = v_of(EXP, 0.1, 0.0, 0.3, -0.4)
         for c in (2.0, 5.0):
-            assert effective_v(EXP, c * 0.1, 0.0, 0.3, -0.4) == pytest.approx(
+            assert v_of(EXP, c * 0.1, 0.0, 0.3, -0.4) == pytest.approx(
                 c**3 * base, rel=1e-8
             )
 
     def test_zero_correlation_is_exact_zero(self):
-        assert effective_v(EXP, 0.2, 0.0, 0.3, 0.0) == 0.0
+        assert v_of(EXP, 0.2, 0.0, 0.3, 0.0) == 0.0
 
     def test_flat_kind_is_exact_zero(self):
-        assert effective_v(FLAT, 0.2, 0.0, 0.3, -0.5) == 0.0
+        assert v_of(FLAT, 0.2, 0.0, 0.3, -0.5) == 0.0
 
     def test_exponential_matches_brute_force(self):
         _, want = brute_pipeline(lambda y: 0.2 * np.exp(y), 0.2, 0.0, 0.3, -0.5)
-        assert effective_v(EXP, 0.2, 0.0, 0.3, -0.5) == pytest.approx(want, rel=1e-8)
+        assert v_of(EXP, 0.2, 0.0, 0.3, -0.5) == pytest.approx(want, rel=1e-8)
 
     def test_tabulated_matches_brute_force(self):
         vol = VolFunction.tabulated(TABLE_Y, TABLE_F)
@@ -151,7 +145,7 @@ class TestEffectiveV:
             _, want = brute_pipeline(
                 lambda y: np.interp(y, TABLE_Y, TABLE_F), 0.2, 0.0, nu, -0.5
             )
-            got = effective_v(vol, 0.2, 0.0, nu, -0.5)
+            got = v_of(vol, 0.2, 0.0, nu, -0.5)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-10), nu
 
 
@@ -173,11 +167,10 @@ class TestPhiSolution:
             assert phi_residual_check(EXP, 0.2, 0.0, nu) <= 1e-6, nu
 
     def test_residual_small_for_tabulated(self):
-        # the interpolant's corners cap the central-difference accuracy at the
-        # knots, so the bound is looser than for the smooth kind
+        # at nu = 0.1 the knot 0.4 falls on a grid point to rounding
         vol = VolFunction.tabulated(TABLE_Y, TABLE_F)
-        for nu in (0.3, 2.0):
-            assert 0.0 < phi_residual_check(vol, 0.2, 0.0, nu) <= 1e-3, nu
+        for nu in (0.1, 0.3, 2.0):
+            assert 0.0 < phi_residual_check(vol, 0.2, 0.0, nu) <= 1e-6, nu
 
     def test_residual_exact_zero_for_flat(self):
         assert phi_residual_check(FLAT, 0.2, 0.0, 0.3) == 0.0
@@ -205,7 +198,7 @@ class TestPhiSolution:
             sb2 = sigma_bar(smile, 0.2, 0.0, nu) ** 2
             sol = solve_phi_derivative(smile, 0.2, 0.0, nu)
             assert abs(sol.centering_residual) <= CENTERING_TOL * sb2, nu
-            assert 0.0 < phi_residual_check(smile, 0.2, 0.0, nu) <= 1e-3, nu
+            assert 0.0 < phi_residual_check(smile, 0.2, 0.0, nu) <= 1e-6, nu
 
     def test_default_grid_resolves_exponential_at_wide_nu(self):
         # on 32769 points the residual was 1.19e-6 at nu = 2.0
@@ -227,23 +220,19 @@ class TestEffectiveParams:
         tab = effective_params(VolFunction.tabulated(TABLE_Y, TABLE_F), 0.2, build_model(rho_xy=-0.5))
         assert (tab.method, tab.n_nodes, tab.refine_delta) == ("piecewise_gaussian", 6, 0.0)
 
-    def test_mean_definition_propagates(self):
-        eff = effective_params(EXP, 0.2, build_model(), definition="mean")
-        assert eff.sigma_bar == pytest.approx(0.2 * math.exp(0.045), rel=1e-10)
-
     def test_cache_returns_same_object(self):
         cache = AveragingCache()
         model = build_model(rho_xy=-0.5)
         first = effective_params(EXP, 0.2, model, cache=cache)
         second = effective_params(EXP, 0.2, model, cache=cache)
         assert second is first
-
-    def test_cache_distinguishes_definitions(self):
-        cache = AveragingCache()
-        model = build_model()
-        rms = effective_params(EXP, 0.2, model, cache=cache)
-        mean = effective_params(EXP, 0.2, model, definition="mean", cache=cache)
-        assert rms.sigma_bar != mean.sigma_bar
+        # the vol function keys the entry by value: an equal table shares it,
+        # another table does not
+        table = VolFunction.tabulated(TABLE_Y, TABLE_F)
+        tab = effective_params(table, 0.2, model, cache=cache)
+        assert effective_params(VolFunction.tabulated(TABLE_Y, TABLE_F), 0.2, model, cache=cache) is tab
+        other = VolFunction.tabulated(TABLE_Y, TABLE_F[:-1] + (0.36,))
+        assert effective_params(other, 0.2, model, cache=cache).sigma_bar != tab.sigma_bar
 
 
 class TestVolFunction:

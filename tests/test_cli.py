@@ -20,6 +20,8 @@ from parabolic_sv import (
 from parabolic_sv.cli import main
 from parabolic_sv.monte_carlo import BLOCK_SIZE
 
+SAMPLE_TABLE = Path(__file__).resolve().parents[1] / "configs" / "vol_table_sample.txt"
+
 
 def write_cfg(tmp_path, name, **pairs):
     path = tmp_path / name
@@ -79,7 +81,6 @@ class TestPriceCommand:
         cfg = write_cfg(
             tmp_path, "p.cfg", spot=100.0, strike=100.0, maturity=0.5,
             epsilon=0.04, rho_xy=-0.4, z0=0.25, vol_kind="separable_exp",
-            definition="mean", assembly="split",
         )
         assert main(["price", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
@@ -87,8 +88,6 @@ class TestPriceCommand:
             OptionSpec(100.0, 100.0, 0.0, 0.5),
             build_model(epsilon=0.04, rho_xy=-0.4, z0=0.25),
             VolFunction.separable_exp(),
-            definition="mean",
-            assembly="split",
         )
         assert float(report["total"]) == pytest.approx(want.total, rel=1e-9)
 
@@ -107,6 +106,14 @@ class TestExitCodes:
         cfg = self.good_price_cfg(tmp_path, volatility=0.2)
         assert main(["price", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key,value", [("definition", "rms"), ("assembly", "combined")])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key, value):
+        cfg = self.good_price_cfg(tmp_path, **{key: value})
+        assert main(["price", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"unknown keys for price: {key}" in err
+
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "dup.cfg"
         path.write_text("spot = 100\nstrike = 100\nmaturity = 0.5\nspot = 90\n")
@@ -117,7 +124,7 @@ class TestExitCodes:
         assert main(["price", "--config", cfg]) == 2
 
     def test_bad_enum_value(self, tmp_path):
-        cfg = self.good_price_cfg(tmp_path, definition="median")
+        cfg = self.good_price_cfg(tmp_path, vol_kind="median")
         assert main(["price", "--config", cfg]) == 2
 
     def test_bad_integer_value(self, tmp_path):
@@ -141,6 +148,46 @@ class TestExitCodes:
     def test_tabulated_without_table(self, tmp_path):
         cfg = self.good_price_cfg(tmp_path, vol_kind="tabulated")
         assert main(["price", "--config", cfg]) == 2
+
+    def test_missing_vol_table_file(self, tmp_path, capsys):
+        cfg = self.good_price_cfg(tmp_path, vol_kind="tabulated", vol_table=tmp_path / "none.txt")
+        assert main(["price", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "none.txt" in err
+
+    @pytest.mark.parametrize("which", ["config", "vol_table", "chain"])
+    def test_undecodable_input_file(self, tmp_path, capsys, which):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"t,T,K,mid,x,r\n\xd0\xff\xfe\n")
+        if which == "config":
+            argv = ["price", "--config", str(binary)]
+        elif which == "vol_table":
+            argv = ["price", "--config", self.good_price_cfg(tmp_path, vol_kind="tabulated", vol_table=binary)]
+        else:
+            argv = ["calibrate", "--config", write_cfg(tmp_path, "c.cfg", chain=binary)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and len(err.strip().splitlines()) == 1
+
+    def test_unwritable_out_file(self, tmp_path, capsys):
+        cfg = self.good_price_cfg(tmp_path)
+        out = tmp_path / "no" / "such" / "r.txt"
+        assert main(["price", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+        assert "--out" in captured.err and captured.out == ""
+
+    def test_unwritable_paths_dump(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
+            n_paths=64, steps_per_year=100, seed=5,
+        )
+        dump = tmp_path / "no" / "paths.csv"
+        assert main(["simulate", "--config", cfg, "--paths-dump", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--paths-dump" in err
 
     def test_missing_chain_file(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.cfg", chain=str(tmp_path / "none.csv"))
@@ -315,6 +362,19 @@ class TestDiagnoseCommand:
         cfg = write_cfg(tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5, nu=2.0)
         assert main(["diagnose", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
+        assert report["phi_residual"].startswith("PASS")
+
+    @pytest.mark.parametrize("nu", [0.3, 2.0])
+    def test_sample_table_passes_phi_residual(self, tmp_path, capsys, nu):
+        # central differences across the table's knots read 3.17e-5 at
+        # nu = 0.3 and 1.35e-4 at nu = 2.0
+        cfg = write_cfg(
+            tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5, nu=nu,
+            vol_kind="tabulated", vol_table=SAMPLE_TABLE,
+        )
+        assert main(["diagnose", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["quadrature"] == "PASS method=piecewise_gaussian pieces=8"
         assert report["phi_residual"].startswith("PASS")
 
     def test_truncation_row_reads_the_report(self, tmp_path, capsys, monkeypatch):

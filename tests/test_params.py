@@ -8,12 +8,10 @@ import pytest
 from parabolic_sv import (
     InvalidModelError,
     ModelParams,
-    NonPositiveDefiniteError,
     OptionSpec,
     build_model,
-    validate_correlations,
 )
-from parabolic_sv.params import correlation_matrix
+from parabolic_sv.params import _corr_quadratic, correlation_matrix
 
 
 def corr_quadratic(rxy, rxz, ryz):
@@ -21,24 +19,36 @@ def corr_quadratic(rxy, rxz, ryz):
     return 1.0 + 2.0 * rxy * rxz * ryz - rxy**2 - rxz**2 - ryz**2
 
 
+def correlation_codes(rxy, rxz, ryz):
+    """Violation codes build_model reports for a correlation triple; [] if valid."""
+    try:
+        build_model(rho_xy=rxy, rho_xz=rxz, rho_yz=ryz)
+    except InvalidModelError as exc:
+        return [v.code for v in exc.violations]
+    return []
+
+
 class TestValidateCorrelations:
     def test_identity_triple_returns_one(self):
-        assert validate_correlations(0.0, 0.0, 0.0) == 1.0
+        assert correlation_codes(0.0, 0.0, 0.0) == []
+        assert _corr_quadratic(0.0, 0.0, 0.0) == 1.0
 
     def test_two_strong_correlations_rejected(self):
         # quadratic is 1 - 0.81 - 0.81 = -0.62
         assert corr_quadratic(0.9, 0.9, 0.0) == pytest.approx(-0.62, abs=1e-15)
-        with pytest.raises(NonPositiveDefiniteError, match="-0.62"):
-            validate_correlations(0.9, 0.9, 0.0)
+        with pytest.raises(InvalidModelError, match="-0.62"):
+            build_model(rho_xy=0.9, rho_xz=0.9, rho_yz=0.0)
+        assert correlation_codes(0.9, 0.9, 0.0) == ["NonPositiveDefinite"]
 
     def test_mixed_triple_value(self):
-        got = validate_correlations(-0.3, 0.2, 0.1)
-        assert got == pytest.approx(0.848, abs=1e-15)
+        assert correlation_codes(-0.3, 0.2, 0.1) == []
+        assert _corr_quadratic(-0.3, 0.2, 0.1) == pytest.approx(0.848, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, math.inf, math.nan])
     def test_out_of_range_coefficient_rejected(self, bad):
-        with pytest.raises(NonPositiveDefiniteError):
-            validate_correlations(bad, 0.0, 0.0)
+        # a non-finite value stops validation at the finiteness check
+        want = "CorrelationOutOfRange" if math.isfinite(bad) else "NonFinite"
+        assert correlation_codes(bad, 0.0, 0.0) == [want]
 
     def test_positive_iff_cholesky_exists(self):
         rng = np.random.default_rng(41)
@@ -47,10 +57,9 @@ class TestValidateCorrelations:
             mat = np.array([[1, rxy, rxz], [rxy, 1, ryz], [rxz, ryz, 1]], dtype=float)
             eigs = np.linalg.eigvalsh(mat)
             if eigs.min() > 1e-12:
-                assert validate_correlations(rxy, rxz, ryz) > 0
+                assert correlation_codes(rxy, rxz, ryz) == []
             elif eigs.min() < -1e-12:
-                with pytest.raises(NonPositiveDefiniteError):
-                    validate_correlations(rxy, rxz, ryz)
+                assert correlation_codes(rxy, rxz, ryz) == ["NonPositiveDefinite"]
 
 
 class TestBuildModel:
@@ -111,7 +120,7 @@ class TestBuildModel:
                 continue
             built += 1
             assert p.epsilon > 0 and p.nu > 0 and p.k > 0 and p.eta >= 0
-            assert validate_correlations(p.rho_xy, p.rho_xz, p.rho_yz) > 0
+            assert _corr_quadratic(p.rho_xy, p.rho_xz, p.rho_yz) > 0
             assert p.z0 != p.m_prime and p.a != 2 * p.r
             np.linalg.cholesky(correlation_matrix(p))
         assert built > 20  # the sampler must exercise the success path

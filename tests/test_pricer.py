@@ -15,7 +15,6 @@ from parabolic_sv import (
     build_model,
     effective_params,
     modification_factor,
-    p0,
     p0_pde_residual,
     p1_time_factor,
     price_first_order,
@@ -122,11 +121,6 @@ class TestBreakdownFrozen:
         assert got.total == pytest.approx(got.mod_factor * (got.q0 + core), rel=1e-14)
         assert got.correction == pytest.approx(got.total - got.p0, abs=1e-12)
 
-    def test_leading_order_helper_agrees(self):
-        model = build_model()
-        eff = effective_params(EXP, FROZEN["z"], model)
-        assert p0(ATM, model, eff) == pytest.approx(FROZEN["p0"], rel=1e-10)
-
 
 class TestReductions:
     def test_payoff_at_maturity(self):
@@ -180,15 +174,6 @@ class TestScaling:
 
 
 class TestAssembly:
-    def test_split_equals_combined(self):
-        combined = price_first_order(ATM, build_model(), EXP, assembly="combined")
-        split = price_first_order(ATM, build_model(), EXP, assembly="split")
-        assert split.total == pytest.approx(combined.total, rel=1e-14)
-
-    def test_unknown_assembly_rejected(self):
-        with pytest.raises(InputDomainError):
-            price_first_order(ATM, build_model(), EXP, assembly="nested")
-
     def test_pricing_never_runs_the_grid_oracle(self, monkeypatch):
         def oracle(*args, **kwargs):
             raise AssertionError("solve_phi_derivative called while pricing")
@@ -204,11 +189,6 @@ class TestAssembly:
         first = price_first_order(ATM, build_model(), EXP, cache=cache)
         second = price_first_order(ATM, build_model(), EXP, cache=cache)
         assert second == first
-
-    def test_mean_definition_changes_sigma_bar(self):
-        rms = price_first_order(ATM, build_model(), EXP)
-        mean = price_first_order(ATM, build_model(), EXP, definition="mean")
-        assert mean.sigma_bar < rms.sigma_bar  # Jensen gap of the square root
 
 
 class TestHorizonGuards:
@@ -228,9 +208,7 @@ class TestOperatorResidual:
 
     def test_forced_classical_operator_annihilates_p0(self):
         spec, model, eff = self.make()
-        resid = p0_pde_residual(
-            spec, model, eff, force_gamma_zero=True, force_mod_one=True
-        )
+        resid = p0_pde_residual(spec, model, eff, classical=True)
         assert abs(resid) <= 1e-4  # pure finite-difference error
 
     def test_modified_operator_residual_reported(self):

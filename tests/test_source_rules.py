@@ -1,5 +1,6 @@
 """Rules on the package source itself."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,12 @@ def test_no_runtime_check_by_assert(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 8
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exported_names_resolve(path):
+    # a name deleted from a module must leave its __all__ too
+    name = "parabolic_sv" if path.stem == "__init__" else f"parabolic_sv.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
