@@ -2,14 +2,19 @@
 
 Two fitting modes:
 
-* :func:`estimate_a` -- one-dimensional golden-section fit of the empirical
-  constant ``a`` with everything else held fixed: the effective volatility is
-  pinned from the nearest-the-money implied vol and each quote is modelled as
-  ``modification_factor(t; a, r, k) * Q0``.
-* :func:`calibrate_effective` -- derivative-free simplex fit of
-  ``(a, k, v_eff, sigma_bar)`` where ``v_eff = sqrt(epsilon) * V`` enters the
-  quote model ``M * (Q0 + v_eff * time_factor * D1D2 Q0)``.  Seeded random
-  restarts inside the bound box keep the search deterministic per seed.
+* :func:`estimate_a` -- least-squares fit of the empirical constant ``a``
+  alone: the effective volatility is pinned from the nearest-the-money
+  implied vol and each quote is modelled as ``modification_factor(t; a, r, k)
+  * Q0``.  At one valuation date the factor is one scalar and the fit is a
+  closed form; over several dates it is a golden-section search.
+* :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)`` where
+  ``v_eff = sqrt(epsilon) * V`` enters the quote model
+  ``M * (Q0 + v_eff * time_factor * D1D2 Q0)``.  A derivative-free simplex
+  searches ``(k, sigma_bar)`` only; at each of its points the quotes are linear
+  in ``(M, M v_eff)`` at one valuation date, so ``(a, v_eff)`` is solved
+  exactly (a golden-section search in ``a`` with ``v_eff`` profiled over
+  several dates).  Seeded random restarts inside the bound box keep the
+  search deterministic per seed.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -21,6 +26,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +46,7 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
-from .pricer import modification_factor, p1_time_factor
+from .pricer import factor_exponent, modification_factor, p1_time_factor
 
 __all__ = [
     "OptionQuote",
@@ -64,6 +70,8 @@ A_EXCLUSION = 1e-4
 INTRINSIC_TOL = 1e-6
 #: Iteration cap of each Nelder-Mead descent in calibrate_effective.
 SIMPLEX_MAX_ITER = 4000
+#: Log of the largest float: a factor e^x with x beyond it overflows.
+_LOG_MAX = math.log(sys.float_info.max)
 
 DEFAULT_BOUNDS = {
     "a": (-0.5, 0.5),
@@ -203,7 +211,7 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class AEstimate:
-    """Golden-section fit of the modification constant."""
+    """Least-squares fit of the modification constant."""
 
     a_hat: float
     objective: float
@@ -221,6 +229,138 @@ def _rate_of(quotes: list[OptionQuote], r: float | None) -> float:
     return rates.pop()
 
 
+def _a_pieces(lo: float, hi: float, two_rs) -> list[tuple[float, float]]:
+    """The closed pieces of the a-box ``[lo, hi]`` outside every band
+    ``|a - 2r| < A_EXCLUSION``; each band edge is moved outward to the first
+    float whose distance from ``2r`` is not below ``A_EXCLUSION``."""
+    pieces = [(lo, hi)]
+    for two_r in sorted(set(two_rs)):
+        below, above = two_r - A_EXCLUSION, two_r + A_EXCLUSION
+        while two_r - below < A_EXCLUSION:
+            below = math.nextafter(below, -math.inf)
+        while above - two_r < A_EXCLUSION:
+            above = math.nextafter(above, math.inf)
+        split = []
+        for p_lo, p_hi in pieces:
+            if p_lo <= below:
+                split.append((p_lo, min(p_hi, below)))
+            if p_hi >= above:
+                split.append((max(p_lo, above), p_hi))
+        pieces = split
+    if not pieces:
+        raise NoInteriorMinimumError("a-bounds lie inside the excluded band around 2r")
+    return pieces
+
+
+def _golden_pieces(fn, pieces: list[tuple[float, float]]) -> float:
+    """The best of the golden-section minima of fn over each piece and of the
+    pieces' ends, which the search itself only approaches."""
+    found = [_golden_min(fn, lo, hi) for lo, hi in pieces]
+    found += [(a, fn(a)) for piece in pieces for a in piece]
+    return min(found, key=lambda best: best[1])[0]
+
+
+def _level_fit(
+    pieces: list[tuple[float, float]],
+    a_ref: float,
+    g: float,
+    mids: np.ndarray,
+    b: np.ndarray,
+    s: np.ndarray | None = None,
+    v_box: tuple[float, float] = (0.0, 0.0),
+) -> float:
+    """Exact least-squares ``a`` of ``mids ~ M (b + v s)`` with ``M = exp((a - a_ref) g)``.
+
+    The model is linear in ``(M, w) = (M, M v)``.  Each a-piece is an interval
+    of ``M`` and the ``v`` box is the cone ``v_lo M <= w <= v_hi M``, so the
+    optimum is the unconstrained one when it is feasible and otherwise the best
+    point on the edges of those regions.  ``s = None`` pins ``v`` at 0.  The ends
+    of a piece are taken in log space, where they may lie far outside the float
+    range.
+
+    Raises:
+        NumericalOverflowError: when no feasible point has a finite misfit.
+    """
+    if g == 0.0:  # M = 1 for every a
+        return pieces[0][0]
+    if s is None:
+        bb, bm = float(b @ b), float(b @ mids)
+        bs = ss = sm = 0.0
+    else:
+        y = np.array([b, s, mids])
+        (bb, bs, bm), (_, ss, sm), _ = (y @ y.T).tolist()
+    if not bb > 0.0:  # no quote depends on a
+        return pieces[0][0]
+    # in the basis (u, w) = (M + c w, w) of b and the part of s orthogonal to
+    # it, the misfit above the unconstrained optimum (u0, w0) is a sum of squares
+    c = bs / bb
+    ssp = ss - c * bs
+    u0 = bm / bb
+    if ssp > 1e-12 * ss:
+        w0 = (sm - c * bm) / ssp
+    else:  # s is a multiple of b (or zero): every w is as good
+        ssp, w0 = 0.0, 0.0
+    m0 = u0 - c * w0
+    v_lo, v_hi = v_box
+    if m0 > 0.0 and v_lo * m0 <= w0 <= v_hi * m0:
+        a0 = a_ref + math.log(m0) / g
+        if any(p_lo <= a0 <= p_hi for p_lo, p_hi in pieces):
+            return a0
+
+    w_den = bb * c * c + ssp
+    best_e, best_a = math.inf, None
+    for p_lo, p_hi in pieces:
+        (l1, a1), (l2, a2) = sorted([((p_lo - a_ref) * g, p_lo), ((p_hi - a_ref) * g, p_hi)])
+        m1 = math.exp(l1) if l1 < _LOG_MAX else math.inf
+        m2 = math.exp(l2) if l2 < _LOG_MAX else math.inf
+        candidates = []
+        # the ends of the piece, with w on the segment v_lo m <= w <= v_hi m
+        for m, a_end in ((m1, a1), (m2, a2)):
+            if m < math.inf:
+                w = (bs * (u0 - m) + ssp * w0) / w_den if w_den > 0.0 else 0.0
+                candidates.append((m, min(max(w, v_lo * m), v_hi * m), a_end))
+        # the optima on the cone's edges w = v m, where they fall inside the piece
+        # (past its ends they are no better than the ends above)
+        for v in (v_lo, v_hi):
+            cv = 1.0 + c * v
+            den = bb * cv * cv + ssp * v * v
+            m = (bb * cv * u0 + ssp * v * w0) / den if den > 0.0 else 0.0
+            if m1 < m < m2:
+                a = min(max(a_ref + math.log(m) / g, p_lo), p_hi)
+                candidates.append((m, v * m, a))
+        for m, w, a in candidates:
+            du, dw = m + c * w - u0, w - w0
+            e = bb * du * du + ssp * dw * dw  # inf, not an error, past the float range
+            if e < best_e:
+                best_e, best_a = e, a
+    if best_a is None:
+        raise NumericalOverflowError("every feasible modification factor overflows")
+    return best_a
+
+
+def _fit_a_pinned(
+    quotes: list[OptionQuote], sigma: float, rate: float, k: float, pieces
+) -> tuple[float, float]:
+    """Least-squares ``a`` of ``mid ~ modification_factor(t; a, rate, k) Q0``
+    (``v_eff`` pinned at 0) and the sum of squares there: in closed form when
+    the quotes share one valuation date, by golden section on each piece
+    otherwise."""
+    q0, _ = call_and_d1d2(_call_constants(quotes), sigma)
+    mids = np.array([q.mid for q in quotes])
+
+    def sse(a: float) -> float:
+        mods = np.array([modification_factor(q.t, a, rate, k) for q in quotes])
+        resid = mids - mods * q0
+        return float(resid @ resid)
+
+    dates = {q.t for q in quotes}
+    if len(dates) == 1:
+        a = _level_fit(pieces, 2.0 * rate, factor_exponent(dates.pop(), k), mids, q0)
+    else:
+        a = _golden_pieces(sse, pieces)
+    return a, sse(a)
+
+
 def estimate_a(
     quotes: list[OptionQuote],
     k: float,
@@ -228,12 +368,15 @@ def estimate_a(
     *,
     bounds: tuple[float, float] = DEFAULT_BOUNDS["a"],
 ) -> AEstimate:
-    """Fit ``a`` alone by golden-section least squares.
+    """Fit ``a`` alone by least squares.
 
     The effective volatility is fixed from the nearest-the-money implied vol;
     the quote model is ``modification_factor(t; a, r, k) * Q0``.  The band
     ``|a - 2r| < 1e-4`` is excluded from the search (the factor degenerates at
-    its centre); landing on the band edge is allowed.
+    its centre); landing on the band edge is allowed.  With one valuation
+    date the factor is one scalar ``M`` and the fit is the closed form
+    ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``; with several
+    it is a golden-section search on each side of the band.
 
     Raises:
         InsufficientDataError: fewer than 2 quotes or fewer than 2 maturities.
@@ -246,34 +389,9 @@ def estimate_a(
         )
     rate = _rate_of(quotes, r)
     sigma = _atm_sigma(quotes)
+    pieces = _a_pieces(*bounds, [2.0 * rate])
 
-    def sse_fn(sub: list[OptionQuote]):
-        q0, _ = call_and_d1d2(_call_constants(sub), sigma)
-        mids = np.array([q.mid for q in sub])
-        ts = [q.t for q in sub]
-
-        def sse(a: float) -> float:
-            mods = np.array([modification_factor(t, a, rate, k) for t in ts])
-            resid = mids - mods * q0
-            return float(resid @ resid)
-
-        return sse
-
-    def search(sub: list[OptionQuote]) -> tuple[float, float]:
-        sse = sse_fn(sub)
-        lo, hi = bounds
-        hole = 2.0 * rate
-        pieces = []
-        if lo < hole - A_EXCLUSION:
-            pieces.append((lo, min(hi, hole - A_EXCLUSION)))
-        if hi > hole + A_EXCLUSION:
-            pieces.append((max(lo, hole + A_EXCLUSION), hi))
-        if not pieces:  # bounds entirely inside the excluded band
-            raise NoInteriorMinimumError("a-bounds lie inside the excluded band around 2r")
-        best = min((_golden_min(sse, p_lo, p_hi) for p_lo, p_hi in pieces), key=lambda t: t[1])
-        return best
-
-    a_hat, obj = search(quotes)
+    a_hat, obj = _fit_a_pinned(quotes, sigma, rate, k, pieces)
     span = bounds[1] - bounds[0]
     if min(a_hat - bounds[0], bounds[1] - a_hat) < 1e-6 * span:
         raise NoInteriorMinimumError(
@@ -284,7 +402,7 @@ def estimate_a(
     for strike in sorted({q.strike for q in quotes}):
         sub = [q for q in quotes if q.strike == strike]
         try:
-            a_k, _ = search(sub)
+            a_k, _ = _fit_a_pinned(sub, sigma, rate, k, pieces)
         except PricingError:
             a_k = math.nan
         per_strike.append((strike, a_k))
@@ -323,62 +441,139 @@ def effective_quote_price(
     return float(mod * (q0[0] + v_eff * tf * dd[0]))
 
 
-def _profiled_objective(
-    quotes: list[OptionQuote], lo: np.ndarray, hi: np.ndarray, v_box: tuple[float, float]
-):
-    """Price-RMSE objective of :func:`calibrate_effective` over (a, k, sigma_bar)
-    and the profiled ``v_eff`` behind it.
+#: What makes a point of the effective fit infeasible (scored 1e9).
+_INFEASIBLE = (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError)
 
-    The chain's constants are computed here once.  Per evaluation the
-    modification and time factors are computed once per distinct (t, T, r)
-    date and broadcast to its quotes; the rest is one vector expression.
+
+class _ChainModel:
+    """The quote model of :func:`calibrate_effective` over one chain, with
+    ``v_eff`` profiled out and the exact ``a`` solve for fixed ``(k, sigma_bar)``.
+
+    The chain's constants are computed once.  The modification and time
+    factors are computed once per distinct (t, T, r) date and broadcast to its
+    quotes; the rest is one vector expression.  The Black-Scholes kernel and
+    the time factors of the last ``(k, sigma_bar)`` are kept, so the ``a``
+    solve and the objective at its result share them.
     """
-    mids = np.array([q.mid for q in quotes])
-    bs = _call_constants(quotes)
-    keys = [(q.t, q.maturity, q.rate) for q in quotes]
-    dates = list(dict.fromkeys(keys))
-    date_of = np.array([dates.index(key) for key in keys])
-    rate_counts = Counter(2.0 * q.rate for q in quotes)
-    n_quotes = len(quotes)
-    a_lo, k_lo, s_lo = lo.tolist()
-    a_hi, k_hi, s_hi = hi.tolist()
-    v_lo, v_hi = v_box
 
-    def profiled_v(a: float, k: float, sig: float) -> tuple[float, np.ndarray]:
+    def __init__(
+        self, quotes: list[OptionQuote], lo: np.ndarray, hi: np.ndarray, v_box: tuple[float, float]
+    ):
+        self.mids = np.array([q.mid for q in quotes])
+        self.bs = _call_constants(quotes)
+        keys = [(q.t, q.maturity, q.rate) for q in quotes]
+        self.dates = list(dict.fromkeys(keys))
+        self.date_of = np.array([self.dates.index(key) for key in keys])
+        self.two_rs = np.array([2.0 * r for _, _, r in self.dates])
+        self.rate_counts = Counter(2.0 * q.rate for q in quotes)
+        self.n_quotes = len(quotes)
+        self.box = list(zip(lo.tolist(), hi.tolist()))
+        self.v_box = v_box
+        self.a_pieces = _a_pieces(*self.box[0], self.rate_counts)
+        valuation_dates = {q.t for q in quotes}
+        self.single_date = valuation_dates.pop() if len(valuation_dates) == 1 else None
+        self._kept = None, None
+
+    def _kernel(self, k: float, sig: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Calls, D1D2 and the per-date time factors at (k, sigma_bar)."""
+        if self._kept[0] != (k, sig):
+            _require_sigma(sig)
+            tf = np.array([p1_time_factor(t, mat, k) for t, mat, _ in self.dates])
+            call, dd = call_and_d1d2(self.bs, sig)
+            self._kept = (k, sig), (call, dd, tf)
+        return self._kept[1]
+
+    def profiled_v(self, a: float, k: float, sig: float) -> tuple[float, np.ndarray]:
         """Least-squares v_eff given the nonlinear parameters (model is linear in it)."""
-        _require_sigma(sig)
-        mod = np.array([modification_factor(t, a, r, k) for t, _, r in dates])
-        mod_tf = mod * np.array([p1_time_factor(t, mat, k) for t, mat, _ in dates])
-        call, dd = call_and_d1d2(bs, sig)
-        base = mod[date_of] * call
-        slope = mod_tf[date_of] * dd
-        target = mids - base
+        call, dd, tf = self._kernel(k, sig)
+        mod = np.array([modification_factor(t, a, r, k) for t, _, r in self.dates])
+        mod_tf = mod * tf
+        base = mod[self.date_of] * call
+        slope = mod_tf[self.date_of] * dd
+        target = self.mids - base
         ss = float(slope @ slope)
         v = float(slope @ target) / ss if ss > 1e-300 else 0.0
-        v = min(max(v, v_lo), v_hi)
+        v = min(max(v, self.v_box[0]), self.v_box[1])
         return v, target - v * slope
 
-    def objective(theta: np.ndarray) -> float:
-        a, k, sig = theta.tolist()
+    def objective(self, theta: np.ndarray) -> float:
+        """Price RMSE over (a, k, sigma_bar), with penalties outside the box and
+        inside the excluded bands, and 1e9 at infeasible points."""
+        theta = theta.tolist()
+        a, k, sig = theta
+        (a_lo, a_hi), (k_lo, k_hi), (s_lo, s_hi) = self.box
         if a < a_lo or a > a_hi or k < k_lo or k > k_hi or sig < s_lo or sig > s_hi:
-            return 1e6 * (1.0 + float(np.sum(np.maximum(lo - theta, 0) + np.maximum(theta - hi, 0))))
+            excess = sum(max(lo - x, 0.0) + max(x - hi, 0.0) for x, (lo, hi) in zip(theta, self.box))
+            return 1e6 * (1.0 + excess)
         penalty = 0.0
-        for two_r, count in rate_counts.items():
+        for two_r, count in self.rate_counts.items():
             gap = abs(a - two_r)
             if gap < A_EXCLUSION:
                 penalty += count * 1e3 * (A_EXCLUSION - gap) / A_EXCLUSION
         try:
-            _, resid = profiled_v(a, k, sig)
-        except (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError):
+            _, resid = self.profiled_v(a, k, sig)
+        except _INFEASIBLE:
             return 1e9
-        return math.sqrt(float(resid @ resid) / n_quotes) + penalty
+        return math.sqrt(float(resid @ resid) / self.n_quotes) + penalty
 
-    return objective, profiled_v
+    def _best_a(self, k: float, sig: float) -> float:
+        if self.single_date is None:
+
+            def sse(a: float) -> float:
+                try:
+                    _, resid = self.profiled_v(a, k, sig)
+                except NumericalOverflowError:
+                    return math.inf
+                value = float(resid @ resid)
+                return value if value < math.inf else math.inf  # nan past the float range
+
+            with np.errstate(over="ignore", invalid="ignore"):  # scored inf above
+                return _golden_pieces(sse, self.a_pieces)
+        # one valuation date: the factors are one level M times known rate ratios,
+        # taken against the rate whose ratios stay <= 1
+        call, dd, tf = self._kernel(k, sig)
+        g = factor_exponent(self.single_date, k)
+        two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
+        rho = np.exp((two_ref - self.two_rs) * g)
+        b = rho[self.date_of] * call
+        s = (rho * tf)[self.date_of] * dd
+        return _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
+
+    def fit_a(self, k: float, sig: float) -> tuple[float, float]:
+        """The least-squares ``a`` at fixed (k, sigma_bar) and the objective there.
+
+        With one valuation date ``a`` comes from :func:`_level_fit`; with several,
+        from a golden-section search on each piece of the a-box outside the
+        excluded bands.  Outside the (k, sigma_bar) box ``a`` is the lower a-bound
+        and the objective its box penalty.
+        """
+        (a, _), (k_lo, k_hi), (s_lo, s_hi) = self.box
+        if k_lo <= k <= k_hi and s_lo <= sig <= s_hi:
+            try:
+                a = self._best_a(k, sig)
+            except _INFEASIBLE:
+                return a, 1e9
+        return a, self.objective(np.array([a, k, sig]))
+
+
+def _profiled_objective(
+    quotes: list[OptionQuote], lo: np.ndarray, hi: np.ndarray, v_box: tuple[float, float]
+):
+    """Price-RMSE objective of :func:`calibrate_effective` over (a, k, sigma_bar)
+    and the profiled ``v_eff`` behind it."""
+    model = _ChainModel(quotes, lo, hi, v_box)
+    return model.objective, model.profiled_v
 
 
 @dataclass(frozen=True)
 class CalibResult:
-    """Simplex fit of (a, k, v_eff, sigma_bar); objective is the price RMSE."""
+    """Fit of (a, k, v_eff, sigma_bar); objective is the price RMSE.
+
+    ``iterations`` counts the Nelder-Mead iterations of the two-dimensional
+    (k, sigma_bar) search, summed over starts and restarts; ``a`` and ``v_eff``
+    are solved exactly inside it.  ``restart_objectives`` holds the final
+    objective of each start.
+    """
 
     a_hat: float
     k_hat: float
@@ -399,16 +594,18 @@ def calibrate_effective(
 ) -> CalibResult:
     """Joint fit of ``(a, k, v_eff, sigma_bar)`` to a quote chain.
 
-    The model is linear in ``v_eff``, so it is profiled out exactly (clipped
-    least squares) and the simplex searches only (a, k, sigma_bar).  Runs a
-    data-driven start (ATM implied vol, neutral correction) plus
-    ``n_restarts`` seeded random starts inside the bound box; each start is a
-    chain of adaptive Nelder-Mead descents restarted on their own result until
-    the objective stalls.  Deterministic for fixed (quotes, seed, bounds).
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973):
+    the simplex searches only (k, sigma_bar), and for each of its points the
+    best ``(a, v_eff)`` is solved exactly (:meth:`_ChainModel.fit_a`).  Runs a
+    data-driven start (ATM implied vol) plus ``n_restarts`` seeded random
+    starts inside the bound box; each start is a chain of adaptive Nelder-Mead
+    descents restarted on their own result until the objective stalls.
+    Deterministic for fixed (quotes, seed, bounds).
 
     Raises:
         InsufficientDataError: unless the chain has >= 4 quotes spanning
             >= 2 maturities and >= 2 strikes.
+        NoInteriorMinimumError: when the a-bounds lie inside the excluded band.
     """
     box = dict(DEFAULT_BOUNDS)
     if bounds:
@@ -424,7 +621,11 @@ def calibrate_effective(
     names = ("a", "k", "sigma_bar")
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
-    objective, profiled_v = _profiled_objective(quotes, lo, hi, box["v_eff"])
+    model = _ChainModel(quotes, lo, hi, box["v_eff"])
+
+    def objective(x: np.ndarray) -> float:
+        k, sig = x.tolist()
+        return model.fit_a(k, sig)[1]
 
     rng = np.random.default_rng(seed)
     try:
@@ -432,21 +633,17 @@ def calibrate_effective(
     except InsufficientDataError:
         sigma_start = 0.2
     sigma_start = min(max(sigma_start, box["sigma_bar"][0]), box["sigma_bar"][1])
-    # near a = 2r the factor is ~1 and the ATM implied vol alone reproduces the
-    # chain, so both sides of the excluded band make strong data-driven starts
-    r_mean = float(np.mean([q.rate for q in quotes]))
-    starts = [
-        np.array([2.0 * r_mean + off, 0.05, sigma_start]) for off in (0.01, -0.01)
-    ]
+    starts = [np.array([0.05, sigma_start])]
     for _ in range(n_restarts):
-        starts.append(lo + (hi - lo) * rng.random(3))
+        # a point of the whole box, without its a, which the inner solve sets
+        starts.append((lo + (hi - lo) * rng.random(3))[1:])
 
     best = None
     total_iters = 0
     restart_objs = []
     converged = False
     for idx, x0 in enumerate(starts):
-        x, fval = np.asarray(x0, dtype=float), objective(np.asarray(x0, dtype=float))
+        x, fval = x0, objective(x0)
         success = False
         for _round in range(6):
             res = minimize(
@@ -470,12 +667,14 @@ def calibrate_effective(
             best = (x, fval, idx)
             converged = success
     theta, obj, _ = best
-    v_best, _ = profiled_v(*theta)
+    k_hat, sigma_hat = theta.tolist()
+    a_hat, _ = model.fit_a(k_hat, sigma_hat)
+    v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
     return CalibResult(
-        a_hat=float(theta[0]),
-        k_hat=float(theta[1]),
+        a_hat=a_hat,
+        k_hat=k_hat,
         v_eff_hat=v_best,
-        sigma_bar_hat=float(theta[2]),
+        sigma_bar_hat=sigma_hat,
         objective=obj,
         iterations=total_iters,
         converged=converged,

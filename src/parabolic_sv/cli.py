@@ -35,7 +35,7 @@ from .errors import (
     SingularTimeError,
 )
 from .calibration import calibrate_effective, estimate_a, load_chain
-from .monte_carlo import SimConfig, epsilon_sweep, mc_price, simulate_terminal
+from .monte_carlo import SimConfig, epsilon_sweep, estimate_from_sample, mc_price, simulate_terminal
 from .params import ModelParams, OptionSpec, build_model
 from .pricer import p0_pde_residual, price_first_order
 from .slow_factor import (
@@ -328,6 +328,11 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
     if sim.y0 is not None:
         rows.append(("y0", sim.y0))
 
+    sample = None
+    if paths_dump:
+        n_keep = min(8, sim.n_paths)
+        sample = simulate_terminal(cfg.model, cfg.option, cfg.vol, sim, return_paths=n_keep)
+
     eps_sweep = cfg.extras.get("eps_sweep")
     if eps_sweep:
         table = epsilon_sweep(cfg.model, cfg.option, cfg.vol, sim, eps_sweep)
@@ -346,7 +351,10 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         )
         rows.append(("trend", "non-increasing" if ok else "increasing"))
     else:
-        est = mc_price(cfg.model, cfg.option, cfg.vol, sim)
+        if sample is None:
+            est = mc_price(cfg.model, cfg.option, cfg.vol, sim)
+        else:  # the run that keeps the dumped trajectories also prices the contract
+            est = estimate_from_sample(sample, cfg.model, cfg.option, sim)
         asym = price_first_order(cfg.option, cfg.model, cfg.vol).total
         rows += [
             ("price", est.price),
@@ -357,8 +365,6 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         ]
 
     if paths_dump:
-        n_keep = min(8, sim.n_paths)
-        sample = simulate_terminal(cfg.model, cfg.option, cfg.vol, sim, return_paths=n_keep)
         dump = sample.paths
         lines = ["path,time,x,y,z\n"]
         for p in range(dump.x.shape[0]):
@@ -401,6 +407,8 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
             ("iterations", res.iterations),
             ("converged", res.converged),
         ]
+        for i, obj in enumerate(res.restart_objectives):
+            rows.append((f"restart_objective_{i}", obj))
     _emit(rows, out_path)
     return EXIT_OK
 

@@ -41,6 +41,7 @@ __all__ = [
     "SweepRow",
     "simulate_terminal",
     "mc_price",
+    "estimate_from_sample",
     "epsilon_sweep",
 ]
 
@@ -257,7 +258,14 @@ def simulate_terminal(
 
 def mc_price(model: ModelParams, spec: OptionSpec, vol: VolFunction, cfg: SimConfig) -> McEstimate:
     """Discounted-payoff Monte Carlo estimate of the call value."""
-    sample = simulate_terminal(model, spec, vol, cfg)
+    return estimate_from_sample(simulate_terminal(model, spec, vol, cfg), model, spec, cfg)
+
+
+def estimate_from_sample(
+    sample: TerminalSample, model: ModelParams, spec: OptionSpec, cfg: SimConfig
+) -> McEstimate:
+    """The estimate of :func:`mc_price` from a sample that ``simulate_terminal``
+    drew with ``cfg``."""
     disc = math.exp(-model.r * spec.tau)
     w = disc * np.maximum(sample.x - spec.strike, 0.0)
     price = float(np.mean(w))

@@ -287,6 +287,31 @@ class TestSimulateCommand:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[2]) == 100.0
 
+    def test_paths_dump_reuses_the_pricing_run(self, tmp_path, capsys, monkeypatch):
+        import parabolic_sv.cli as cli
+        import parabolic_sv.monte_carlo as monte_carlo
+
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
+            n_paths=2 * BLOCK_SIZE + 10, steps_per_year=100, seed=5,
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        plain = capsys.readouterr().out
+
+        kept = []
+        real = monte_carlo.simulate_terminal
+
+        def counting(*args, **kwargs):
+            kept.append(kwargs.get("return_paths", 0))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "simulate_terminal", counting)
+        monkeypatch.setattr(cli, "simulate_terminal", counting)
+        dump = tmp_path / "paths.csv"
+        assert main(["simulate", "--config", cfg, "--paths-dump", str(dump)]) == 0
+        assert kept == [8]
+        assert capsys.readouterr().out == plain
+
 
 class TestCalibrateCommand:
     def test_fit_a_report(self, tmp_path, capsys):
