@@ -9,12 +9,12 @@ Two fitting modes:
   closed form; over several dates it is a golden-section search.
 * :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)`` where
   ``v_eff = sqrt(epsilon) * V`` enters the quote model
-  ``M * (Q0 + v_eff * time_factor * D1D2 Q0)``.  A derivative-free simplex
-  searches ``(k, sigma_bar)`` only; at each of its points the quotes are linear
-  in ``(M, M v_eff)`` at one valuation date, so ``(a, v_eff)`` is solved
-  exactly (a golden-section search in ``a`` with ``v_eff`` profiled over
-  several dates).  Seeded random restarts inside the bound box keep the
-  search deterministic per seed.
+  ``M * (Q0 + v_eff * time_factor * D1D2 Q0)``.  ``v_eff`` is always
+  profiled out exactly.  At one valuation date the quotes are linear in
+  ``(M, M v_eff)``, so a derivative-free simplex searches ``(k, sigma_bar)``
+  only and ``(a, v_eff)`` is solved exactly at each of its points; over
+  several dates the simplex searches ``(a, k, sigma_bar)``.  Seeded random
+  restarts inside the bound box keep the search deterministic per seed.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -447,7 +447,8 @@ _INFEASIBLE = (SingularTimeError, LogDomainError, InputDomainError, NumericalOve
 
 class _ChainModel:
     """The quote model of :func:`calibrate_effective` over one chain, with
-    ``v_eff`` profiled out and the exact ``a`` solve for fixed ``(k, sigma_bar)``.
+    ``v_eff`` profiled out; at one valuation date also the exact ``a`` solve
+    for fixed ``(k, sigma_bar)``.
 
     The chain's constants are computed once.  The modification and time
     factors are computed once per distinct (t, T, r) date and broadcast to its
@@ -516,63 +517,39 @@ class _ChainModel:
             return 1e9
         return math.sqrt(float(resid @ resid) / self.n_quotes) + penalty
 
-    def _best_a(self, k: float, sig: float) -> float:
-        if self.single_date is None:
-
-            def sse(a: float) -> float:
-                try:
-                    _, resid = self.profiled_v(a, k, sig)
-                except NumericalOverflowError:
-                    return math.inf
-                value = float(resid @ resid)
-                return value if value < math.inf else math.inf  # nan past the float range
-
-            with np.errstate(over="ignore", invalid="ignore"):  # scored inf above
-                return _golden_pieces(sse, self.a_pieces)
-        # one valuation date: the factors are one level M times known rate ratios,
-        # taken against the rate whose ratios stay <= 1
-        call, dd, tf = self._kernel(k, sig)
-        g = factor_exponent(self.single_date, k)
-        two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
-        rho = np.exp((two_ref - self.two_rs) * g)
-        b = rho[self.date_of] * call
-        s = (rho * tf)[self.date_of] * dd
-        return _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
-
     def fit_a(self, k: float, sig: float) -> tuple[float, float]:
-        """The least-squares ``a`` at fixed (k, sigma_bar) and the objective there.
+        """The least-squares ``a`` at fixed (k, sigma_bar) and the objective there,
+        for a chain with one valuation date.
 
-        With one valuation date ``a`` comes from :func:`_level_fit`; with several,
-        from a golden-section search on each piece of the a-box outside the
-        excluded bands.  Outside the (k, sigma_bar) box ``a`` is the lower a-bound
-        and the objective its box penalty.
+        The factors are one level ``M`` times rate ratios known once ``k`` is,
+        taken against the rate whose ratios stay <= 1, and ``a`` comes from
+        :func:`_level_fit`.  Outside the (k, sigma_bar) box ``a`` is the lower
+        a-bound and the objective its box penalty.
         """
         (a, _), (k_lo, k_hi), (s_lo, s_hi) = self.box
         if k_lo <= k <= k_hi and s_lo <= sig <= s_hi:
             try:
-                a = self._best_a(k, sig)
+                call, dd, tf = self._kernel(k, sig)
+                g = factor_exponent(self.single_date, k)
+                two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
+                rho = np.exp((two_ref - self.two_rs) * g)
+                b = rho[self.date_of] * call
+                s = (rho * tf)[self.date_of] * dd
+                a = _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
             except _INFEASIBLE:
                 return a, 1e9
         return a, self.objective(np.array([a, k, sig]))
-
-
-def _profiled_objective(
-    quotes: list[OptionQuote], lo: np.ndarray, hi: np.ndarray, v_box: tuple[float, float]
-):
-    """Price-RMSE objective of :func:`calibrate_effective` over (a, k, sigma_bar)
-    and the profiled ``v_eff`` behind it."""
-    model = _ChainModel(quotes, lo, hi, v_box)
-    return model.objective, model.profiled_v
 
 
 @dataclass(frozen=True)
 class CalibResult:
     """Fit of (a, k, v_eff, sigma_bar); objective is the price RMSE.
 
-    ``iterations`` counts the Nelder-Mead iterations of the two-dimensional
-    (k, sigma_bar) search, summed over starts and restarts; ``a`` and ``v_eff``
-    are solved exactly inside it.  ``restart_objectives`` holds the final
-    objective of each start.
+    ``iterations`` counts the Nelder-Mead iterations summed over starts and
+    restarts: of the two-dimensional (k, sigma_bar) search, with ``a`` and
+    ``v_eff`` solved exactly inside it, for a chain with one valuation date,
+    and of the (a, k, sigma_bar) search otherwise.  ``restart_objectives``
+    holds the final objective of each start.
     """
 
     a_hat: float
@@ -595,12 +572,15 @@ def calibrate_effective(
     """Joint fit of ``(a, k, v_eff, sigma_bar)`` to a quote chain.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973):
-    the simplex searches only (k, sigma_bar), and for each of its points the
-    best ``(a, v_eff)`` is solved exactly (:meth:`_ChainModel.fit_a`).  Runs a
-    data-driven start (ATM implied vol) plus ``n_restarts`` seeded random
-    starts inside the bound box; each start is a chain of adaptive Nelder-Mead
-    descents restarted on their own result until the objective stalls.
-    Deterministic for fixed (quotes, seed, bounds).
+    the model is linear in ``v_eff``, which is profiled out exactly.  With one
+    valuation date the simplex searches only (k, sigma_bar), and for each of
+    its points the best ``(a, v_eff)`` is solved exactly
+    (:meth:`_ChainModel.fit_a`); with several it searches (a, k, sigma_bar).
+    Runs the data-driven starts (ATM implied vol, ``a`` either side of the
+    band around ``2r``, which are one point when ``a`` is solved) plus
+    ``n_restarts`` seeded random starts inside the bound box; each start is a
+    chain of adaptive Nelder-Mead descents restarted on their own result until
+    the objective stalls.  Deterministic for fixed (quotes, seed, bounds).
 
     Raises:
         InsufficientDataError: unless the chain has >= 4 quotes spanning
@@ -622,10 +602,14 @@ def calibrate_effective(
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
     model = _ChainModel(quotes, lo, hi, box["v_eff"])
+    if model.single_date is None:  # no closed form for a: the simplex searches it
+        free, objective = slice(0, 3), model.objective
+        offsets = (0.01, -0.01)
+    else:
+        free, offsets = slice(1, 3), (0.0,)
 
-    def objective(x: np.ndarray) -> float:
-        k, sig = x.tolist()
-        return model.fit_a(k, sig)[1]
+        def objective(x: np.ndarray) -> float:
+            return model.fit_a(*x.tolist())[1]
 
     rng = np.random.default_rng(seed)
     try:
@@ -633,10 +617,12 @@ def calibrate_effective(
     except InsufficientDataError:
         sigma_start = 0.2
     sigma_start = min(max(sigma_start, box["sigma_bar"][0]), box["sigma_bar"][1])
-    starts = [np.array([0.05, sigma_start])]
+    # near a = 2r the factor is ~1 and the ATM implied vol alone reproduces the
+    # chain, so both sides of the excluded band make strong data-driven starts
+    r_mean = float(np.mean([q.rate for q in quotes]))
+    starts = [np.array([2.0 * r_mean + off, 0.05, sigma_start])[free] for off in offsets]
     for _ in range(n_restarts):
-        # a point of the whole box, without its a, which the inner solve sets
-        starts.append((lo + (hi - lo) * rng.random(3))[1:])
+        starts.append((lo + (hi - lo) * rng.random(3))[free])
 
     best = None
     total_iters = 0
@@ -667,8 +653,11 @@ def calibrate_effective(
             best = (x, fval, idx)
             converged = success
     theta, obj, _ = best
-    k_hat, sigma_hat = theta.tolist()
-    a_hat, _ = model.fit_a(k_hat, sigma_hat)
+    if model.single_date is None:
+        a_hat, k_hat, sigma_hat = theta.tolist()
+    else:
+        k_hat, sigma_hat = theta.tolist()
+        a_hat, _ = model.fit_a(k_hat, sigma_hat)
     v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
     return CalibResult(
         a_hat=a_hat,

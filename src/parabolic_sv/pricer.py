@@ -46,11 +46,33 @@ __all__ = [
 ]
 
 
-def factor_exponent(t: float, k: float) -> float:
-    """Exponent of the modification factor per unit of ``a - 2r``.
+def modification_factor(t: float, a: float, r: float, k: float) -> float:
+    """Deterministic multiplier ``1+g`` applied to the classical price.
 
-    ``log(q)/k - 1/(k q) + t/2`` with ``q = |k t - 2|``, so that
-    ``modification_factor(t, a, r, k) = exp((a - 2r) * factor_exponent(t, k))``.
+    Computed in log space, ``(e/k) log q - e/(k q) + e t/2`` with ``e = a - 2r``
+    and ``q = |k t - 2|``, so large opposite terms cancel before exponentiation.
+
+    Raises:
+        SingularTimeError: when ``|k t - 2|`` is below ``SINGULAR_FLOOR``.
+        NumericalOverflowError: when the factor itself exceeds the float range.
+    """
+    q = abs(k * t - 2.0)
+    if q < SINGULAR_FLOOR:
+        raise SingularTimeError(f"|k*t - 2| = {q:.3g} below floor {SINGULAR_FLOOR:g}")
+    e = a - 2.0 * r
+    log_factor = e / k * math.log(q) - e / (k * q) + e * t / 2.0
+    try:
+        return math.exp(log_factor)
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"modification factor e^{log_factor:.6g} overflows (a = {a:g}, r = {r:g}, k = {k:g}, t = {t:g})"
+        ) from None
+
+
+def factor_exponent(t: float, k: float) -> float:
+    """Exponent of :func:`modification_factor` per unit of ``a - 2r``:
+    ``log(q)/k - 1/(k q) + t/2`` with ``q = |k t - 2|``, so the factor is
+    ``exp((a - 2r) * factor_exponent(t, k))`` up to rounding.
 
     Raises:
         SingularTimeError: when ``|k t - 2|`` is below ``SINGULAR_FLOOR``.
@@ -59,25 +81,6 @@ def factor_exponent(t: float, k: float) -> float:
     if q < SINGULAR_FLOOR:
         raise SingularTimeError(f"|k*t - 2| = {q:.3g} below floor {SINGULAR_FLOOR:g}")
     return math.log(q) / k - 1.0 / (k * q) + t / 2.0
-
-
-def modification_factor(t: float, a: float, r: float, k: float) -> float:
-    """Deterministic multiplier ``1+g`` applied to the classical price.
-
-    Computed in log space, ``(a - 2r) * factor_exponent(t, k)``, so the large
-    opposite terms of the exponent cancel before exponentiation.
-
-    Raises:
-        SingularTimeError: when ``|k t - 2|`` is below ``SINGULAR_FLOOR``.
-        NumericalOverflowError: when the factor itself exceeds the float range.
-    """
-    log_factor = (a - 2.0 * r) * factor_exponent(t, k)
-    try:
-        return math.exp(log_factor)
-    except OverflowError:
-        raise NumericalOverflowError(
-            f"modification factor e^{log_factor:.6g} overflows (a = {a:g}, r = {r:g}, k = {k:g}, t = {t:g})"
-        ) from None
 
 
 def p1_time_factor(t: float, maturity: float, k: float) -> float:

@@ -28,7 +28,6 @@ from parabolic_sv.calibration import (
     A_EXCLUSION,
     DEFAULT_BOUNDS,
     _ChainModel,
-    _profiled_objective,
     effective_quote_price,
 )
 from parabolic_sv.errors import LogDomainError, NumericalOverflowError, SingularTimeError
@@ -279,6 +278,17 @@ class TestCalibrateEffective:
         assert res.objective == min(res.restart_objectives)
         assert res.iterations > 0
 
+    def test_two_valuation_dates_round_trip(self):
+        # no closed form for a over several dates: the simplex searches
+        # (a, k, sigma_bar) from both data-driven starts
+        quotes = two_date_quotes(a=0.06, sigma=0.21, v_eff=0.003)
+        res = calibrate_effective(quotes, seed=0)
+        assert res.objective <= 1e-8
+        assert abs(res.sigma_bar_hat - 0.21) <= 1e-4
+        assert abs(res.v_eff_hat - 0.003) <= 1e-4
+        assert abs(res.a_hat - 0.06) <= 1e-3
+        assert len(res.restart_objectives) == 2 + 3
+
     def test_bounds_override_respected(self):
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
         res = calibrate_effective(quotes, seed=0, bounds={"a": (0.054, 0.2)})
@@ -362,7 +372,7 @@ class TestVectorObjective:
     def test_matches_per_quote_loop(self, chain):
         quotes = self.CHAINS[chain]
         lo, hi, v_box = box()
-        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
+        objective = _ChainModel(quotes, lo, hi, v_box).objective
         for theta in self.THETAS:
             theta = np.array(theta)
             want = loop_objective(quotes, theta, lo, hi, v_box)
@@ -372,7 +382,7 @@ class TestVectorObjective:
     def test_profiled_v_matches_the_fit(self):
         quotes = self.CHAINS["single_date"]
         res = calibrate_effective(quotes, seed=0)
-        _, profiled_v = _profiled_objective(quotes, *box())
+        profiled_v = _ChainModel(quotes, *box()).profiled_v
         v, resid = profiled_v(res.a_hat, res.k_hat, res.sigma_bar_hat)
         assert v == res.v_eff_hat
         assert math.sqrt(float(np.mean(resid**2))) == pytest.approx(res.objective, rel=1e-9, abs=1e-15)
@@ -389,7 +399,7 @@ class TestVectorObjective:
     )
     def test_infeasible_points_score_1e9(self, quotes, theta, why):
         lo, hi, v_box = box()
-        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
+        objective = _ChainModel(quotes, lo, hi, v_box).objective
         theta = np.array(theta)
         assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9, why
         assert objective(theta) == 1e9, why
@@ -398,7 +408,7 @@ class TestVectorObjective:
         # sigma_bar = 0 is outside the kernel's domain, as it is outside d1d2_call's
         quotes = self.CHAINS["single_date"]
         lo, hi, v_box = box(sigma_bar=(0.0, 2.0))
-        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
+        objective = _ChainModel(quotes, lo, hi, v_box).objective
         theta = np.array([0.06, 0.008, 0.0])
         assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9
         assert objective(theta) == 1e9
@@ -419,11 +429,18 @@ class TestInnerSolve:
     """The exact a (and profiled v_eff) at fixed (k, sigma_bar) against a dense a-grid of the objective."""
 
     POINTS = ((0.008, 0.21), (0.05, 0.2), (0.2, 0.5), (1e-3, 1.9), (0.9, 0.05))
+    CHAINS = {
+        "one_rate": TestVectorObjective.CHAINS["single_date"],
+        # factors that differ by rate ratios at one date
+        "two_rates": TestVectorObjective.CHAINS["single_date"]
+        + quotes_at(0.0, (0.9, 1.6), rate=0.03),
+    }
 
     @staticmethod
     def check(quotes, k, sig, lo, hi, v_box):
-        objective, _ = _profiled_objective(quotes, lo, hi, v_box)
-        a, value = _ChainModel(quotes, lo, hi, v_box).fit_a(k, sig)
+        model = _ChainModel(quotes, lo, hi, v_box)
+        objective = model.objective
+        a, value = model.fit_a(k, sig)
         assert lo[0] <= a <= hi[0]
         assert all(abs(a - 2.0 * q.rate) >= A_EXCLUSION for q in quotes)
         assert value == pytest.approx(objective(np.array([a, k, sig])), rel=1e-12)
@@ -437,9 +454,9 @@ class TestInnerSolve:
         assert value <= grid_min + noise
         return a, value
 
-    @pytest.mark.parametrize("chain", sorted(TestVectorObjective.CHAINS))
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_chains_match_the_grid(self, chain):
-        quotes = TestVectorObjective.CHAINS[chain]
+        quotes = self.CHAINS[chain]
         for k, sig in self.POINTS:
             _, value = self.check(quotes, k, sig, *box())
             assert math.isfinite(value) and value < 1e6, (k, sig)
@@ -453,8 +470,7 @@ class TestInnerSolve:
         quotes = TestVectorObjective.CHAINS["single_date"]  # v_eff = 0.003
         lo, hi, v_box = box(v_eff=(-1e-3, 1e-3))
         a, _ = self.check(quotes, 0.008, 0.21, lo, hi, v_box)
-        _, profiled_v = _profiled_objective(quotes, lo, hi, v_box)
-        assert profiled_v(a, 0.008, 0.21)[0] == 1e-3
+        assert _ChainModel(quotes, lo, hi, v_box).profiled_v(a, 0.008, 0.21)[0] == 1e-3
 
     @pytest.mark.parametrize("r, offset", [(0.0264, 4e-5), (0.0045, 4e-5), (0.0045, -4e-5)])
     def test_unconstrained_optimum_inside_the_band(self, r, offset):
@@ -465,7 +481,7 @@ class TestInnerSolve:
 
     def test_factor_bounds_overflow_at_tiny_k(self):
         # at k = 1e-6 the a-box maps to factors from e^-1e5 to e^8.6e4
-        for chain in TestVectorObjective.CHAINS.values():
+        for chain in self.CHAINS.values():
             self.check(chain, 1e-6, 0.21, *box())
 
     @pytest.mark.parametrize("v_box", [(-5.0, 5.0), (-1e-3, 1e-3)])
@@ -480,11 +496,6 @@ class TestInnerSolve:
         for theta in ((0.7, 0.2), (0.6, 0.3)):
             self.check(quotes, *theta, *box(v_eff=v_box))
 
-    def test_two_rates_at_one_date(self):
-        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003) + quotes_at(0.0, (0.9, 1.6), rate=0.03)
-        for k, sig in self.POINTS:
-            self.check(quotes, k, sig, *box())
-
     def test_sample_chain_fit(self):
         # the three-parameter simplex over (a, k, sigma_bar) reached
         # 1.482837243299216e-11 on this chain
@@ -492,25 +503,27 @@ class TestInnerSolve:
         assert res.objective <= 1.482837243299216e-11 + 1e-12
         assert round(res.a_hat, 7) == 0.0555002
 
-    def test_fit_calls_the_module_optimiser(self, monkeypatch):
-        # the benchmark traces the optimiser and its objective through this attribute
-        dims = []
+    @pytest.mark.parametrize("chain, dims", [("single_date", 2), ("mixed", 3)])
+    def test_fit_calls_the_module_optimiser(self, monkeypatch, chain, dims):
+        # the benchmark traces the optimiser and its objective through this
+        # attribute; a is solved inside the search at one valuation date only
+        seen = []
         real = calibration.minimize
 
         def counting(fun, x0, *args, **kwargs):
-            dims.append(len(x0))
+            seen.append(len(x0))
             return real(fun, x0, *args, **kwargs)
 
         monkeypatch.setattr(calibration, "minimize", counting)
-        calibrate_effective(synth_quotes(a=0.06, sigma=0.21, v_eff=0.003), n_restarts=1)
-        assert dims and set(dims) == {2}
+        calibrate_effective(TestVectorObjective.CHAINS[chain], n_restarts=0)
+        assert seen and set(seen) == {dims}
 
 
-def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2):
-    out = synth_quotes(a=a, k=k, r=r, sigma=sigma)
+def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0):
+    out = synth_quotes(a=a, k=k, r=r, sigma=sigma, v_eff=v_eff)
     for maturity in (0.9, 1.6):
         for strike in (90.0, 100.0, 110.0):
-            mid = model_mid(0.4, maturity, strike, 100.0, r, a, k, sigma, 0.0)
+            mid = model_mid(0.4, maturity, strike, 100.0, r, a, k, sigma, v_eff)
             out.append(OptionQuote(t=0.4, maturity=maturity, strike=strike, mid=mid, spot=100.0, rate=r))
     return out
 
