@@ -60,15 +60,21 @@ from .monte_carlo import (
     mc_price,
     simulate_terminal,
 )
-from .calibration import (
-    AEstimate,
-    CalibResult,
-    OptionQuote,
-    calibrate_effective,
-    estimate_a,
-    implied_vol,
-    load_chain,
+
+# calibration is the one module that loads scipy, so its names are imported on
+# first use (PEP 562) and pricing, simulation and diagnostics never load it
+_CALIBRATION_NAMES = frozenset(
+    ("AEstimate", "CalibResult", "OptionQuote", "calibrate_effective", "estimate_a", "implied_vol", "load_chain")
 )
+
+
+def __getattr__(name: str):
+    if name in _CALIBRATION_NAMES:
+        from . import calibration
+
+        return getattr(calibration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ has an exact expression, one code path per quantity:
   at most 4.  The clamped ends are pieces that run out to -inf and +inf.
 
 The integrating-factor form ``phi'(y) = (1 / (nu^2 p(y))) * integral_{-inf}^{y}
-(f^2 - sigma_bar^2) p du`` on a dense trapezoid grid
+(f^2 - sigma_bar^2) p du`` by Simpson's rule on a dense grid
 (:func:`solve_phi_derivative`) and the residual of the Poisson equation on it
 (:func:`phi_residual_check`) remain as an independent oracle for ``diagnose``
 and the tests; pricing never runs them.
@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     CenteringFailureError,
@@ -195,27 +194,6 @@ def _check_state(z: float, m: float, nu: float) -> None:
         raise InputDomainError(f"nu = {nu:g} must be > 0")
 
 
-def _gauss_partial_moments(sa: np.ndarray, sb: np.ndarray) -> list[np.ndarray]:
-    """``J[n]`` = integral of ``s^n phi(s)`` over ``[sa, sb]``, n = 0..4.
-
-    ``phi`` is the standard normal density; the edges are arrays and may be
-    infinite.  Uses ``J[n] = (n-1) J[n-2] + sa^(n-1) phi(sa) - sb^(n-1) phi(sb)``.
-    """
-    pdf_a = np.exp(-0.5 * sa * sa) / _SQRT_2PI
-    pdf_b = np.exp(-0.5 * sb * sb) / _SQRT_2PI
-    # an infinite edge contributes nothing; zero it so s^n * 0 stays 0
-    a = np.where(np.isfinite(sa), sa, 0.0)
-    b = np.where(np.isfinite(sb), sb, 0.0)
-    # pieces right of the mean take the difference of upper tails, which does
-    # not cancel where both edges lie far out
-    j = [np.where(sa >= 0.0, ndtr(-sa) - ndtr(-sb), ndtr(sb) - ndtr(sa)), pdf_a - pdf_b]
-    edge_a, edge_b = pdf_a, pdf_b
-    for n in range(2, 5):
-        edge_a, edge_b = edge_a * a, edge_b * b
-        j.append((n - 1) * j[n - 2] + edge_a - edge_b)
-    return j
-
-
 def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, float]:
     """Exact ``(E[f^2], E[f phi'])`` of the clamped linear interpolant.
 
@@ -223,40 +201,68 @@ def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, fl
     clamped right end (y_last, +inf).  Each piece is anchored at its left
     table node (the left end at y_0).  In ``s = (y - m) / nu`` the piece has
     ``f = c0 + c1 s`` and ``F = d0 + d1 s + d2 s^2``, with ``F`` the
-    antiderivative of ``f`` from y_0.
+    antiderivative of ``f`` from y_0.  ``J[n]``, the integral of ``s^n
+    phi(s)`` over the piece with ``phi`` the standard normal density, follows
+    ``J[n] = (n-1) J[n-2] + sa^(n-1) phi(sa) - sb^(n-1) phi(sb)``.
+
+    A plain loop: tables have a few rows, where numpy's per-call overhead
+    outweighs the arithmetic (an array form wins from about 50 rows).
     """
-    y = np.asarray(vol.y_nodes)
-    f = np.asarray(vol.f_values)
-    h = np.diff(y)
-    y_a = np.concatenate((y[:1], y))
-    f_a = np.concatenate((f[:1], f))
-    slope = np.concatenate(([0.0], np.diff(f) / h, [0.0]))
-    big_f = np.cumsum(np.concatenate(([0.0], 0.5 * (f[:-1] + f[1:]) * h)))
-    big_f_a = np.concatenate((big_f[:1], big_f))
-    s_nodes = (y - m) / nu
-    j = _gauss_partial_moments(
-        np.concatenate(([-np.inf], s_nodes)), np.concatenate((s_nodes, [np.inf]))
-    )
+    ys, fs = vol.y_nodes, vol.f_values
+    n = len(ys)
+    pieces = []
+    mean_f2 = mean_big_f = big_f = 0.0
+    for i in range(n + 1):
+        lo, hi = max(i - 1, 0), min(i, n - 1)  # anchor and right node; equal on the clamped ends
+        y_a, f_a = ys[lo], fs[lo]
+        h = ys[hi] - y_a
+        slope = (fs[hi] - f_a) / h if lo < hi else 0.0
+        sa = (y_a - m) / nu if i > 0 else -math.inf
+        sb = (ys[i] - m) / nu if i < n else math.inf
+        pdf_a = math.exp(-0.5 * sa * sa) / _SQRT_2PI
+        pdf_b = math.exp(-0.5 * sb * sb) / _SQRT_2PI
+        # pieces right of the mean take the difference of upper tails, which
+        # does not cancel where both edges lie far out
+        if sa >= 0.0:
+            j0 = 0.5 * (math.erfc(sa / _SQRT2) - math.erfc(sb / _SQRT2))
+        else:
+            j0 = 0.5 * (math.erfc(-sb / _SQRT2) - math.erfc(-sa / _SQRT2))
+        # an infinite edge contributes nothing; zero it so s^n * 0 stays 0
+        a = sa if i > 0 else 0.0
+        b = sb if i < n else 0.0
+        j1 = pdf_a - pdf_b
+        edge_a, edge_b = pdf_a * a, pdf_b * b
+        j2 = j0 + edge_a - edge_b
+        edge_a, edge_b = edge_a * a, edge_b * b
+        j3 = 2.0 * j1 + edge_a - edge_b
+        edge_a, edge_b = edge_a * a, edge_b * b
+        j4 = 3.0 * j2 + edge_a - edge_b
 
-    u0 = m - y_a  # y - y_a = u0 + nu s
-    c0 = f_a + slope * u0
-    c1 = slope * nu
-    d0 = big_f_a + u0 * (f_a + 0.5 * slope * u0)
-    d1 = nu * c0
-    d2 = 0.5 * nu * c1
+        u0 = m - y_a  # y - y_a = u0 + nu s
+        c0 = f_a + slope * u0
+        c1 = slope * nu
+        d0 = big_f + u0 * (f_a + 0.5 * slope * u0)
+        d1 = nu * c0
+        d2 = 0.5 * nu * c1
+        mean_f2 += c0 * c0 * j0 + 2.0 * c0 * c1 * j1 + c1 * c1 * j2
+        mean_big_f += d0 * j0 + d1 * j1 + d2 * j2
+        pieces.append((c0, c1, d0, d1, d2, j0, j1, j2, j3, j4))
+        if lo < hi:
+            big_f += 0.5 * (f_a + fs[hi]) * h
 
-    mean_f2 = float(np.sum(c0 * c0 * j[0] + 2.0 * c0 * c1 * j[1] + c1 * c1 * j[2]))
-    # centre F at its mean so that its constant part cancels to rounding only
-    d0 = d0 - float(np.sum(d0 * j[0] + d1 * j[1] + d2 * j[2]))
-    e0, e1, e2 = c0 * c0 - mean_f2, 2.0 * c0 * c1, c1 * c1  # f^2 - sigma_bar^2
-    cov = np.sum(
-        d0 * e0 * j[0]
-        + (d0 * e1 + d1 * e0) * j[1]
-        + (d0 * e2 + d1 * e1 + d2 * e0) * j[2]
-        + (d1 * e2 + d2 * e1) * j[3]
-        + d2 * e2 * j[4]
-    )
-    return mean_f2, -float(cov) / (nu * nu)
+    cov = 0.0
+    for c0, c1, d0, d1, d2, j0, j1, j2, j3, j4 in pieces:
+        # centre F at its mean so that its constant part cancels to rounding only
+        d0 -= mean_big_f
+        e0, e1, e2 = c0 * c0 - mean_f2, 2.0 * c0 * c1, c1 * c1  # f^2 - sigma_bar^2
+        cov += (
+            d0 * e0 * j0
+            + (d0 * e1 + d1 * e0) * j1
+            + (d0 * e2 + d1 * e1 + d2 * e0) * j2
+            + (d1 * e2 + d2 * e1) * j3
+            + d2 * e2 * j4
+        )
+    return mean_f2, -cov / (nu * nu)
 
 
 def _averages(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) -> EffectiveParams:
@@ -372,7 +378,7 @@ def _grid_ends(vol: VolFunction, m: float, nu: float) -> tuple[float, float]:
 def _default_points(vol: VolFunction, m: float, nu: float) -> int:
     """Grid points that keep the spacing at or below the nu = 1 grid's.
 
-    f, and the table's knots, vary on a fixed scale in y, so the trapezoid
+    f, and the table's knots, vary on a fixed scale in y, so the quadrature
     and central-difference errors of the oracle follow the absolute spacing.
     """
     lo, hi = _grid_ends(vol, m, nu)
@@ -427,8 +433,6 @@ def solve_phi_derivative(
         CenteringFailureError: if the source fails to center to CENTERING_TOL
             relative to sigma_bar^2, signalling an inconsistent sigma_bar.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     _check_state(z, m, nu)
     if sigma_bar_sq is None:
         sigma_bar_sq = sigma_bar(vol, z, m, nu) ** 2
@@ -436,15 +440,29 @@ def solve_phi_derivative(
     p = _density(y, m, nu)
     f = np.asarray(vol(y, z), dtype=float)
     rhs = f * f - sigma_bar_sq
-    mass = float(np.trapezoid(rhs * p, y))
+    # Simpson's rule on each cell, through its midpoint: a table's knots are
+    # grid points (to within _KNOT_SNAP of a cell), so every cell lies within
+    # one piece, where the integrand is smooth and the rule is fourth order.
+    # The second-order trapezoid rule misses CENTERING_TOL on steep tables.
+    sixth = np.diff(y) / 6.0
+    y_mid = 0.5 * (y[:-1] + y[1:])
+    p_mid = _density(y_mid, m, nu)
+    f_mid = np.asarray(vol(y_mid, z), dtype=float)
+
+    def cells(g: np.ndarray, g_mid: np.ndarray) -> np.ndarray:
+        return sixth * (g[:-1] + 4.0 * g_mid + g[1:])
+
+    p_cells = cells(p, p_mid)
+    source_cells = cells(rhs * p, (f_mid * f_mid - sigma_bar_sq) * p_mid)
+    mass = float(np.sum(source_cells))
     if abs(mass) > CENTERING_TOL * sigma_bar_sq:
         raise CenteringFailureError(
             f"source integrates to {mass:.3e} against the density, {abs(mass) / sigma_bar_sq:.3e} "
             f"of sigma_bar^2 (tol {CENTERING_TOL:g}); sigma_bar inconsistent with (f, z, m, nu)"
         )
     # remove the sub-tolerance remainder so the antiderivative decays cleanly
-    source = (rhs - mass / float(np.trapezoid(p, y))) * p
-    cum = cumulative_trapezoid(source, y, initial=0.0)
+    source_cells -= mass / float(np.sum(p_cells)) * p_cells
+    cum = np.concatenate(([0.0], np.cumsum(source_cells)))
     phi_prime = cum / (nu * nu * p)
     return PhiSolution(y=y, phi_prime=phi_prime, rhs=rhs, centering_residual=mass, n_points=y.size)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputDomainError
 
@@ -27,12 +26,13 @@ __all__ = [
     "norm_pdf",
 ]
 
+_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def norm_cdf(x: float) -> float:
-    """Standard normal CDF (erf-based, accurate to ~1e-16)."""
-    return float(ndtr(x))
+    """Standard normal CDF from ``math.erfc``, which keeps the lower tail relative-accurate."""
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def norm_pdf(x: float) -> float:
@@ -154,8 +154,11 @@ def call_and_d1d2(c: CallConstants, sigma: float) -> tuple[np.ndarray, np.ndarra
 
     Array form of :func:`bs_call_price` and :func:`d1d2_call` sharing one
     ``d1``; defined on interior inputs only (``sigma > 0``, ``tau > 0``), so
-    the caller rules out the boundary cases.
+    the caller rules out the boundary cases.  Only calibration calls it, so
+    scipy loads with the first call rather than with the package.
     """
+    from scipy.special import ndtr
+
     st = sigma * c.sqrt_tau
     d1 = (c.log_moneyness + (c.rate + 0.5 * sigma**2) * c.tau) / st
     call = c.spot * ndtr(d1) - c.disc_strike * ndtr(d1 - st)

@@ -34,7 +34,6 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
-from .calibration import calibrate_effective, estimate_a, load_chain
 from .monte_carlo import SimConfig, epsilon_sweep, estimate_from_sample, mc_price, simulate_terminal
 from .params import ModelParams, OptionSpec, build_model
 from .pricer import p0_pde_residual, price_first_order
@@ -379,6 +378,9 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
 
 
 def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
+    # the one command that needs scipy, which calibration imports
+    from .calibration import calibrate_effective, estimate_a, load_chain
+
     quotes = load_chain(cfg.extras["chain"])
     fit = cfg.extras.get("fit", "effective")
     rows: list[tuple[str, object]] = [("command", "calibrate"), ("fit", fit), ("n_quotes", len(quotes))]

@@ -16,7 +16,7 @@ from parabolic_sv import (
     sigma_bar,
     solve_phi_derivative,
 )
-from parabolic_sv.averaging import CENTERING_TOL, ORACLE_MAX_POINTS, _default_points
+from parabolic_sv.averaging import CENTERING_TOL, ORACLE_MAX_POINTS, _default_points, _tabulated_moments
 
 EXP = VolFunction.separable_exp()
 FLAT = VolFunction.y_constant()
@@ -65,6 +65,30 @@ def brute_pipeline(f_of_y, z, m, nu, rho, n=400_001):
     phi_p = cum / (nu * nu * p)
     e_f_phi = trap(f * phi_p * p) / mass
     return math.sqrt(sb2), nu * rho / math.sqrt(2.0) * e_f_phi
+
+
+class TestTabulatedMoments:
+    def test_frozen_sample_table_value(self):
+        # (E[f^2], E[f phi']) of the sample smile at nu = 0.5, m = 0
+        got = _tabulated_moments(VolFunction.tabulated(SMILE_Y, SMILE_F), 0.0, 0.5)
+        assert got == pytest.approx((0.05365491437756399, -0.011355110183318166), rel=1e-13, abs=0.0)
+
+    def test_knots_beyond_the_oracle_grid(self):
+        # every knot lies 10-12 nu from m, so the pieces right of the mean
+        # take the upper-tail difference; on the brute force's +-8 nu grid
+        # f is the line between the inner knots
+        ys, fs = (-6.0, -5.0, 5.0, 6.0), (0.3, 0.2, 0.4, 0.25)
+        vol = VolFunction.tabulated(ys, fs)
+        want_rms, want_v = brute_pipeline(lambda y: np.interp(y, ys, fs), 0.2, 0.0, 0.5, -0.5)
+        assert sigma_bar(vol, 0.2, 0.0, 0.5) == pytest.approx(want_rms, abs=1e-8)
+        assert v_of(vol, 0.2, 0.0, 0.5, -0.5) == pytest.approx(want_v, rel=1e-6, abs=1e-10)
+
+    def test_far_right_tail_keeps_relative_accuracy(self):
+        # knots 8-10 nu right of m: V comes from mass 6e-16 beyond the first
+        # knot, which a difference of lower CDFs near 1 loses (it reads
+        # 1.98e-17).  Reference: mpmath quadrature at 50 digits, offline.
+        vol = VolFunction.tabulated((4.0, 4.5, 5.0), (0.2, 0.3, 0.25))
+        assert v_of(vol, 0.2, 0.0, 0.5, -0.5) == pytest.approx(1.8706232706099199e-18, rel=1e-9, abs=0.0)
 
 
 class TestSigmaBar:

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from parabolic_sv import BsInputs, InputDomainError, bs_call_price, bs_greeks, d1d2_call
-from parabolic_sv.black_scholes import CallConstants, call_and_d1d2, norm_pdf
+from parabolic_sv.black_scholes import CallConstants, call_and_d1d2, norm_cdf, norm_pdf
 
 
 def call_by_quadrature(spot, strike, rate, sigma, tau):
@@ -47,6 +47,21 @@ def diff4_second(f, x, h):
     return (
         -f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)
     ) / (12 * h * h)
+
+
+class TestNormCdf:
+    # Phi(x) to 16 digits, computed once offline with mpmath (ncdf, 40 digits)
+    @pytest.mark.parametrize(
+        "x,want,rel",
+        [
+            (-30.0, 4.906713927148187e-198, 1e-12),  # erfc's error grows like x^2 ulp
+            (-8.0, 6.220960574271784e-16, 1e-14),
+            (-1.0, 0.15865525393145705, 1e-14),
+            (0.5, 0.6914624612740131, 1e-14),
+        ],
+    )
+    def test_matches_high_precision_values(self, x, want, rel):
+        assert norm_cdf(x) == pytest.approx(want, rel=rel, abs=0.0)
 
 
 class TestPrice:

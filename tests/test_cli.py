@@ -1,6 +1,10 @@
 """Command-line behavior: reports, exit codes, determinism, dump files."""
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,8 @@ from parabolic_sv import (
 from parabolic_sv.cli import main
 from parabolic_sv.monte_carlo import BLOCK_SIZE
 
-SAMPLE_TABLE = Path(__file__).resolve().parents[1] / "configs" / "vol_table_sample.txt"
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLE_TABLE = ROOT / "configs" / "vol_table_sample.txt"
 
 
 def write_cfg(tmp_path, name, **pairs):
@@ -402,6 +407,18 @@ class TestDiagnoseCommand:
         assert report["quadrature"] == "PASS method=piecewise_gaussian pieces=8"
         assert report["phi_residual"].startswith("PASS")
 
+    def test_steep_table_passes_phi_residual(self, tmp_path, capsys):
+        # the trapezoid rule's error at the knots of this table put the
+        # centering mass at 2.47e-8 of sigma_bar^2, past CENTERING_TOL
+        table = tmp_path / "steep.txt"
+        table.write_text("-2.0 0.16\n-0.25 0.23\n0.0 0.49\n0.8 0.22\n")
+        cfg = write_cfg(
+            tmp_path, "d.cfg", spot=100.0, strike=100.0, maturity=0.5, nu=0.4,
+            vol_kind="tabulated", vol_table=table,
+        )
+        assert main(["diagnose", "--config", cfg]) == 0
+        assert parse_report(capsys.readouterr().out)["phi_residual"].startswith("PASS")
+
     def test_truncation_row_reads_the_report(self, tmp_path, capsys, monkeypatch):
         # the bound rule lives in truncation_report; diagnose only prints it
         import parabolic_sv.cli as cli
@@ -441,3 +458,44 @@ class TestDiagnoseCommand:
         assert report["truncation"].startswith("SKIP")
         assert report["time_coefficient"].startswith("WARN")
         assert report["p0_pde_residual"].startswith("WARN")
+
+
+# Runs cli.main on each argument list in this fresh interpreter, then prints
+# the exit codes and every scipy module loaded.
+_RUN_AND_LIST_SCIPY = """
+import json, sys
+from parabolic_sv.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def run_fresh(*argvs):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, json.dumps(argvs)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestScipyImport:
+    def test_pricing_commands_never_load_scipy(self, tmp_path):
+        # configs/sweep.cfg runs the same modules as simulate.cfg, for ~25 s
+        got = run_fresh(
+            ["price", "--config", "configs/price.cfg"],
+            ["diagnose", "--config", "configs/price.cfg"],
+            ["simulate", "--config", "configs/simulate.cfg", "--paths-dump", str(tmp_path / "paths.csv")],
+        )
+        assert got == {"codes": [0, 0, 0], "scipy": []}
+
+    def test_calibrate_loads_scipy_and_succeeds(self, tmp_path):
+        got = run_fresh(["calibrate", "--config", "configs/calibrate.cfg", "--out", str(tmp_path / "fit.out")])
+        assert got["codes"] == [0]
+        assert "scipy.optimize" in got["scipy"]
+        report = dict(line.split("=", 1) for line in (tmp_path / "fit.out").read_text().splitlines())
+        assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
+        assert report["converged"] == "true"

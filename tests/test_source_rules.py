@@ -27,3 +27,44 @@ def test_exported_names_resolve(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def import_time_scipy_imports(tree: ast.Module) -> list[int]:
+    """Lines of the scipy imports that run when the module is imported.
+
+    Function bodies run only when called, so their imports are skipped.
+    """
+    lines, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(n.split(".")[0] == "scipy" for n in names):
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "calibration.py"], ids=lambda p: p.name)
+def test_only_calibration_imports_scipy_at_import_time(path):
+    # scipy takes most of the package's import time, and only calibration
+    # needs it; elsewhere it is imported inside the function that uses it
+    lines = import_time_scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: module-level scipy import at line(s) {lines}"
+
+
+def test_scipy_rule_sees_nested_module_level_imports():
+    tree = ast.parse(
+        "import scipy.special\n"
+        "try:\n    from scipy import optimize\nexcept ImportError:\n    pass\n"
+        "def f():\n    from scipy.special import ndtr\n"
+        "class C:\n    import scipy\n"
+        "from .scipy_like import x\n"
+    )
+    assert import_time_scipy_imports(tree) == [1, 3, 9]
