@@ -1,20 +1,20 @@
 """Chain loading and calibration of the modification constant and effective terms.
 
-Two fitting modes:
+Both fits run on one chain model, :class:`_ChainModel`: each quote is
+``M * (Q0 + v_eff * time_factor * D1D2 Q0)`` with ``M = modification_factor(t;
+a, r, k)`` and ``v_eff = sqrt(epsilon) * V``; ``v_eff`` is always profiled out
+exactly, and :meth:`_ChainModel.fit_a` solves the best ``a`` at fixed
+``(k, sigma_bar)``: in closed form at one valuation date, where the quotes are
+linear in ``(M, M v_eff)``, and by golden section over several.
 
 * :func:`estimate_a` -- least-squares fit of the empirical constant ``a``
-  alone: the effective volatility is pinned from the nearest-the-money
-  implied vol and each quote is modelled as ``modification_factor(t; a, r, k)
-  * Q0``.  At one valuation date the factor is one scalar and the fit is a
-  closed form; over several dates it is a golden-section search.
-* :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)`` where
-  ``v_eff = sqrt(epsilon) * V`` enters the quote model
-  ``M * (Q0 + v_eff * time_factor * D1D2 Q0)``.  ``v_eff`` is always
-  profiled out exactly.  At one valuation date the quotes are linear in
-  ``(M, M v_eff)``, so a derivative-free simplex searches ``(k, sigma_bar)``
-  only and ``(a, v_eff)`` is solved exactly at each of its points; over
-  several dates the simplex searches ``(a, k, sigma_bar)``.  Seeded random
-  restarts inside the bound box keep the search deterministic per seed.
+  alone: ``v_eff`` is pinned at 0, ``k`` is given and ``sigma_bar`` is pinned
+  from the nearest-the-money implied vol, so the fit is one ``fit_a`` call.
+* :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)``.  At one
+  valuation date a derivative-free simplex searches ``(k, sigma_bar)`` only
+  and ``(a, v_eff)`` is solved exactly at each of its points; over several
+  dates the simplex searches ``(a, k, sigma_bar)``.  Seeded random restarts
+  inside the bound box keep the search deterministic per seed.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -55,7 +55,6 @@ __all__ = [
     "load_chain",
     "estimate_a",
     "calibrate_effective",
-    "effective_quote_price",
     "implied_vol",
 ]
 
@@ -266,29 +265,24 @@ def _level_fit(
     g: float,
     mids: np.ndarray,
     b: np.ndarray,
-    s: np.ndarray | None = None,
-    v_box: tuple[float, float] = (0.0, 0.0),
+    s: np.ndarray,
+    v_box: tuple[float, float],
 ) -> float:
     """Exact least-squares ``a`` of ``mids ~ M (b + v s)`` with ``M = exp((a - a_ref) g)``.
 
     The model is linear in ``(M, w) = (M, M v)``.  Each a-piece is an interval
     of ``M`` and the ``v`` box is the cone ``v_lo M <= w <= v_hi M``, so the
     optimum is the unconstrained one when it is feasible and otherwise the best
-    point on the edges of those regions.  ``s = None`` pins ``v`` at 0.  The ends
-    of a piece are taken in log space, where they may lie far outside the float
-    range.
+    point on the edges of those regions.  The ends of a piece are taken in log
+    space, where they may lie far outside the float range.
 
     Raises:
         NumericalOverflowError: when no feasible point has a finite misfit.
     """
     if g == 0.0:  # M = 1 for every a
         return pieces[0][0]
-    if s is None:
-        bb, bm = float(b @ b), float(b @ mids)
-        bs = ss = sm = 0.0
-    else:
-        y = np.array([b, s, mids])
-        (bb, bs, bm), (_, ss, sm), _ = (y @ y.T).tolist()
+    y = np.array([b, s, mids])
+    (bb, bs, bm), (_, ss, sm), _ = (y @ y.T).tolist()
     if not bb > 0.0:  # no quote depends on a
         return pieces[0][0]
     # in the basis (u, w) = (M + c w, w) of b and the part of s orthogonal to
@@ -338,29 +332,6 @@ def _level_fit(
     return best_a
 
 
-def _fit_a_pinned(
-    quotes: list[OptionQuote], sigma: float, rate: float, k: float, pieces
-) -> tuple[float, float]:
-    """Least-squares ``a`` of ``mid ~ modification_factor(t; a, rate, k) Q0``
-    (``v_eff`` pinned at 0) and the sum of squares there: in closed form when
-    the quotes share one valuation date, by golden section on each piece
-    otherwise."""
-    q0, _ = call_and_d1d2(_call_constants(quotes), sigma)
-    mids = np.array([q.mid for q in quotes])
-
-    def sse(a: float) -> float:
-        mods = np.array([modification_factor(q.t, a, rate, k) for q in quotes])
-        resid = mids - mods * q0
-        return float(resid @ resid)
-
-    dates = {q.t for q in quotes}
-    if len(dates) == 1:
-        a = _level_fit(pieces, 2.0 * rate, factor_exponent(dates.pop(), k), mids, q0)
-    else:
-        a = _golden_pieces(sse, pieces)
-    return a, sse(a)
-
-
 def estimate_a(
     quotes: list[OptionQuote],
     k: float,
@@ -370,13 +341,15 @@ def estimate_a(
 ) -> AEstimate:
     """Fit ``a`` alone by least squares.
 
-    The effective volatility is fixed from the nearest-the-money implied vol;
-    the quote model is ``modification_factor(t; a, r, k) * Q0``.  The band
-    ``|a - 2r| < 1e-4`` is excluded from the search (the factor degenerates at
-    its centre); landing on the band edge is allowed.  With one valuation
-    date the factor is one scalar ``M`` and the fit is the closed form
-    ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``; with several
-    it is a golden-section search on each side of the band.
+    The chain model of :class:`_ChainModel` with ``v_eff`` pinned at 0, ``k``
+    given and the effective volatility fixed from the nearest-the-money implied
+    vol: each quote is ``modification_factor(t; a, r, k) * Q0``, with ``Q0`` at
+    the quote's own rate and the factor at ``r``.  The band ``|a - 2r| < 1e-4``
+    is excluded from the search (the factor degenerates at its centre); landing
+    on the band edge is allowed.  ``a`` comes from :meth:`_ChainModel.fit_a`:
+    with one valuation date the factor is one scalar ``M`` and the fit is the
+    closed form ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``;
+    with several it is a golden-section search on each side of the band.
 
     Raises:
         InsufficientDataError: fewer than 2 quotes or fewer than 2 maturities.
@@ -389,27 +362,31 @@ def estimate_a(
         )
     rate = _rate_of(quotes, r)
     sigma = _atm_sigma(quotes)
-    pieces = _a_pieces(*bounds, [2.0 * rate])
+    lo, hi = np.array([bounds[0], k, sigma]), np.array([bounds[1], k, sigma])
 
-    a_hat, obj = _fit_a_pinned(quotes, sigma, rate, k, pieces)
+    def model(chain: list[OptionQuote]) -> _ChainModel:
+        return _ChainModel(chain, lo, hi, (0.0, 0.0), rate)
+
+    whole = model(quotes)
+    a_hat = whole.fit_a(k, sigma)
     span = bounds[1] - bounds[0]
     if min(a_hat - bounds[0], bounds[1] - a_hat) < 1e-6 * span:
         raise NoInteriorMinimumError(
             f"a-fit pinned to bound {a_hat:.6g} of [{bounds[0]:g}, {bounds[1]:g}]"
         )
+    _, resid = whole.profiled_v(a_hat, k, sigma)
 
     per_strike = []
     for strike in sorted({q.strike for q in quotes}):
-        sub = [q for q in quotes if q.strike == strike]
         try:
-            a_k, _ = _fit_a_pinned(sub, sigma, rate, k, pieces)
+            a_k = model([q for q in quotes if q.strike == strike]).fit_a(k, sigma)
         except PricingError:
             a_k = math.nan
         per_strike.append((strike, a_k))
 
     return AEstimate(
         a_hat=a_hat,
-        objective=obj,
+        objective=float(resid @ resid),
         sigma_bar_used=sigma,
         n_quotes=len(quotes),
         per_strike=tuple(per_strike),
@@ -425,48 +402,40 @@ def _call_constants(quotes: list[OptionQuote]) -> CallConstants:
     )
 
 
-def _require_sigma(sigma: float) -> None:
-    if not 0.0 < sigma < math.inf:
-        raise InputDomainError(f"sigma_bar = {sigma!r} must be positive and finite")
-
-
-def effective_quote_price(
-    q: OptionQuote, a: float, k: float, v_eff: float, sigma_bar_val: float
-) -> float:
-    """Quote model of the effective fit: ``M * (Q0 + v_eff * tf * D1D2 Q0)``."""
-    _require_sigma(sigma_bar_val)
-    q0, dd = call_and_d1d2(_call_constants([q]), sigma_bar_val)
-    tf = p1_time_factor(q.t, q.maturity, k)
-    mod = modification_factor(q.t, a, q.rate, k)
-    return float(mod * (q0[0] + v_eff * tf * dd[0]))
-
-
 #: What makes a point of the effective fit infeasible (scored 1e9).
 _INFEASIBLE = (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError)
 
 
 class _ChainModel:
-    """The quote model of :func:`calibrate_effective` over one chain, with
-    ``v_eff`` profiled out; at one valuation date also the exact ``a`` solve
-    for fixed ``(k, sigma_bar)``.
+    """The quote model ``M * (Q0 + v_eff * tf * D1D2 Q0)`` over one chain, with
+    ``v_eff`` profiled out, and the least-squares ``a`` for fixed
+    ``(k, sigma_bar)``.
 
     The chain's constants are computed once.  The modification and time
     factors are computed once per distinct (t, T, r) date and broadcast to its
-    quotes; the rest is one vector expression.  The Black-Scholes kernel and
-    the time factors of the last ``(k, sigma_bar)`` are kept, so the ``a``
-    solve and the objective at its result share them.
+    quotes; the rest is one vector expression.  ``rate``, when given, replaces
+    every quote's own rate in the modification factor (``Q0`` keeps the
+    quote's).  A ``v_box`` of ``(0, 0)`` pins ``v_eff`` at 0, and then no time
+    factor is evaluated, so dates straddling ``2/k`` stay feasible.  The
+    Black-Scholes kernel and the time factors of the last ``(k, sigma_bar)``
+    are kept, so the ``a`` solve and the objective at its result share them.
     """
 
     def __init__(
-        self, quotes: list[OptionQuote], lo: np.ndarray, hi: np.ndarray, v_box: tuple[float, float]
+        self,
+        quotes: list[OptionQuote],
+        lo: np.ndarray,
+        hi: np.ndarray,
+        v_box: tuple[float, float],
+        rate: float | None = None,
     ):
         self.mids = np.array([q.mid for q in quotes])
         self.bs = _call_constants(quotes)
-        keys = [(q.t, q.maturity, q.rate) for q in quotes]
+        keys = [(q.t, q.maturity, q.rate if rate is None else rate) for q in quotes]
         self.dates = list(dict.fromkeys(keys))
         self.date_of = np.array([self.dates.index(key) for key in keys])
         self.two_rs = np.array([2.0 * r for _, _, r in self.dates])
-        self.rate_counts = Counter(2.0 * q.rate for q in quotes)
+        self.rate_counts = Counter(2.0 * r for _, _, r in keys)
         self.n_quotes = len(quotes)
         self.box = list(zip(lo.tolist(), hi.tolist()))
         self.v_box = v_box
@@ -478,8 +447,12 @@ class _ChainModel:
     def _kernel(self, k: float, sig: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Calls, D1D2 and the per-date time factors at (k, sigma_bar)."""
         if self._kept[0] != (k, sig):
-            _require_sigma(sig)
-            tf = np.array([p1_time_factor(t, mat, k) for t, mat, _ in self.dates])
+            if not 0.0 < sig < math.inf:
+                raise InputDomainError(f"sigma_bar = {sig!r} must be positive and finite")
+            if self.v_box[0] == self.v_box[1] == 0.0:  # tf is multiplied by v_eff = 0
+                tf = np.zeros(len(self.dates))
+            else:
+                tf = np.array([p1_time_factor(t, mat, k) for t, mat, _ in self.dates])
             call, dd = call_and_d1d2(self.bs, sig)
             self._kept = (k, sig), (call, dd, tf)
         return self._kept[1]
@@ -517,28 +490,36 @@ class _ChainModel:
             return 1e9
         return math.sqrt(float(resid @ resid) / self.n_quotes) + penalty
 
-    def fit_a(self, k: float, sig: float) -> tuple[float, float]:
-        """The least-squares ``a`` at fixed (k, sigma_bar) and the objective there,
-        for a chain with one valuation date.
+    def fit_a(self, k: float, sig: float) -> float:
+        """The least-squares ``a`` at fixed (k, sigma_bar), with ``v_eff`` profiled.
 
-        The factors are one level ``M`` times rate ratios known once ``k`` is,
-        taken against the rate whose ratios stay <= 1, and ``a`` comes from
-        :func:`_level_fit`.  Outside the (k, sigma_bar) box ``a`` is the lower
-        a-bound and the objective its box penalty.
+        At one valuation date the factors are one level ``M`` times rate ratios
+        known once ``k`` is, taken against the rate whose ratios stay <= 1, and
+        ``a`` comes from :func:`_level_fit`.  Over several dates it is the best
+        golden-section minimum of the profiled sum of squares on each a-piece.
+        Outside the (k, sigma_bar) box ``a`` is the lower a-bound.
+
+        Raises:
+            SingularTimeError, LogDomainError, InputDomainError,
+            NumericalOverflowError: at a point where the model is infeasible.
         """
-        (a, _), (k_lo, k_hi), (s_lo, s_hi) = self.box
-        if k_lo <= k <= k_hi and s_lo <= sig <= s_hi:
-            try:
-                call, dd, tf = self._kernel(k, sig)
-                g = factor_exponent(self.single_date, k)
-                two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
-                rho = np.exp((two_ref - self.two_rs) * g)
-                b = rho[self.date_of] * call
-                s = (rho * tf)[self.date_of] * dd
-                a = _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
-            except _INFEASIBLE:
-                return a, 1e9
-        return a, self.objective(np.array([a, k, sig]))
+        (a_lo, _), (k_lo, k_hi), (s_lo, s_hi) = self.box
+        if not (k_lo <= k <= k_hi and s_lo <= sig <= s_hi):
+            return a_lo
+        if self.single_date is None:
+
+            def sse(a: float) -> float:
+                _, resid = self.profiled_v(a, k, sig)
+                return float(resid @ resid)
+
+            return _golden_pieces(sse, self.a_pieces)
+        call, dd, tf = self._kernel(k, sig)
+        g = factor_exponent(self.single_date, k)
+        two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
+        rho = np.exp((two_ref - self.two_rs) * g)
+        b = rho[self.date_of] * call
+        s = (rho * tf)[self.date_of] * dd
+        return _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
 
 
 @dataclass(frozen=True)
@@ -609,7 +590,12 @@ def calibrate_effective(
         free, offsets = slice(1, 3), (0.0,)
 
         def objective(x: np.ndarray) -> float:
-            return model.fit_a(*x.tolist())[1]
+            k, sig = x.tolist()
+            try:
+                a = model.fit_a(k, sig)
+            except _INFEASIBLE:
+                return 1e9
+            return model.objective(np.array([a, k, sig]))
 
     rng = np.random.default_rng(seed)
     try:
@@ -657,7 +643,7 @@ def calibrate_effective(
         a_hat, k_hat, sigma_hat = theta.tolist()
     else:
         k_hat, sigma_hat = theta.tolist()
-        a_hat, _ = model.fit_a(k_hat, sigma_hat)
+        a_hat = model.fit_a(k_hat, sigma_hat)
     v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
     return CalibResult(
         a_hat=a_hat,

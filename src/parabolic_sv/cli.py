@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -299,17 +299,13 @@ def cmd_price(cfg: RunConfig, out_path: str | None) -> int:
     return EXIT_OK
 
 
+def _given(cfg: RunConfig, keys) -> dict:
+    """The config's values for those of ``keys`` it sets; the callee defaults the rest."""
+    return {key: cfg.extras[key] for key in keys if key in cfg.extras}
+
+
 def _sim_config(cfg: RunConfig) -> SimConfig:
-    ex = cfg.extras
-    return SimConfig(
-        n_paths=ex["n_paths"],
-        steps_per_year=ex.get("steps_per_year", 2000),
-        seed=ex.get("seed", 0),
-        z_scheme=ex.get("z_scheme", "ou"),
-        antithetic=ex.get("antithetic", False),
-        y0=ex.get("y0"),
-        n_workers=ex.get("n_workers", 1),
-    )
+    return SimConfig(**_given(cfg, (f.name for f in fields(SimConfig))))
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -> int:
@@ -395,11 +391,7 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
         for strike, a_k in est.per_strike:
             rows.append((f"a_at_strike_{_fmt(strike)}", a_k))
     else:
-        res = calibrate_effective(
-            quotes,
-            seed=cfg.extras.get("seed", 0),
-            n_restarts=cfg.extras.get("n_restarts", 3),
-        )
+        res = calibrate_effective(quotes, **_given(cfg, ("seed", "n_restarts")))
         rows += [
             ("a_hat", res.a_hat),
             ("k_hat", res.k_hat),

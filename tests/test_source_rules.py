@@ -29,6 +29,17 @@ def test_exported_names_resolve(path):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+def test_lazy_calibration_names_resolve():
+    # the package resolves these on first use, so a stale entry fails only there
+    import parabolic_sv
+    from parabolic_sv import calibration
+
+    missing = sorted(n for n in parabolic_sv._CALIBRATION_NAMES if not hasattr(calibration, n))
+    assert not missing, f"_CALIBRATION_NAMES not in parabolic_sv.calibration: {missing}"
+    for n in parabolic_sv._CALIBRATION_NAMES:
+        assert getattr(parabolic_sv, n) is getattr(calibration, n), n
+
+
 def import_time_scipy_imports(tree: ast.Module) -> list[int]:
     """Lines of the scipy imports that run when the module is imported.
 
