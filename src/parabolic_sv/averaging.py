@@ -74,6 +74,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+#: The vol function kinds, in the order messages list them.
+VOL_KINDS = ("y_constant", "separable_exp", "tabulated")
+
+
 @dataclass(frozen=True)
 class VolFunction:
     """Positive volatility function f(y, z) of the two factors.
@@ -91,7 +95,7 @@ class VolFunction:
     f_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("y_constant", "separable_exp", "tabulated"):
+        if self.kind not in VOL_KINDS:
             raise InputDomainError(f"unknown vol function kind {self.kind!r}")
         if self.kind == "tabulated":
             if self.y_nodes is None or self.f_values is None:

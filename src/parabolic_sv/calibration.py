@@ -564,10 +564,15 @@ def calibrate_effective(
     the objective stalls.  Deterministic for fixed (quotes, seed, bounds).
 
     Raises:
+        InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
+            integers.
         InsufficientDataError: unless the chain has >= 4 quotes spanning
             >= 2 maturities and >= 2 strikes.
         NoInteriorMinimumError: when the a-bounds lie inside the excluded band.
     """
+    for name, value in (("seed", seed), ("n_restarts", n_restarts)):
+        if not isinstance(value, int) or value < 0:
+            raise InputDomainError(f"{name} = {value!r} must be a non-negative integer")
     box = dict(DEFAULT_BOUNDS)
     if bounds:
         box.update(bounds)

@@ -6,35 +6,36 @@ output is printed with 10 significant digits; reports are deterministic given
 the config, and the parallelism degree (``n_workers``) never appears in a
 report so changing it leaves the bytes unchanged.
 
-Exit codes: 0 success, 2 config/validation errors, 3 numerical singularities,
-overflow or centering failures, 4 insufficient data.
+The keys come from the library's types: the model keys are the fields of
+``ModelParams``, the contract keys those of ``OptionSpec`` and the simulation
+keys those of ``SimConfig``.  The CLI's own keys are ``vol_kind`` (one of
+``averaging.VOL_KINDS``), ``vol_table``, ``eps_sweep`` and calibrate's
+``chain``, ``fit``, ``seed`` and ``n_restarts``; ``z_scheme`` takes one of
+``monte_carlo.Z_SCHEMES``.
+
+A failure prints one ``error:`` line and exits with the ``exit_code`` of its
+:class:`~parabolic_sv.errors.PricingError` class: 2 config/validation errors,
+3 numerical failures, 4 insufficient data.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .averaging import VolFunction, effective_params, phi_residual_check
+from .averaging import VOL_KINDS, VolFunction, effective_params, phi_residual_check
 from .errors import (
     CenteringFailureError,
-    ChainParseError,
     ConfigError,
-    EmptyChainError,
-    InputDomainError,
-    InsufficientDataError,
-    InvalidModelError,
-    LogDomainError,
-    NoInteriorMinimumError,
     NumericalOverflowError,
     PricingError,
     SingularTimeError,
 )
-from .monte_carlo import SimConfig, epsilon_sweep, estimate_from_sample, mc_price, simulate_terminal
+from .monte_carlo import Z_SCHEMES, SimConfig, epsilon_sweep, estimate_from_sample, simulate_terminal
 from .params import ModelParams, OptionSpec, build_model
 from .pricer import p0_pde_residual, price_first_order
 from .slow_factor import (
@@ -46,54 +47,13 @@ from .slow_factor import (
 __all__ = ["main", "RunConfig", "load_run_config"]
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_DATA = 4
-
-_EXIT_BY_ERROR = (
-    (
-        (ConfigError, ChainParseError, InvalidModelError, InputDomainError),
-        EXIT_CONFIG,
-    ),
-    (
-        (
-            SingularTimeError,
-            LogDomainError,
-            NumericalOverflowError,
-            CenteringFailureError,
-            NoInteriorMinimumError,
-        ),
-        EXIT_NUMERICAL,
-    ),
-    ((EmptyChainError, InsufficientDataError), EXIT_DATA),
-)
-
-
-def _exit_code(exc: PricingError) -> int:
-    for classes, code in _EXIT_BY_ERROR:
-        if isinstance(exc, classes):
-            return code
-    return EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-_MODEL_KEYS = (
-    "epsilon",
-    "m",
-    "nu",
-    "k",
-    "m_prime",
-    "eta",
-    "rho_xy",
-    "rho_xz",
-    "rho_yz",
-    "z0",
-    "r",
-    "a",
-)
-
+#
+# The keys of a command are the fields of the library types it builds, plus a
+# few of its own; each value is parsed by the annotation of the field it fills.
 
 def _cast_bool(s: str) -> bool:
     low = s.lower()
@@ -106,49 +66,50 @@ def _cast_float_list(s: str) -> tuple[float, ...]:
     return tuple(float(p) for p in s.split(",") if p.strip())
 
 
+_CAST_BY_TYPE = {"float": float, "float | None": float, "int": int, "str": str, "bool": _cast_bool}
+
+_MODEL_KEYS = {f.name for f in fields(ModelParams)}
+_OPTION_KEYS = {f.name for f in fields(OptionSpec)}
+_SIM_KEYS = {f.name for f in fields(SimConfig)}
+#: The one option key a config may leave out.
+_OPTION_DEFAULTS = {"t": 0.0}
+
 _CASTERS = {
-    **{k: float for k in _MODEL_KEYS},
-    "spot": float,
-    "strike": float,
-    "t": float,
-    "maturity": float,
+    **{
+        f.name: _CAST_BY_TYPE[f.type]
+        for cls in (ModelParams, OptionSpec, SimConfig)
+        for f in fields(cls)
+    },
     "vol_kind": str,
     "vol_table": str,
-    "n_paths": int,
-    "steps_per_year": int,
-    "seed": int,
-    "z_scheme": str,
-    "antithetic": _cast_bool,
-    "y0": float,
-    "n_workers": int,
     "eps_sweep": _cast_float_list,
     "chain": str,
     "fit": str,
     "n_restarts": int,
 }
 
-_COMMON_KEYS = set(_MODEL_KEYS) | {"vol_kind", "vol_table"}
-_OPTION_KEYS = {"spot", "strike", "t", "maturity"}
+_COMMON_KEYS = _MODEL_KEYS | {"vol_kind", "vol_table"}
 _ALLOWED = {
     "price": _COMMON_KEYS | _OPTION_KEYS,
-    "simulate": _COMMON_KEYS
-    | _OPTION_KEYS
-    | {"n_paths", "steps_per_year", "seed", "z_scheme", "antithetic", "y0", "n_workers", "eps_sweep"},
+    "simulate": _COMMON_KEYS | _OPTION_KEYS | _SIM_KEYS | {"eps_sweep"},
     "calibrate": _COMMON_KEYS | {"chain", "fit", "seed", "n_restarts"},
     "diagnose": _COMMON_KEYS | _OPTION_KEYS,
 }
+
+
+def _required(cls) -> set[str]:
+    return {f.name for f in fields(cls) if f.default is MISSING}
+
+
+_REQUIRED_OPTION = _required(OptionSpec) - set(_OPTION_DEFAULTS)
 _REQUIRED = {
-    "price": {"spot", "strike", "maturity"},
-    "simulate": {"spot", "strike", "maturity", "n_paths"},
+    "price": _REQUIRED_OPTION,
+    "simulate": _REQUIRED_OPTION | _required(SimConfig),
     "calibrate": {"chain"},
-    "diagnose": {"spot", "strike", "maturity"},
+    "diagnose": _REQUIRED_OPTION,
 }
 
-_ENUMS = {
-    "vol_kind": ("y_constant", "separable_exp", "tabulated"),
-    "z_scheme": ("ou", "parabolic"),
-    "fit": ("a", "effective"),
-}
+_ENUMS = {"vol_kind": VOL_KINDS, "z_scheme": Z_SCHEMES, "fit": ("a", "effective")}
 
 
 def _read_pairs(path: Path) -> dict[str, str]:
@@ -175,22 +136,26 @@ def _read_pairs(path: Path) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of one command's flat config file."""
+    """Typed view of one command's flat config file; ``extras`` holds every
+    key the file sets, as parsed."""
 
     command: str
     model: ModelParams
     vol: VolFunction
     option: OptionSpec | None
     extras: dict = field(default_factory=dict)
-    given: frozenset = frozenset()
+
+
+def _given(typed: dict, keys) -> dict:
+    """The config's values for those of ``keys`` it sets; the callee defaults the rest."""
+    return {key: value for key, value in typed.items() if key in keys}
 
 
 def load_run_config(path, command: str) -> RunConfig:
     path = Path(path)
     pairs = _read_pairs(path)
 
-    allowed = _ALLOWED[command]
-    unknown = sorted(set(pairs) - allowed)
+    unknown = sorted(set(pairs) - _ALLOWED[command])
     if unknown:
         raise ConfigError(f"{path}: unknown keys for {command}: {', '.join(unknown)}")
     missing = sorted(_REQUIRED[command] - set(pairs))
@@ -208,35 +173,21 @@ def load_run_config(path, command: str) -> RunConfig:
                 f"{path}: key {key}: expected one of {', '.join(_ENUMS[key])}, got {typed[key]!r}"
             )
 
-    model = build_model(**{k: typed[k] for k in _MODEL_KEYS if k in typed})
+    model = build_model(**_given(typed, _MODEL_KEYS))
 
     vol_kind = typed.get("vol_kind", "separable_exp")
-    if vol_kind == "tabulated":
-        if "vol_table" not in typed:
-            raise ConfigError(f"{path}: vol_kind = tabulated requires vol_table")
+    if vol_kind != "tabulated":
+        vol = VolFunction(vol_kind)
+    elif "vol_table" in typed:
         vol = VolFunction.from_table_file(typed["vol_table"])
-    elif vol_kind == "y_constant":
-        vol = VolFunction.y_constant()
     else:
-        vol = VolFunction.separable_exp()
+        raise ConfigError(f"{path}: vol_kind = tabulated requires vol_table")
 
     option = None
-    if _OPTION_KEYS & _ALLOWED[command] and "spot" in typed:
-        option = OptionSpec(
-            spot=typed["spot"],
-            strike=typed["strike"],
-            t=typed.get("t", 0.0),
-            maturity=typed["maturity"],
-        )
+    if "spot" in typed:  # required wherever it is allowed
+        option = OptionSpec(**{**_OPTION_DEFAULTS, **_given(typed, _OPTION_KEYS)})
 
-    return RunConfig(
-        command=command,
-        model=model,
-        vol=vol,
-        option=option,
-        extras=typed,
-        given=frozenset(pairs),
-    )
+    return RunConfig(command=command, model=model, vol=vol, option=option, extras=typed)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +250,8 @@ def cmd_price(cfg: RunConfig, out_path: str | None) -> int:
     return EXIT_OK
 
 
-def _given(cfg: RunConfig, keys) -> dict:
-    """The config's values for those of ``keys`` it sets; the callee defaults the rest."""
-    return {key: cfg.extras[key] for key in keys if key in cfg.extras}
-
-
-def _sim_config(cfg: RunConfig) -> SimConfig:
-    return SimConfig(**_given(cfg, (f.name for f in fields(SimConfig))))
-
-
 def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -> int:
-    sim = _sim_config(cfg)
+    sim = SimConfig(**_given(cfg.extras, _SIM_KEYS))
     # echo only the keys that shape the numbers; n_workers stays out so the
     # report is byte-identical across parallelism degrees
     rows: list[tuple[str, object]] = [
@@ -323,14 +265,15 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
     if sim.y0 is not None:
         rows.append(("y0", sim.y0))
 
-    sample = None
-    if paths_dump:
-        n_keep = min(8, sim.n_paths)
-        sample = simulate_terminal(cfg.model, cfg.option, cfg.vol, sim, return_paths=n_keep)
+    sweep = "eps_sweep" in cfg.extras
+    if paths_dump or not sweep:
+        # one run serves both the report's price and the dumped trajectories
+        sample = simulate_terminal(
+            cfg.model, cfg.option, cfg.vol, sim, return_paths=min(8, sim.n_paths) if paths_dump else 0
+        )
 
-    eps_sweep = cfg.extras.get("eps_sweep")
-    if eps_sweep:
-        table = epsilon_sweep(cfg.model, cfg.option, cfg.vol, sim, eps_sweep)
+    if sweep:
+        table = epsilon_sweep(cfg.model, cfg.option, cfg.vol, sim, cfg.extras["eps_sweep"])
         for i, row in enumerate(table):
             rows += [
                 (f"epsilon_{i}", row.epsilon),
@@ -346,10 +289,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         )
         rows.append(("trend", "non-increasing" if ok else "increasing"))
     else:
-        if sample is None:
-            est = mc_price(cfg.model, cfg.option, cfg.vol, sim)
-        else:  # the run that keeps the dumped trajectories also prices the contract
-            est = estimate_from_sample(sample, cfg.model, cfg.option, sim)
+        est = estimate_from_sample(sample, cfg.model, cfg.option, sim)
         asym = price_first_order(cfg.option, cfg.model, cfg.vol).total
         rows += [
             ("price", est.price),
@@ -381,7 +321,7 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
     fit = cfg.extras.get("fit", "effective")
     rows: list[tuple[str, object]] = [("command", "calibrate"), ("fit", fit), ("n_quotes", len(quotes))]
     if fit == "a":
-        r = cfg.model.r if "r" in cfg.given else None
+        r = cfg.model.r if "r" in cfg.extras else None
         est = estimate_a(quotes, cfg.model.k, r)
         rows += [
             ("a_hat", est.a_hat),
@@ -391,7 +331,7 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
         for strike, a_k in est.per_strike:
             rows.append((f"a_at_strike_{_fmt(strike)}", a_k))
     else:
-        res = calibrate_effective(quotes, **_given(cfg, ("seed", "n_restarts")))
+        res = calibrate_effective(quotes, **_given(cfg.extras, ("seed", "n_restarts")))
         rows += [
             ("a_hat", res.a_hat),
             ("k_hat", res.k_hat),
@@ -527,7 +467,7 @@ def main(argv=None) -> int:
         return cmd_diagnose(cfg, args.out)
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

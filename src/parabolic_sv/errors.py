@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error carries a short machine-readable ``code`` so the CLI can map
-failures onto stable exit codes without string matching.
+Every error states the process exit code it maps to (``exit_code``): 2 for
+bad input, 3 for a numerical failure, 4 for too little data.  The CLI returns
+that code, so this module is the one home of the mapping.
 """
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ from dataclasses import dataclass
 
 
 class PricingError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures; a failure of no more
+    specific class counts as numerical."""
 
-    code = "PricingError"
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class Violation:
 class InvalidModelError(PricingError):
     """Raised when parameter validation fails; aggregates every violation."""
 
-    code = "InvalidModel"
+    exit_code = 2
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -38,58 +40,58 @@ class InvalidModelError(PricingError):
 class SingularTimeError(PricingError):
     """A time-dependent denominator has been driven onto its singularity."""
 
-    code = "SingularTime"
+    exit_code = 3
 
 
 class LogDomainError(PricingError):
     """A logarithm argument is outside (0, inf)."""
 
-    code = "LogDomain"
+    exit_code = 3
 
 
 class InputDomainError(PricingError):
     """Inputs are outside the mathematical domain of the requested quantity."""
 
-    code = "DomainError"
+    exit_code = 2
 
 
 class NumericalOverflowError(PricingError):
     """A result is finite in exact arithmetic but beyond the floating-point range."""
 
-    code = "Overflow"
+    exit_code = 3
 
 
 class CenteringFailureError(PricingError):
     """The centered source term fails to integrate to zero against the density."""
 
-    code = "CenteringFailure"
+    exit_code = 3
 
 
 class ConfigError(PricingError):
     """Malformed run configuration (unknown key, bad type, missing entry)."""
 
-    code = "ConfigError"
+    exit_code = 2
 
 
 class ChainParseError(PricingError):
     """Structurally malformed quote chain file."""
 
-    code = "ParseError"
+    exit_code = 2
 
 
 class EmptyChainError(PricingError):
     """Chain file contained no usable quotes."""
 
-    code = "EmptyChain"
+    exit_code = 4
 
 
 class InsufficientDataError(PricingError):
     """Too few quotes, maturities or strikes for the requested fit."""
 
-    code = "InsufficientData"
+    exit_code = 4
 
 
 class NoInteriorMinimumError(PricingError):
     """A one-dimensional search pinned to a boundary of its bracket."""
 
-    code = "NoInteriorMinimum"
+    exit_code = 3

@@ -30,6 +30,7 @@ import numpy as np
 from .averaging import VolFunction
 from .errors import ConfigError
 from .params import ModelParams, OptionSpec, correlation_matrix
+from .pricer import price_first_order
 from .slow_factor import parabolic_coefficients
 
 __all__ = [
@@ -47,6 +48,8 @@ __all__ = [
 
 #: Fixed path-block width; part of the reproducibility contract.
 BLOCK_SIZE = 1 << 16
+#: The slow-factor schemes: a simulated OU path, or frozen on its parabolic arc.
+Z_SCHEMES = ("ou", "parabolic")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class SimConfig:
             raise ConfigError(f"steps_per_year = {self.steps_per_year!r} must be an integer >= 1")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer")
-        if self.z_scheme not in ("ou", "parabolic"):
+        if self.z_scheme not in Z_SCHEMES:
             raise ConfigError(f"z_scheme = {self.z_scheme!r} must be 'ou' or 'parabolic'")
         if self.antithetic and self.n_paths % 2:
             raise ConfigError("antithetic sampling needs an even n_paths")
@@ -294,8 +297,6 @@ def epsilon_sweep(
     eps_list,
 ) -> list[SweepRow]:
     """Asymptotic-vs-Monte-Carlo error table over a descending epsilon list."""
-    from .pricer import price_first_order
-
     eps = [float(e) for e in eps_list]
     if not eps or any(e <= 0.0 for e in eps):
         raise ConfigError(f"eps_list = {eps!r} must be non-empty and positive")

@@ -21,17 +21,45 @@ from parabolic_sv import (
     p1_time_factor,
     price_first_order,
 )
+from parabolic_sv import errors
 from parabolic_sv.cli import main
-from parabolic_sv.monte_carlo import BLOCK_SIZE
+from parabolic_sv.monte_carlo import BLOCK_SIZE, SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_TABLE = ROOT / "configs" / "vol_table_sample.txt"
+SAMPLE_CHAIN = ROOT / "configs" / "chain_sample.csv"
+
+# README's exit-code table: 2 bad input, 3 numerical failure, 4 too little data
+README_EXIT_CODES = {
+    "ConfigError": 2,
+    "ChainParseError": 2,
+    "InvalidModelError": 2,
+    "InputDomainError": 2,
+    "PricingError": 3,
+    "SingularTimeError": 3,
+    "LogDomainError": 3,
+    "NumericalOverflowError": 3,
+    "CenteringFailureError": 3,
+    "NoInteriorMinimumError": 3,
+    "EmptyChainError": 4,
+    "InsufficientDataError": 4,
+}
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PricingError)),
+    key=lambda c: c.__name__,
+)
 
 
 def write_cfg(tmp_path, name, **pairs):
     path = tmp_path / name
     path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
     return str(path)
+
+
+def assert_one_error_line(err, *fragments):
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    for fragment in fragments:
+        assert fragment in err
 
 
 def parse_report(text):
@@ -212,6 +240,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_every_error_class_is_in_the_table(self):
+        assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(README_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_states_readme_exit_code(self, cls):
+        assert cls.exit_code == README_EXIT_CODES[cls.__name__]
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_main_returns_the_error_class_exit_code(self, tmp_path, capsys, monkeypatch, cls):
+        import parabolic_sv.cli as cli
+
+        if cls is errors.InvalidModelError:
+            exc = cls([errors.Violation("Probe", "raised by the test")])
+        else:
+            exc = cls("raised by the test")
+
+        def failing(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_price", failing)
+        assert main(["price", "--config", self.good_price_cfg(tmp_path)]) == README_EXIT_CODES[cls.__name__]
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "raised by the test")
+        assert captured.out == ""
+
+    def test_bad_z_scheme_names_file_and_key(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
+            n_paths=64, steps_per_year=100, z_scheme="euler",
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert_one_error_line(capsys.readouterr().err, cfg, "key z_scheme: expected one of ou, parabolic")
+
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("n_restarts", -2)])
+    def test_negative_calibrate_count_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, **{key: value})
+        assert main(["calibrate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, f"{key} = {value} must be a non-negative integer")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_empty_eps_sweep_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
+            n_paths=64, steps_per_year=100, eps_sweep=",",
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "eps_list")
+        assert captured.out == ""
+
     def test_empty_chain_is_data_error(self, tmp_path):
         chain = tmp_path / "chain.csv"
         chain.write_text("t,T,K,mid,x,r\n")
@@ -262,6 +341,18 @@ class TestSimulateCommand:
         out1 = capsys.readouterr().out
         assert main(["simulate", "--config", cfg4]) == 0
         assert capsys.readouterr().out == out1
+
+    def test_every_sim_config_field_is_a_key(self, tmp_path, capsys):
+        values = dict(
+            n_paths=64, steps_per_year=100, seed=5, z_scheme="parabolic",
+            antithetic="true", y0=0.1, n_workers=2,
+        )
+        assert set(values) == {f.name for f in dataclasses.fields(SimConfig)}
+        cfg = write_cfg(tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1, **values)
+        assert main(["simulate", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["z_scheme"] == "parabolic" and report["antithetic"] == "true"
+        assert float(report["y0"]) == 0.1 and int(report["n_effective"]) == 64
 
     def test_sweep_report(self, tmp_path, capsys):
         cfg = write_cfg(
