@@ -46,6 +46,7 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
+from .params import ModelParams
 from .pricer import factor_exponent, modification_factor, p1_time_factor
 
 __all__ = [
@@ -334,7 +335,7 @@ def _level_fit(
 
 def estimate_a(
     quotes: list[OptionQuote],
-    k: float,
+    k: float = ModelParams.k,
     r: float | None = None,
     *,
     bounds: tuple[float, float] = DEFAULT_BOUNDS["a"],
@@ -342,19 +343,28 @@ def estimate_a(
     """Fit ``a`` alone by least squares.
 
     The chain model of :class:`_ChainModel` with ``v_eff`` pinned at 0, ``k``
-    given and the effective volatility fixed from the nearest-the-money implied
-    vol: each quote is ``modification_factor(t; a, r, k) * Q0``, with ``Q0`` at
-    the quote's own rate and the factor at ``r``.  The band ``|a - 2r| < 1e-4``
-    is excluded from the search (the factor degenerates at its centre); landing
-    on the band edge is allowed.  ``a`` comes from :meth:`_ChainModel.fit_a`:
-    with one valuation date the factor is one scalar ``M`` and the fit is the
-    closed form ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``;
-    with several it is a golden-section search on each side of the band.
+    given (by default the model's, ``ModelParams.k``) and the effective
+    volatility fixed from the nearest-the-money implied vol: each quote is
+    ``modification_factor(t; a, r, k) * Q0``, with ``Q0`` at the quote's own
+    rate and the factor at ``r``, by default the chain's one rate.  The band
+    ``|a - 2r| < 1e-4`` is excluded from the search (the factor degenerates at
+    its centre); landing on the band edge is allowed.  ``a`` comes from
+    :meth:`_ChainModel.fit_a`: with one valuation date the factor is one
+    scalar ``M`` and the fit is the closed form ``M = (Q0 . mid) / (Q0 . Q0)``
+    clamped to the feasible ``M``; with several it is a golden-section search
+    on each side of the band.
 
     Raises:
+        InputDomainError: ``k`` is not finite and positive, ``r`` is given
+            but not finite, or ``r`` is not given and the quotes carry mixed
+            rates.
         InsufficientDataError: fewer than 2 quotes or fewer than 2 maturities.
         NoInteriorMinimumError: the optimum pinned to an outer bound.
     """
+    if not 0.0 < k < math.inf:
+        raise InputDomainError(f"k = {k!r} must be positive and finite")
+    if r is not None and not math.isfinite(r):
+        raise InputDomainError(f"r = {r!r} is not a finite number")
     if len(quotes) < 2 or len({q.maturity for q in quotes}) < 2:
         raise InsufficientDataError(
             f"need >= 2 quotes spanning >= 2 maturities, got {len(quotes)} quotes, "

@@ -6,12 +6,13 @@ output is printed with 10 significant digits; reports are deterministic given
 the config, and the parallelism degree (``n_workers``) never appears in a
 report so changing it leaves the bytes unchanged.
 
-The keys come from the library's types: the model keys are the fields of
-``ModelParams``, the contract keys those of ``OptionSpec`` and the simulation
-keys those of ``SimConfig``.  The CLI's own keys are ``vol_kind`` (one of
-``averaging.VOL_KINDS``), ``vol_table``, ``eps_sweep`` and calibrate's
-``chain``, ``fit``, ``seed`` and ``n_restarts``; ``z_scheme`` takes one of
-``monte_carlo.Z_SCHEMES``.
+The keys come from the library's types: the model keys of ``price``,
+``simulate`` and ``diagnose`` are the fields of ``ModelParams``, the contract
+keys those of ``OptionSpec`` and the simulation keys those of ``SimConfig``,
+plus ``vol_kind`` (one of ``averaging.VOL_KINDS``), ``vol_table`` and
+simulate's ``eps_sweep``; ``z_scheme`` takes one of ``monte_carlo.Z_SCHEMES``.
+``calibrate`` builds no model: it takes ``chain``, ``fit`` and the arguments
+of that fit's function, ``k``/``r`` or ``seed``/``n_restarts``.
 
 A failure prints one ``error:`` line and exits with the ``exit_code`` of its
 :class:`~parabolic_sv.errors.PricingError` class: 2 config/validation errors,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
-from .monte_carlo import Z_SCHEMES, SimConfig, epsilon_sweep, estimate_from_sample, simulate_terminal
+from .monte_carlo import BLOCK_SIZE, Z_SCHEMES, SimConfig, epsilon_sweep, estimate_from_sample, simulate_terminal
 from .params import ModelParams, OptionSpec, build_model
 from .pricer import p0_pde_residual, price_first_order
 from .slow_factor import (
@@ -88,11 +89,15 @@ _CASTERS = {
     "n_restarts": int,
 }
 
+#: The keys each calibrate fit passes to its function.
+_FIT_KEYS = {"a": {"k", "r"}, "effective": {"seed", "n_restarts"}}
+_DEFAULT_FIT = "effective"
+
 _COMMON_KEYS = _MODEL_KEYS | {"vol_kind", "vol_table"}
 _ALLOWED = {
     "price": _COMMON_KEYS | _OPTION_KEYS,
     "simulate": _COMMON_KEYS | _OPTION_KEYS | _SIM_KEYS | {"eps_sweep"},
-    "calibrate": _COMMON_KEYS | {"chain", "fit", "seed", "n_restarts"},
+    "calibrate": {"chain", "fit"}.union(*_FIT_KEYS.values()),
     "diagnose": _COMMON_KEYS | _OPTION_KEYS,
 }
 
@@ -109,7 +114,7 @@ _REQUIRED = {
     "diagnose": _REQUIRED_OPTION,
 }
 
-_ENUMS = {"vol_kind": VOL_KINDS, "z_scheme": Z_SCHEMES, "fit": ("a", "effective")}
+_ENUMS = {"vol_kind": VOL_KINDS, "z_scheme": Z_SCHEMES, "fit": tuple(_FIT_KEYS)}
 
 
 def _read_pairs(path: Path) -> dict[str, str]:
@@ -137,11 +142,11 @@ def _read_pairs(path: Path) -> dict[str, str]:
 @dataclass(frozen=True)
 class RunConfig:
     """Typed view of one command's flat config file; ``extras`` holds every
-    key the file sets, as parsed."""
+    key the file sets, as parsed.  ``calibrate`` reads only ``extras``, and its
+    model, vol function and option are None."""
 
-    command: str
-    model: ModelParams
-    vol: VolFunction
+    model: ModelParams | None
+    vol: VolFunction | None
     option: OptionSpec | None
     extras: dict = field(default_factory=dict)
 
@@ -173,6 +178,13 @@ def load_run_config(path, command: str) -> RunConfig:
                 f"{path}: key {key}: expected one of {', '.join(_ENUMS[key])}, got {typed[key]!r}"
             )
 
+    if command == "calibrate":
+        fit = typed.get("fit", _DEFAULT_FIT)
+        foreign = sorted(set(typed) - {"chain", "fit"} - _FIT_KEYS[fit])
+        if foreign:
+            raise ConfigError(f"{path}: keys not read by fit = {fit}: {', '.join(foreign)}")
+        return RunConfig(model=None, vol=None, option=None, extras=typed)
+
     model = build_model(**_given(typed, _MODEL_KEYS))
 
     vol_kind = typed.get("vol_kind", "separable_exp")
@@ -183,11 +195,8 @@ def load_run_config(path, command: str) -> RunConfig:
     else:
         raise ConfigError(f"{path}: vol_kind = tabulated requires vol_table")
 
-    option = None
-    if "spot" in typed:  # required wherever it is allowed
-        option = OptionSpec(**{**_OPTION_DEFAULTS, **_given(typed, _OPTION_KEYS)})
-
-    return RunConfig(command=command, model=model, vol=vol, option=option, extras=typed)
+    option = OptionSpec(**{**_OPTION_DEFAULTS, **_given(typed, _OPTION_KEYS)})
+    return RunConfig(model=model, vol=vol, option=option, extras=typed)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +276,11 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
 
     sweep = "eps_sweep" in cfg.extras
     if paths_dump or not sweep:
-        # one run serves both the report's price and the dumped trajectories
+        # one run serves both the report's price and the dumped trajectories; a
+        # sweep's dump runs block 0 alone, whose size and substream stay the same
+        run = replace(sim, n_paths=min(sim.n_paths, BLOCK_SIZE)) if sweep else sim
         sample = simulate_terminal(
-            cfg.model, cfg.option, cfg.vol, sim, return_paths=min(8, sim.n_paths) if paths_dump else 0
+            cfg.model, cfg.option, cfg.vol, run, return_paths=min(8, sim.n_paths) if paths_dump else 0
         )
 
     if sweep:
@@ -318,11 +329,11 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
     from .calibration import calibrate_effective, estimate_a, load_chain
 
     quotes = load_chain(cfg.extras["chain"])
-    fit = cfg.extras.get("fit", "effective")
+    fit = cfg.extras.get("fit", _DEFAULT_FIT)
+    given = _given(cfg.extras, _FIT_KEYS[fit])
     rows: list[tuple[str, object]] = [("command", "calibrate"), ("fit", fit), ("n_quotes", len(quotes))]
     if fit == "a":
-        r = cfg.model.r if "r" in cfg.extras else None
-        est = estimate_a(quotes, cfg.model.k, r)
+        est = estimate_a(quotes, **given)
         rows += [
             ("a_hat", est.a_hat),
             ("objective", est.objective),
@@ -331,7 +342,7 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
         for strike, a_k in est.per_strike:
             rows.append((f"a_at_strike_{_fmt(strike)}", a_k))
     else:
-        res = calibrate_effective(quotes, **_given(cfg.extras, ("seed", "n_restarts")))
+        res = calibrate_effective(quotes, **given)
         rows += [
             ("a_hat", res.a_hat),
             ("k_hat", res.k_hat),

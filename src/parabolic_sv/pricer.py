@@ -87,7 +87,8 @@ def p1_time_factor(t: float, maturity: float, k: float) -> float:
     """Maturity-dependent coefficient of the first-order correction.
 
     ``2 [ (1/k) log((kT-2)/(kt-2)) + (T-t) / ((kT-2)(kt-2)) ]``; identically
-    zero at t = T.
+    zero at t = T.  The log is taken as ``log1p(k (T-t) / (kt-2))``, so the
+    factor keeps full accuracy as ``k -> 0``, where it tends to ``-(T-t)/2``.
 
     Raises:
         SingularTimeError: if either denominator ``k t - 2`` / ``k T - 2`` is
@@ -102,7 +103,7 @@ def p1_time_factor(t: float, maturity: float, k: float) -> float:
     ratio = dT / dt_
     if ratio <= 0.0:
         raise LogDomainError(f"(kT-2)/(kt-2) = {ratio:.3g} <= 0; t and T straddle 2/k")
-    return 2.0 * (math.log(ratio) / k + (maturity - t) / (dT * dt_))
+    return 2.0 * (math.log1p(k * (maturity - t) / dt_) / k + (maturity - t) / (dT * dt_))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ from parabolic_sv import (
     EmptyChainError,
     InputDomainError,
     InsufficientDataError,
+    ModelParams,
     NoInteriorMinimumError,
     OptionQuote,
+    PricingError,
     bs_call_price,
     calibrate_effective,
     d1d2_call,
@@ -203,6 +205,20 @@ class TestEstimateA:
     def test_rate_taken_from_quotes_when_unique(self):
         quotes = synth_quotes(a=0.05)
         assert estimate_a(quotes, k=0.008).a_hat == estimate_a(quotes, k=0.008, r=0.0264).a_hat
+
+    def test_k_defaults_to_the_model_default(self):
+        quotes = synth_quotes(a=0.05)
+        assert estimate_a(quotes).a_hat == estimate_a(quotes, k=ModelParams.k).a_hat
+
+    @pytest.mark.parametrize(
+        "k, r",
+        [(0.0, 0.0264), (-0.01, 0.0264), (math.nan, 0.0264), (math.inf, 0.0264), (0.008, math.nan)],
+        ids=["k_zero", "k_negative", "k_nan", "k_inf", "r_nan"],
+    )
+    def test_k_and_r_outside_their_domain_raise(self, k, r):
+        with pytest.raises(PricingError) as info:
+            estimate_a(synth_quotes(a=0.05), k=k, r=r)
+        assert info.type is InputDomainError
 
     def test_mixed_rates_need_explicit_rate(self):
         quotes = synth_quotes(a=0.05)

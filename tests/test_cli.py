@@ -22,7 +22,7 @@ from parabolic_sv import (
     price_first_order,
 )
 from parabolic_sv import errors
-from parabolic_sv.cli import main
+from parabolic_sv.cli import load_run_config, main
 from parabolic_sv.monte_carlo import BLOCK_SIZE, SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -281,6 +281,26 @@ class TestExitCodes:
         assert_one_error_line(captured.err, f"{key} = {value} must be a non-negative integer")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "fit, key, value",
+        [("a", "seed", 1), ("a", "n_restarts", 2), ("effective", "k", 0.01), ("effective", "r", 0.03)],
+    )
+    def test_other_fits_key_is_config_error(self, tmp_path, capsys, fit, key, value):
+        cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, fit=fit, **{key: value})
+        assert main(["calibrate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, cfg, f"keys not read by fit = {fit}: {key}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key, value", [("vol_table", "none.txt"), ("vol_kind", "tabulated"), ("z0", 0.1), ("a", 0.05)]
+    )
+    def test_model_and_vol_keys_are_unknown_to_calibrate(self, tmp_path, capsys, key, value):
+        # the chain does not exist either: the keys are rejected before any file is read
+        cfg = write_cfg(tmp_path, "c.cfg", chain=tmp_path / "none.csv", fit="a", **{key: value})
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"unknown keys for calibrate: {key}")
+
     def test_empty_eps_sweep_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
@@ -408,8 +428,39 @@ class TestSimulateCommand:
         assert kept == [8]
         assert capsys.readouterr().out == plain
 
+    def test_sweep_paths_dump_runs_block_zero_only(self, tmp_path, capsys, monkeypatch):
+        import parabolic_sv.cli as cli
+
+        base = dict(
+            spot=100.0, strike=100.0, maturity=0.02, n_paths=BLOCK_SIZE + 2,
+            steps_per_year=100, seed=5, antithetic="true",
+        )
+        plain = tmp_path / "plain.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, "p.cfg", **base), "--paths-dump", str(plain)]) == 0
+
+        sizes = []
+        real = cli.simulate_terminal
+
+        def counting(model, option, vol, sim, **kwargs):
+            sizes.append(sim.n_paths)
+            return real(model, option, vol, sim, **kwargs)
+
+        # the sweep itself calls monte_carlo's simulate_terminal: only the dump is counted
+        monkeypatch.setattr(cli, "simulate_terminal", counting)
+        swept = tmp_path / "swept.csv"
+        cfg = write_cfg(tmp_path, "s.cfg", **base, eps_sweep="0.01")
+        assert main(["simulate", "--config", cfg, "--paths-dump", str(swept)]) == 0
+        assert swept.read_bytes() == plain.read_bytes()
+        assert len(sizes) == 1 and sizes[0] <= BLOCK_SIZE
+
 
 class TestCalibrateCommand:
+    def test_fit_a_with_twice_r_at_the_default_a(self, tmp_path, capsys):
+        # 2r = 0.05 is ModelParams' default a, which the fit estimates, not reads
+        cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, fit="a", k=0.008, r=0.025)
+        assert main(["calibrate", "--config", cfg]) == 0
+        assert math.isfinite(float(parse_report(capsys.readouterr().out)["a_hat"]))
+
     def test_fit_a_report(self, tmp_path, capsys):
         # a above 2r keeps the modification factor above 1, so every synthetic
         # mid clears the intrinsic bound and the loader keeps all nine rows
@@ -450,6 +501,39 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
         assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
+
+
+#: Each bundled config with the commands that run it; the fit = a variant of
+#: calibrate.cfg is the one its comment offers.
+BUNDLED_CONFIGS = [
+    ("price.cfg", "price", None),
+    ("price.cfg", "diagnose", None),
+    ("simulate.cfg", "simulate", None),
+    ("sweep.cfg", "simulate", None),
+    ("calibrate.cfg", "calibrate", None),
+    ("calibrate.cfg", "calibrate", ("fit = effective", "fit = a")),
+]
+
+
+class TestBundledConfigs:
+    def test_every_bundled_config_is_listed(self):
+        assert {name for name, _, _ in BUNDLED_CONFIGS} == {p.name for p in (ROOT / "configs").glob("*.cfg")}
+
+    @pytest.mark.parametrize(
+        "name, command, swap",
+        BUNDLED_CONFIGS,
+        ids=[f"{name}-{command}" + ("-fit_a" if swap else "") for name, command, swap in BUNDLED_CONFIGS],
+    )
+    def test_bundled_config_parses(self, tmp_path, monkeypatch, name, command, swap):
+        monkeypatch.chdir(ROOT)  # relative paths in the configs are from the repository root
+        path = ROOT / "configs" / name
+        if swap:
+            text = path.read_text()
+            assert swap[0] in text
+            path = tmp_path / name
+            path.write_text(text.replace(*swap))
+        cfg = load_run_config(path, command)
+        assert (cfg.model is None) == (command == "calibrate")
 
 
 class TestDiagnoseCommand:

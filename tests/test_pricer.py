@@ -88,6 +88,13 @@ class TestP1TimeFactor:
         assert p1_time_factor(0.0, 0.5, 1e-8) == pytest.approx(-0.25, rel=1e-6)
         assert p1_time_factor(1.0, 3.0, 1e-8) == pytest.approx(-1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [1e-12, 1e-17])
+    @pytest.mark.parametrize("t, maturity", [(0.0, 0.5), (1.0, 3.0)])
+    def test_small_rate_limit_keeps_full_accuracy(self, k, t, maturity):
+        # log((kT-2)/(kt-2)) of a ratio near 1 loses every digit here (at
+        # k = 1e-17 it flips the sign); the factor is -(T - t)/2 + O(k)
+        assert p1_time_factor(t, maturity, k) == pytest.approx(-(maturity - t) / 2, rel=1e-12)
+
     def test_singular_denominators_rejected(self):
         with pytest.raises(SingularTimeError):
             p1_time_factor(2.0, 2.5, 1.0)
