@@ -154,13 +154,16 @@ def call_and_d1d2(c: CallConstants, sigma: float) -> tuple[np.ndarray, np.ndarra
 
     Array form of :func:`bs_call_price` and :func:`d1d2_call` sharing one
     ``d1``; defined on interior inputs only (``sigma > 0``, ``tau > 0``), so
-    the caller rules out the boundary cases.  Only calibration calls it, so
-    scipy loads with the first call rather than with the package.
+    the caller rules out the boundary cases.  The call value applies the
+    formula of :func:`norm_cdf` element by element (``math.erfc`` has no
+    array form), so it is the one :func:`bs_call_price` gives from the same
+    ``d1`` and ``d2``.
     """
-    from scipy.special import ndtr
-
     st = sigma * c.sqrt_tau
     d1 = (c.log_moneyness + (c.rate + 0.5 * sigma**2) * c.tau) / st
-    call = c.spot * ndtr(d1) - c.disc_strike * ndtr(d1 - st)
+    call = np.array([
+        x * (0.5 * math.erfc(-a / _SQRT2)) - k * (0.5 * math.erfc(-b / _SQRT2))
+        for x, a, k, b in zip(c.spot.tolist(), d1.tolist(), c.disc_strike.tolist(), (d1 - st).tolist())
+    ])
     d1d2 = c.spot * (np.exp(-0.5 * d1 * d1) / _SQRT_2PI) / st * (1.0 - d1 / st)
     return call, d1d2

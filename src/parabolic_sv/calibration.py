@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .black_scholes import BsInputs, CallConstants, bs_call_price, call_and_d1d2
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
+from .optimize import brentq, minimize
 from .params import ModelParams
 from .pricer import factor_exponent, modification_factor, p1_time_factor
 
@@ -173,7 +173,7 @@ def implied_vol(price: float, spot: float, strike: float, rate: float, tau: floa
     try:
         if f(lo) > 0 or f(hi) < 0:
             return math.nan
-        return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+        return brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
     except ValueError:
         return math.nan
 
@@ -356,8 +356,8 @@ def estimate_a(
 
     Raises:
         InputDomainError: ``k`` is not finite and positive, ``r`` is given
-            but not finite, or ``r`` is not given and the quotes carry mixed
-            rates.
+            but not finite or ``2r`` overflows, or ``r`` is not given and the
+            quotes carry mixed rates.
         InsufficientDataError: fewer than 2 quotes or fewer than 2 maturities.
         NoInteriorMinimumError: the optimum pinned to an outer bound.
     """
@@ -439,9 +439,12 @@ class _ChainModel:
         v_box: tuple[float, float],
         rate: float | None = None,
     ):
+        keys = [(q.t, q.maturity, q.rate if rate is None else rate) for q in quotes]
+        for _, _, r in keys:
+            if not math.isfinite(2.0 * r):
+                raise InputDomainError(f"r = {r!r} is too large: 2r overflows")
         self.mids = np.array([q.mid for q in quotes])
         self.bs = _call_constants(quotes)
-        keys = [(q.t, q.maturity, q.rate if rate is None else rate) for q in quotes]
         self.dates = list(dict.fromkeys(keys))
         self.date_of = np.array([self.dates.index(key) for key in keys])
         self.two_rs = np.array([2.0 * r for _, _, r in self.dates])
@@ -480,10 +483,10 @@ class _ChainModel:
         v = min(max(v, self.v_box[0]), self.v_box[1])
         return v, target - v * slope
 
-    def objective(self, theta: np.ndarray) -> float:
+    def objective(self, theta) -> float:
         """Price RMSE over (a, k, sigma_bar), with penalties outside the box and
         inside the excluded bands, and 1e9 at infeasible points."""
-        theta = theta.tolist()
+        theta = [float(x) for x in theta]
         a, k, sig = theta
         (a_lo, a_hi), (k_lo, k_hi), (s_lo, s_hi) = self.box
         if a < a_lo or a > a_hi or k < k_lo or k > k_hi or sig < s_lo or sig > s_hi:
@@ -575,7 +578,7 @@ def calibrate_effective(
 
     Raises:
         InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
-            integers.
+            integers, or when twice a quote's rate overflows.
         InsufficientDataError: unless the chain has >= 4 quotes spanning
             >= 2 maturities and >= 2 strikes.
         NoInteriorMinimumError: when the a-bounds lie inside the excluded band.
@@ -604,13 +607,13 @@ def calibrate_effective(
     else:
         free, offsets = slice(1, 3), (0.0,)
 
-        def objective(x: np.ndarray) -> float:
-            k, sig = x.tolist()
+        def objective(x: tuple[float, float]) -> float:
+            k, sig = x
             try:
                 a = model.fit_a(k, sig)
             except _INFEASIBLE:
                 return 1e9
-            return model.objective(np.array([a, k, sig]))
+            return model.objective((a, k, sig))
 
     rng = np.random.default_rng(seed)
     try:
@@ -621,9 +624,9 @@ def calibrate_effective(
     # near a = 2r the factor is ~1 and the ATM implied vol alone reproduces the
     # chain, so both sides of the excluded band make strong data-driven starts
     r_mean = float(np.mean([q.rate for q in quotes]))
-    starts = [np.array([2.0 * r_mean + off, 0.05, sigma_start])[free] for off in offsets]
+    starts = [[2.0 * r_mean + off, 0.05, sigma_start][free] for off in offsets]
     for _ in range(n_restarts):
-        starts.append((lo + (hi - lo) * rng.random(3))[free])
+        starts.append((lo + (hi - lo) * rng.random(3))[free].tolist())
 
     best = None
     total_iters = 0
@@ -633,20 +636,10 @@ def calibrate_effective(
         x, fval = x0, objective(x0)
         success = False
         for _round in range(6):
-            res = minimize(
-                objective,
-                x,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": SIMPLEX_MAX_ITER,
-                    "xatol": 1e-12,
-                    "fatol": 1e-14,
-                    "adaptive": True,
-                },
-            )
-            total_iters += int(res.nit)
+            res = minimize(objective, x, maxiter=SIMPLEX_MAX_ITER, xatol=1e-12, fatol=1e-14)
+            total_iters += res.nit
             improved = fval - res.fun
-            x, fval, success = res.x, float(res.fun), bool(res.success)
+            x, fval, success = res.x, res.fun, res.success
             if improved <= 1e-15 * max(1.0, abs(fval)):
                 break
         restart_objs.append(fval)
@@ -655,9 +648,9 @@ def calibrate_effective(
             converged = success
     theta, obj, _ = best
     if model.single_date is None:
-        a_hat, k_hat, sigma_hat = theta.tolist()
+        a_hat, k_hat, sigma_hat = theta
     else:
-        k_hat, sigma_hat = theta.tolist()
+        k_hat, sigma_hat = theta
         a_hat = model.fit_a(k_hat, sigma_hat)
     v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
     return CalibResult(

@@ -325,7 +325,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
 
 
 def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
-    # the one command that needs scipy, which calibration imports
+    # imported here, so that only this command pays for loading calibration
     from .calibration import calibrate_effective, estimate_a, load_chain
 
     quotes = load_chain(cfg.extras["chain"])

@@ -251,6 +251,28 @@ class TestArrayKernel:
             assert call[i] == pytest.approx(bs_call_price(BsInputs(*args)), rel=1e-13)
             assert dd[i] == pytest.approx(d1d2_call(BsInputs(*args)), rel=1e-13)
 
+    def test_call_applies_the_scalar_cdf_exactly(self):
+        # the same bits as norm_cdf per element, deep into the lower tail,
+        # where formulas of the normal CDF part by tens of ulps
+        rng = np.random.default_rng(3)
+        n = 400
+        consts = CallConstants.of(
+            rng.uniform(50.0, 150.0, n), rng.uniform(20.0, 400.0, n),
+            rng.uniform(-0.02, 0.1, n), rng.uniform(0.01, 5.0, n),
+        )
+        lowest = math.inf
+        for sigma in (0.01, 0.2, 1.5):
+            call, _ = call_and_d1d2(consts, sigma)
+            st = sigma * consts.sqrt_tau
+            d1 = (consts.log_moneyness + (consts.rate + 0.5 * sigma**2) * consts.tau) / st
+            want = [
+                x * norm_cdf(a) - k * norm_cdf(b)
+                for x, a, k, b in zip(consts.spot, d1, consts.disc_strike, d1 - st)
+            ]
+            assert call.tolist() == want, sigma
+            lowest = min(lowest, d1.min())
+        assert lowest < -30.0
+
     def test_frozen_at_the_money_values(self):
         call, dd = call_and_d1d2(CallConstants.of([100.0], [100.0], [0.0264], [0.5]), 0.2)
         assert call[0] == pytest.approx(6.2802357505251, abs=1e-10)

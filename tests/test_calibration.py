@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from parabolic_sv import (
     BsInputs,
@@ -218,6 +219,18 @@ class TestEstimateA:
     def test_k_and_r_outside_their_domain_raise(self, k, r):
         with pytest.raises(PricingError) as info:
             estimate_a(synth_quotes(a=0.05), k=k, r=r)
+        assert info.type is InputDomainError
+
+    def test_rate_whose_double_overflows_raises(self):
+        # r = 1e308 is finite but 2r is not; both fits build their model
+        # through _ChainModel, which must refuse it before any arithmetic
+        with pytest.raises(PricingError) as info:
+            estimate_a(synth_quotes(a=0.05), r=1e308)
+        assert info.type is InputDomainError
+        quotes = synth_quotes(a=0.05)
+        quotes.append(OptionQuote(t=0.0, maturity=2.0, strike=100.0, mid=100.0, spot=100.0, rate=1e308))
+        with pytest.raises(PricingError) as info:
+            calibrate_effective(quotes, n_restarts=0)
         assert info.type is InputDomainError
 
     def test_mixed_rates_need_explicit_rate(self):
@@ -521,6 +534,20 @@ class TestInnerSolve:
         monkeypatch.setattr(calibration, "minimize", counting)
         calibrate_effective(TestVectorObjective.CHAINS[chain], n_restarts=0)
         assert seen and set(seen) == {dims}
+
+    @pytest.mark.parametrize("chain", ["sample", "mixed"])
+    def test_fit_is_the_one_scipy_would_make(self, monkeypatch, chain):
+        # the whole fit, restarts included, with the module optimiser swapped
+        # for scipy's adaptive Nelder-Mead, of which it is a port
+        quotes = load_chain(SAMPLE_CHAIN) if chain == "sample" else TestVectorObjective.CHAINS[chain]
+        got = calibrate_effective(quotes, n_restarts=1)
+
+        def scipy_minimize(fun, x0, **options):
+            options = dict(options, adaptive=True)
+            return scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+
+        monkeypatch.setattr(calibration, "minimize", scipy_minimize)
+        assert calibrate_effective(quotes, n_restarts=1) == got
 
 
 def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0):

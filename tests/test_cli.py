@@ -461,6 +461,14 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--config", cfg]) == 0
         assert math.isfinite(float(parse_report(capsys.readouterr().out)["a_hat"]))
 
+    def test_fit_a_with_overflowing_twice_r(self, tmp_path):
+        # 2r overflows to inf: one error line, no numpy warning before it
+        cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, fit="a", r=1e308)
+        proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "calibrate", "--config", cfg)
+        assert proc.returncode == 2
+        assert_one_error_line(proc.stderr, "1e+308")
+
     def test_fit_a_report(self, tmp_path, capsys):
         # a above 2r keeps the modification factor above 1, so every synthetic
         # mid clears the intrinsic bound and the loader keeps all nine rows
@@ -636,9 +644,18 @@ class TestDiagnoseCommand:
 
 
 # Runs cli.main on each argument list in this fresh interpreter, then prints
-# the exit codes and every scipy module loaded.
+# the exit codes and every scipy module loaded.  With "block" as its second
+# argument it first makes every scipy import fail.
 _RUN_AND_LIST_SCIPY = """
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[2:] == ["block"]:
+    sys.meta_path.insert(0, BlockScipy())
 from parabolic_sv.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -646,13 +663,17 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def run_fresh(*argvs):
+def run_python(*args):
+    """``python -c`` with the repository's ``src`` on the path."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, json.dumps(argvs)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, "-c", *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def run_fresh(*argvs, block_scipy=False):
+    proc = run_python(_RUN_AND_LIST_SCIPY, json.dumps(argvs), *(["block"] if block_scipy else []))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -667,10 +688,23 @@ class TestScipyImport:
         )
         assert got == {"codes": [0, 0, 0], "scipy": []}
 
-    def test_calibrate_loads_scipy_and_succeeds(self, tmp_path):
+    def test_calibrate_never_loads_scipy(self, tmp_path):
         got = run_fresh(["calibrate", "--config", "configs/calibrate.cfg", "--out", str(tmp_path / "fit.out")])
-        assert got["codes"] == [0]
-        assert "scipy.optimize" in got["scipy"]
+        assert got == {"codes": [0], "scipy": []}
         report = dict(line.split("=", 1) for line in (tmp_path / "fit.out").read_text().splitlines())
         assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
         assert report["converged"] == "true"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # sweep.cfg is left out as above; calibrate.cfg runs with both fits
+        fit_a = tmp_path / "fit_a.cfg"
+        fit_a.write_text((ROOT / "configs" / "calibrate.cfg").read_text().replace("fit = effective", "fit = a"))
+        got = run_fresh(
+            ["price", "--config", "configs/price.cfg"],
+            ["diagnose", "--config", "configs/price.cfg"],
+            ["simulate", "--config", "configs/simulate.cfg"],
+            ["calibrate", "--config", "configs/calibrate.cfg"],
+            ["calibrate", "--config", str(fit_a)],
+            block_scipy=True,
+        )
+        assert got == {"codes": [0] * 5, "scipy": []}

@@ -40,16 +40,10 @@ def test_lazy_calibration_names_resolve():
         assert getattr(parabolic_sv, n) is getattr(calibration, n), n
 
 
-def import_time_scipy_imports(tree: ast.Module) -> list[int]:
-    """Lines of the scipy imports that run when the module is imported.
-
-    Function bodies run only when called, so their imports are skipped.
-    """
-    lines, stack = [], list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+def scipy_imports(tree: ast.Module) -> list[int]:
+    """Lines of the scipy imports anywhere in the module, function bodies included."""
+    lines = []
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -58,16 +52,15 @@ def import_time_scipy_imports(tree: ast.Module) -> list[int]:
             names = []
         if any(n.split(".")[0] == "scipy" for n in names):
             lines.append(node.lineno)
-        stack.extend(ast.iter_child_nodes(node))
     return sorted(lines)
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "calibration.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_calibration_imports_scipy_at_import_time(path):
-    # scipy takes most of the package's import time, and only calibration
-    # needs it; elsewhere it is imported inside the function that uses it
-    lines = import_time_scipy_imports(ast.parse(path.read_text(), filename=str(path)))
-    assert not lines, f"{path.name}: module-level scipy import at line(s) {lines}"
+    # the runtime depends on numpy alone: no module imports scipy, at import
+    # time or inside a function (scipy is a test-only oracle)
+    lines = scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: scipy import at line(s) {lines}"
 
 
 def test_scipy_rule_sees_nested_module_level_imports():
@@ -78,4 +71,4 @@ def test_scipy_rule_sees_nested_module_level_imports():
         "class C:\n    import scipy\n"
         "from .scipy_like import x\n"
     )
-    assert import_time_scipy_imports(tree) == [1, 3, 9]
+    assert scipy_imports(tree) == [1, 3, 7, 9]
