@@ -14,11 +14,11 @@ linear in ``(M, M v_eff)``, and by golden section over several.
   valuation date a derivative-free simplex searches ``(k, sigma_bar)`` only
   and ``(a, v_eff)`` is solved exactly at each of its points; over several
   dates the simplex searches ``(a, k, sigma_bar)``.  Seeded random restarts
-  inside the bound box keep the search deterministic per seed.
+  inside the box :data:`BOUNDS` keep the search deterministic per seed.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
-only its bound box is guaranteed; see the per-strike diagnostic on
+only its box in :data:`BOUNDS` is guaranteed; see the per-strike diagnostic on
 :class:`AEstimate` for the corresponding spread in ``a``.
 """
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
-from .optimize import brentq, minimize
+from .optimize import minimize
 from .params import ModelParams
 from .pricer import factor_exponent, modification_factor, p1_time_factor
 
@@ -73,7 +73,8 @@ SIMPLEX_MAX_ITER = 4000
 #: Log of the largest float: a factor e^x with x beyond it overflows.
 _LOG_MAX = math.log(sys.float_info.max)
 
-DEFAULT_BOUNDS = {
+#: The search box of calibrate_effective; estimate_a searches its ``a`` range.
+BOUNDS = {
     "a": (-0.5, 0.5),
     "k": (1e-6, 1.0),
     "v_eff": (-5.0, 5.0),
@@ -167,15 +168,23 @@ def load_chain(path) -> list[OptionQuote]:
 
 
 def implied_vol(price: float, spot: float, strike: float, rate: float, tau: float) -> float:
-    """Black-Scholes implied volatility by bracketing; NaN when out of range."""
-    lo, hi = 1e-9, 5.0
+    """Black-Scholes implied volatility by bisection on ``[1e-9, 5]``; NaN when
+    the price is NaN or lies outside the call values at the bracket's ends.
+
+    The call value increases with the volatility, so halving the bracket keeps
+    the root inside it until its ends are neighbouring floats; the upper end
+    is returned.
+    """
     f = lambda s: bs_call_price(BsInputs(spot, strike, rate, s, tau)) - price
-    try:
-        if f(lo) > 0 or f(hi) < 0:
-            return math.nan
-        return brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    except ValueError:
+    lo, hi = 1e-9, 5.0
+    if not f(lo) <= 0.0 <= f(hi):
         return math.nan
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _atm_sigma(quotes: list[OptionQuote]) -> float:
@@ -337,8 +346,6 @@ def estimate_a(
     quotes: list[OptionQuote],
     k: float = ModelParams.k,
     r: float | None = None,
-    *,
-    bounds: tuple[float, float] = DEFAULT_BOUNDS["a"],
 ) -> AEstimate:
     """Fit ``a`` alone by least squares.
 
@@ -348,18 +355,19 @@ def estimate_a(
     ``modification_factor(t; a, r, k) * Q0``, with ``Q0`` at the quote's own
     rate and the factor at ``r``, by default the chain's one rate.  The band
     ``|a - 2r| < 1e-4`` is excluded from the search (the factor degenerates at
-    its centre); landing on the band edge is allowed.  ``a`` comes from
-    :meth:`_ChainModel.fit_a`: with one valuation date the factor is one
-    scalar ``M`` and the fit is the closed form ``M = (Q0 . mid) / (Q0 . Q0)``
-    clamped to the feasible ``M``; with several it is a golden-section search
-    on each side of the band.
+    its centre); landing on the band edge is allowed, landing on an edge of
+    the box ``BOUNDS["a"]`` is not.  ``a`` comes from :meth:`_ChainModel.fit_a`:
+    with one valuation date the factor is one scalar ``M`` and the fit is the
+    closed form ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``;
+    with several it is a golden-section search on each side of the band.
 
     Raises:
         InputDomainError: ``k`` is not finite and positive, ``r`` is given
-            but not finite or ``2r`` overflows, or ``r`` is not given and the
-            quotes carry mixed rates.
+            but not finite or ``2r`` overflows, ``r`` is not given and the
+            quotes carry mixed rates, or a quote's discount factor is not a
+            positive float.
         InsufficientDataError: fewer than 2 quotes or fewer than 2 maturities.
-        NoInteriorMinimumError: the optimum pinned to an outer bound.
+        NoInteriorMinimumError: the optimum pinned to an edge of ``BOUNDS["a"]``.
     """
     if not 0.0 < k < math.inf:
         raise InputDomainError(f"k = {k!r} must be positive and finite")
@@ -372,18 +380,16 @@ def estimate_a(
         )
     rate = _rate_of(quotes, r)
     sigma = _atm_sigma(quotes)
-    lo, hi = np.array([bounds[0], k, sigma]), np.array([bounds[1], k, sigma])
+    a_lo, a_hi = BOUNDS["a"]
+    lo, hi = np.array([a_lo, k, sigma]), np.array([a_hi, k, sigma])
 
     def model(chain: list[OptionQuote]) -> _ChainModel:
         return _ChainModel(chain, lo, hi, (0.0, 0.0), rate)
 
     whole = model(quotes)
     a_hat = whole.fit_a(k, sigma)
-    span = bounds[1] - bounds[0]
-    if min(a_hat - bounds[0], bounds[1] - a_hat) < 1e-6 * span:
-        raise NoInteriorMinimumError(
-            f"a-fit pinned to bound {a_hat:.6g} of [{bounds[0]:g}, {bounds[1]:g}]"
-        )
+    if min(a_hat - a_lo, a_hi - a_hat) < 1e-6 * (a_hi - a_lo):
+        raise NoInteriorMinimumError(f"a-fit pinned to bound {a_hat:.6g} of [{a_lo:g}, {a_hi:g}]")
     _, resid = whole.profiled_v(a_hat, k, sigma)
 
     per_strike = []
@@ -443,6 +449,16 @@ class _ChainModel:
         for _, _, r in keys:
             if not math.isfinite(2.0 * r):
                 raise InputDomainError(f"r = {r!r} is too large: 2r overflows")
+        for q in quotes:
+            try:
+                disc = math.exp(-q.rate * q.tau)
+            except OverflowError:
+                disc = math.inf
+            if not 0.0 < disc < math.inf:
+                raise InputDomainError(
+                    f"discount factor exp(-r * tau) = {disc:g} at r = {q.rate!r}, tau = {q.tau!r} "
+                    "is not a positive float"
+                )
         self.mids = np.array([q.mid for q in quotes])
         self.bs = _call_constants(quotes)
         self.dates = list(dict.fromkeys(keys))
@@ -559,7 +575,6 @@ class CalibResult:
 def calibrate_effective(
     quotes: list[OptionQuote],
     *,
-    bounds: dict | None = None,
     seed: int = 0,
     n_restarts: int = 3,
 ) -> CalibResult:
@@ -572,23 +587,20 @@ def calibrate_effective(
     (:meth:`_ChainModel.fit_a`); with several it searches (a, k, sigma_bar).
     Runs the data-driven starts (ATM implied vol, ``a`` either side of the
     band around ``2r``, which are one point when ``a`` is solved) plus
-    ``n_restarts`` seeded random starts inside the bound box; each start is a
-    chain of adaptive Nelder-Mead descents restarted on their own result until
-    the objective stalls.  Deterministic for fixed (quotes, seed, bounds).
+    ``n_restarts`` seeded random starts inside the box ``BOUNDS``; each start
+    is a chain of adaptive Nelder-Mead descents restarted on their own result
+    until the objective stalls.  Deterministic for fixed (quotes, seed).
 
     Raises:
         InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
-            integers, or when twice a quote's rate overflows.
+            integers, or when twice a quote's rate overflows or its discount
+            factor is not a positive float.
         InsufficientDataError: unless the chain has >= 4 quotes spanning
             >= 2 maturities and >= 2 strikes.
-        NoInteriorMinimumError: when the a-bounds lie inside the excluded band.
     """
     for name, value in (("seed", seed), ("n_restarts", n_restarts)):
         if not isinstance(value, int) or value < 0:
             raise InputDomainError(f"{name} = {value!r} must be a non-negative integer")
-    box = dict(DEFAULT_BOUNDS)
-    if bounds:
-        box.update(bounds)
     n_maturities = len({q.maturity for q in quotes})
     n_strikes = len({q.strike for q in quotes})
     if len(quotes) < 4 or n_maturities < 2 or n_strikes < 2:
@@ -598,9 +610,9 @@ def calibrate_effective(
         )
 
     names = ("a", "k", "sigma_bar")
-    lo = np.array([box[n][0] for n in names])
-    hi = np.array([box[n][1] for n in names])
-    model = _ChainModel(quotes, lo, hi, box["v_eff"])
+    lo = np.array([BOUNDS[n][0] for n in names])
+    hi = np.array([BOUNDS[n][1] for n in names])
+    model = _ChainModel(quotes, lo, hi, BOUNDS["v_eff"])
     if model.single_date is None:  # no closed form for a: the simplex searches it
         free, objective = slice(0, 3), model.objective
         offsets = (0.01, -0.01)
@@ -620,7 +632,7 @@ def calibrate_effective(
         sigma_start = _atm_sigma(quotes)
     except InsufficientDataError:
         sigma_start = 0.2
-    sigma_start = min(max(sigma_start, box["sigma_bar"][0]), box["sigma_bar"][1])
+    sigma_start = min(max(sigma_start, BOUNDS["sigma_bar"][0]), BOUNDS["sigma_bar"][1])
     # near a = 2r the factor is ~1 and the ATM implied vol alone reproduces the
     # chain, so both sides of the excluded band make strong data-driven starts
     r_mean = float(np.mean([q.rate for q in quotes]))

@@ -67,7 +67,7 @@ def _cast_float_list(s: str) -> tuple[float, ...]:
     return tuple(float(p) for p in s.split(",") if p.strip())
 
 
-_CAST_BY_TYPE = {"float": float, "float | None": float, "int": int, "str": str, "bool": _cast_bool}
+_CAST_BY_TYPE = {"float": float, "int": int, "str": str, "bool": _cast_bool}
 
 _MODEL_KEYS = {f.name for f in fields(ModelParams)}
 _OPTION_KEYS = {f.name for f in fields(OptionSpec)}
@@ -271,8 +271,6 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         ("z_scheme", sim.z_scheme),
         ("antithetic", sim.antithetic),
     ]
-    if sim.y0 is not None:
-        rows.append(("y0", sim.y0))
 
     sweep = "eps_sweep" in cfg.extras
     if paths_dump or not sweep:

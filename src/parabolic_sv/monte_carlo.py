@@ -59,9 +59,9 @@ class SimConfig:
     ``steps_per_year`` fixes the grid density (step = horizon / total steps,
     with total steps = round(steps_per_year * horizon), at least 1); the
     default 2000/year resolves the fast scale epsilon = 0.01 with 20 steps.
-    ``y0`` starts the fast factor off its long-run mean m when set.
-    ``antithetic`` mirrors the raw normal draws of the second half of every
-    block; ``n_paths`` must then be even.
+    The fast factor starts at its long-run mean m.  ``antithetic`` mirrors
+    the raw normal draws of the second half of every block; ``n_paths`` must
+    then be even.
     """
 
     n_paths: int
@@ -69,7 +69,6 @@ class SimConfig:
     seed: int = 0
     z_scheme: str = "ou"
     antithetic: bool = False
-    y0: float | None = None
     n_workers: int = 1
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class SimConfig:
             raise ConfigError(f"z_scheme = {self.z_scheme!r} must be 'ou' or 'parabolic'")
         if self.antithetic and self.n_paths % 2:
             raise ConfigError("antithetic sampling needs an even n_paths")
-        if self.y0 is not None and not math.isfinite(self.y0):
-            raise ConfigError(f"y0 = {self.y0!r} must be finite")
         if not isinstance(self.n_workers, int) or self.n_workers < 1:
             raise ConfigError(f"n_workers = {self.n_workers!r} must be an integer >= 1")
 
@@ -160,7 +157,7 @@ def _simulate_block(
     decay_z = math.exp(-model.k * dt)
     sd_z = model.eta * math.sqrt((1.0 - decay_z * decay_z) / (2.0 * model.k))
 
-    y = np.full(nb, model.m if cfg.y0 is None else cfg.y0)
+    y = np.full(nb, model.m)
     if frozen_z:
         z = float(arc.value(spec.t))
     else:

@@ -1,25 +1,19 @@
-"""The simplex minimiser and the bracketing root finder of calibration.
+"""The simplex minimiser of calibration.
 
-Ports of the two scipy routines calibration ran, so that no process loads
-scipy.  Each follows scipy 1.17.1 step for step on the path kept here, so
-the iterates, and therefore calibration's reports, are the same bits:
-
-* :func:`minimize` -- ``scipy.optimize.minimize(method="Nelder-Mead")`` with
-  ``adaptive=True`` (Gao & Han, *Comput. Optim. Appl.* 51(1), 2012): the
-  default initial simplex, ``xatol``/``fatol``/``maxiter``, no bounds and no
-  callback.
-* :func:`brentq` -- scipy's ``Zeros/brentq.c``: Brent's method (Brent,
-  *Algorithms for Minimization without Derivatives*, 1973) with scipy's
-  extrapolation step.
+A port of the scipy routine calibration ran, so that no process loads scipy.
+It follows scipy 1.17.1 step for step on the path kept here, so the iterates,
+and therefore calibration's reports, are the same bits:
+``scipy.optimize.minimize(method="Nelder-Mead")`` with ``adaptive=True``
+(Gao & Han, *Comput. Optim. Appl.* 51(1), 2012): the default initial simplex,
+``xatol``/``fatol``/``maxiter``, no bounds and no callback.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["SimplexResult", "brentq", "minimize"]
+__all__ = ["SimplexResult", "minimize"]
 
 
 class SimplexResult(NamedTuple):
@@ -118,85 +112,3 @@ def minimize(
     return SimplexResult(
         x=sim[0], fun=float(np.min(fsim)), nit=iterations, success=iterations < maxiter
     )
-
-
-def _div(num: float, den: float) -> float:
-    """``num / den`` as C divides doubles: by zero it gives an infinity or NaN."""
-    if den:
-        return num / den
-    if num == 0 or math.isnan(num):
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
-
-
-def _value(f: Callable[[float], float], x: float) -> float:
-    fx = f(x)
-    if math.isnan(fx):
-        raise ValueError(f"the function value at x = {x!r} is NaN")
-    return fx
-
-
-def brentq(
-    f: Callable[[float], float],
-    xa: float,
-    xb: float,
-    *,
-    xtol: float,
-    rtol: float,
-    maxiter: int = 100,
-) -> float:
-    """A root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
-
-    Stops when the bracket's half-width falls below ``(xtol + rtol |x|) / 2``
-    or ``f(x)`` is zero.
-
-    Raises:
-        ValueError: ``f(xa)`` and ``f(xb)`` have the same sign, ``f`` returns
-            NaN, or ``maxiter`` iterations do not converge.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # divided as in C: a zero divisor gives an infinite or NaN step,
-            # which the test below turns into a bisection
-            if xpre == xblk:  # interpolate
-                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
-            else:  # extrapolate
-                dpre = _div(fpre - fcur, xpre - xcur)
-                dblk = _div(fblk - fcur, xblk - xcur)
-                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
-    raise ValueError(f"no convergence in {maxiter} iterations")

@@ -27,7 +27,7 @@ from parabolic_sv import (
     p1_time_factor,
 )
 import parabolic_sv.calibration as calibration
-from parabolic_sv.calibration import A_EXCLUSION, DEFAULT_BOUNDS, _ChainModel
+from parabolic_sv.calibration import A_EXCLUSION, BOUNDS, _ChainModel
 from parabolic_sv.errors import LogDomainError, NumericalOverflowError, SingularTimeError
 from parabolic_sv.pricer import factor_exponent
 
@@ -161,6 +161,29 @@ class TestImpliedVol:
     def test_out_of_range_prices_give_nan(self):
         assert math.isnan(implied_vol(101.0, 100.0, 100.0, 0.0, 0.5))  # above spot
         assert math.isnan(implied_vol(0.0, 100.0, 50.0, 0.0, 0.5))  # below intrinsic
+        assert math.isnan(implied_vol(math.nan, 100.0, 100.0, 0.0, 0.5))
+
+    def test_root_resolved_to_neighbouring_floats(self):
+        # inside the bracket [1e-9, 5] the call value minus the price changes
+        # sign between the returned vol and one of its neighbouring floats; a
+        # price outside the call values at the bracket's ends has no root
+        # there and gives NaN
+        rng = np.random.default_rng(12)
+        resolved = 0
+        while resolved < 400:
+            strike = float(rng.uniform(50.0, 150.0))
+            rate = float(rng.uniform(-0.02, 0.1))
+            tau = float(rng.uniform(0.01, 5.0))
+            sigma = float(rng.uniform(0.01, 2.0))
+            price = bs_call_price(BsInputs(100.0, strike, rate, sigma, tau))
+            f = lambda s: bs_call_price(BsInputs(100.0, strike, rate, s, tau)) - price
+            v = implied_vol(price, 100.0, strike, rate, tau)
+            if not f(1e-9) <= 0.0 <= f(5.0):
+                assert math.isnan(v)
+                continue
+            prev, nxt = math.nextafter(v, 0.0), math.nextafter(v, math.inf)
+            assert f(prev) <= 0.0 <= f(v) or f(v) <= 0.0 <= f(nxt), (strike, rate, tau, sigma)
+            resolved += 1
 
 
 class TestEstimateA:
@@ -250,11 +273,11 @@ class TestEstimateA:
             estimate_a(single_maturity, k=0.008)
 
     def test_pinned_to_bound_raises(self):
-        # truth a = 0.05 sits below the box, so the fit slides onto its lower
-        # edge and must refuse rather than report the edge as an optimum
-        quotes = synth_quotes(a=0.05)
-        with pytest.raises(NoInteriorMinimumError):
-            estimate_a(quotes, k=0.008, r=0.0264, bounds=(0.1, 0.5))
+        # truth a = -0.8 sits below the box [-0.5, 0.5], so the fit slides onto
+        # its lower edge and must refuse rather than report the edge as an optimum
+        quotes = synth_quotes(a=-0.8, k=0.05)
+        with pytest.raises(NoInteriorMinimumError, match="bound -0.5 "):
+            estimate_a(quotes, k=0.05, r=0.0264)
 
 
 class TestCalibrateEffective:
@@ -306,11 +329,6 @@ class TestCalibrateEffective:
         assert abs(res.a_hat - 0.06) <= 1e-3
         assert len(res.restart_objectives) == 2 + 3
 
-    def test_bounds_override_respected(self):
-        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
-        res = calibrate_effective(quotes, seed=0, bounds={"a": (0.054, 0.2)})
-        assert 0.054 <= res.a_hat <= 0.2
-
     def test_insufficient_data(self):
         quotes = synth_quotes(a=0.06)
         with pytest.raises(InsufficientDataError):
@@ -350,7 +368,7 @@ def loop_objective(quotes, theta, lo, hi, v_box):
 
 
 def box(**over):
-    bounds = {**DEFAULT_BOUNDS, **over}
+    bounds = {**BOUNDS, **over}
     names = ("a", "k", "sigma_bar")
     return (np.array([bounds[n][0] for n in names]), np.array([bounds[n][1] for n in names]),
             bounds["v_eff"])

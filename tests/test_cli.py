@@ -301,6 +301,17 @@ class TestExitCodes:
         assert main(["calibrate", "--config", cfg]) == 2
         assert_one_error_line(capsys.readouterr().err, f"unknown keys for calibrate: {key}")
 
+    def test_y0_is_unknown_to_simulate(self, tmp_path, capsys):
+        # the fast factor always starts at its long-run mean m
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
+            n_paths=64, steps_per_year=100, y0=0.1,
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "unknown keys for simulate: y0")
+        assert captured.out == ""
+
     def test_empty_eps_sweep_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
@@ -365,14 +376,14 @@ class TestSimulateCommand:
     def test_every_sim_config_field_is_a_key(self, tmp_path, capsys):
         values = dict(
             n_paths=64, steps_per_year=100, seed=5, z_scheme="parabolic",
-            antithetic="true", y0=0.1, n_workers=2,
+            antithetic="true", n_workers=2,
         )
         assert set(values) == {f.name for f in dataclasses.fields(SimConfig)}
         cfg = write_cfg(tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1, **values)
         assert main(["simulate", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["z_scheme"] == "parabolic" and report["antithetic"] == "true"
-        assert float(report["y0"]) == 0.1 and int(report["n_effective"]) == 64
+        assert int(report["n_effective"]) == 64
 
     def test_sweep_report(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -468,6 +479,21 @@ class TestCalibrateCommand:
                           "calibrate", "--config", cfg)
         assert proc.returncode == 2
         assert_one_error_line(proc.stderr, "1e+308")
+
+    @pytest.mark.parametrize("fit", ["a", "effective"])
+    def test_rate_whose_discount_underflows(self, tmp_path, fit):
+        # 2r is finite but r * tau overflows, so exp(-r * tau) is 0: both fits
+        # refuse the chain with one error line and no numpy warning before it
+        chain = tmp_path / "chain.csv"
+        chain.write_text("t,T,K,mid,x,r\n" + "".join(
+            f"0.0,{mat},{strike},100.0,100.0,8e307\n" for mat in (0.5, 3.0) for strike in (90.0, 100.0)
+        ))
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit=fit)
+        proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "calibrate", "--config", cfg)
+        assert proc.returncode == 2
+        assert_one_error_line(proc.stderr, "discount factor")
+        assert "RuntimeWarning" not in proc.stderr and proc.stdout == ""
 
     def test_fit_a_report(self, tmp_path, capsys):
         # a above 2r keeps the modification factor above 1, so every synthetic

@@ -1,12 +1,10 @@
-"""The simplex minimiser and Brent root finder against scipy, bit for bit."""
+"""The simplex minimiser against scipy, bit for bit."""
 import math
 
 import numpy as np
-import pytest
 import scipy.optimize
 
-from parabolic_sv import BsInputs, bs_call_price
-from parabolic_sv.optimize import brentq, minimize
+from parabolic_sv.optimize import minimize
 
 SIMPLEX_OPTIONS = {"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12}
 
@@ -71,47 +69,3 @@ class TestSimplex:
         got = minimize(fun, x0, maxiter=7, xatol=1e-12, fatol=1e-12)
         assert (got.nit, got.success) == (want.nit, want.success) == (7, False)
         assert list(got.x) == want.x.tolist()
-
-
-def implied_vol_bracket(rng):
-    """The bracketing problem implied_vol hands to brentq, for a random contract
-    and a price within 2% of its Black-Scholes value."""
-    strike = float(rng.uniform(50.0, 150.0))
-    rate = float(rng.uniform(-0.02, 0.1))
-    tau = float(rng.uniform(0.01, 5.0))
-    sigma = float(rng.uniform(0.01, 2.0))
-    price = bs_call_price(BsInputs(100.0, strike, rate, sigma, tau)) * float(rng.uniform(0.98, 1.02))
-    return lambda s: bs_call_price(BsInputs(100.0, strike, rate, s, tau)) - price
-
-
-class TestBrentq:
-    def test_matches_scipy_bit_for_bit(self):
-        rng = np.random.default_rng(0)
-        compared = 0
-        while compared < 1200:
-            f = implied_vol_bracket(rng)
-            if f(1e-9) > 0 or f(5.0) < 0:  # implied_vol returns NaN without a search
-                continue
-            want = scipy.optimize.brentq(f, 1e-9, 5.0, xtol=1e-12, rtol=8.9e-16)
-            assert brentq(f, 1e-9, 5.0, xtol=1e-12, rtol=8.9e-16) == want
-            compared += 1
-
-    @pytest.mark.parametrize("maxiter", [1, 3, 8])
-    def test_iteration_cap(self, maxiter):
-        # scipy converges here in 8 iterations and raises RuntimeError in fewer
-        f = lambda x: math.atan(x - 1.3)
-        args = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=maxiter)
-        try:
-            want = scipy.optimize.brentq(f, 0.0, 7.0, **args)
-        except RuntimeError:
-            with pytest.raises(ValueError):
-                brentq(f, 0.0, 7.0, **args)
-        else:
-            assert brentq(f, 0.0, 7.0, **args) == want
-
-    def test_root_at_an_end_and_no_sign_change(self):
-        assert brentq(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-15) == 1.0
-        with pytest.raises(ValueError):
-            brentq(lambda x: x + 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-15)
-        with pytest.raises(ValueError):
-            brentq(lambda x: math.nan, 1.0, 2.0, xtol=1e-12, rtol=1e-15)
