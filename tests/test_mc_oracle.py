@@ -244,6 +244,7 @@ class TestConfigValidation:
             dict(n_paths=1000, seed=-1),
             dict(n_paths=1000, z_scheme="euler"),
             dict(n_paths=1000, n_workers=0),
+            dict(n_paths=1000, n_workers=2.0),
         ],
     )
     def test_bad_config_rejected(self, kw):
