@@ -4,6 +4,8 @@ Public surface: parameter containers, the effective-volatility averaging
 pipeline, the first-order asymptotic pricer, a Monte Carlo cross-validation
 oracle, and chain calibration.  See README.md for the CLI.
 """
+from importlib import import_module
+
 from .errors import (
     CenteringFailureError,
     ChainParseError,
@@ -22,6 +24,7 @@ from .errors import (
 from .params import (
     ModelParams,
     OptionSpec,
+    SimConfig,
     build_model,
     correlation_matrix,
 )
@@ -39,9 +42,7 @@ from .averaging import (
     EffectiveParams,
     VolFunction,
     effective_params,
-    phi_residual_check,
     sigma_bar,
-    solve_phi_derivative,
 )
 from .pricer import (
     PriceBreakdown,
@@ -50,29 +51,25 @@ from .pricer import (
     p1_time_factor,
     price_first_order,
 )
-from .monte_carlo import (
-    McEstimate,
-    PathDump,
-    SimConfig,
-    SweepRow,
-    TerminalSample,
-    epsilon_sweep,
-    mc_price,
-    simulate_terminal,
-)
 
-# calibration's names are imported on first use (PEP 562): importing it with
-# the package would add 14-22 ms to every price, diagnose and simulate process
-_CALIBRATION_NAMES = frozenset(
-    ("AEstimate", "CalibResult", "OptionQuote", "calibrate_effective", "estimate_a", "implied_vol", "load_chain")
-)
+# The names of the modules that build arrays are imported on first use (PEP
+# 562): those modules load numpy, which a price process never needs.
+_LAZY_MODULES = {
+    "arrays": ("phi_residual_check", "solve_phi_derivative"),
+    "calibration": (
+        "AEstimate", "CalibResult", "OptionQuote", "calibrate_effective", "estimate_a", "implied_vol", "load_chain"
+    ),
+    "monte_carlo": (
+        "McEstimate", "PathDump", "SweepRow", "TerminalSample", "epsilon_sweep", "mc_price", "simulate_terminal"
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _CALIBRATION_NAMES:
-        from . import calibration
-
-        return getattr(calibration, name)
+    module = _LAZY_NAMES.get(name)
+    if module is not None:
+        return getattr(import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -2,15 +2,15 @@
 
 The scalar functions price one contract with :mod:`math`; :func:`call_and_d1d2`
 prices a whole chain at one volatility with numpy, from per-contract
-constants (:class:`CallConstants`) computed once.
+constants (:class:`CallConstants`) computed once.  Those two live in
+:mod:`parabolic_sv.arrays` and resolve here on first use, so pricing one
+contract loads no numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InputDomainError
 
@@ -25,6 +25,19 @@ __all__ = [
     "norm_cdf",
     "norm_pdf",
 ]
+
+# the chain kernel lives in ``arrays``, which loads numpy; its names resolve
+# here on first use (PEP 562)
+_KERNEL_NAMES = frozenset(("CallConstants", "call_and_d1d2"))
+
+
+def __getattr__(name: str):
+    if name in _KERNEL_NAMES:
+        from . import arrays
+
+        return getattr(arrays, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -66,6 +79,12 @@ class BsInputs:
             raise InputDomainError(f"sigma = {self.sigma:g} must be >= 0")
         if self.tau < 0.0:
             raise InputDomainError(f"tau = {self.tau:g} must be >= 0")
+        try:
+            math.exp(-self.rate * self.tau)
+        except OverflowError:
+            raise InputDomainError(
+                f"discount factor exp(-r * tau) overflows at r = {self.rate!r}, tau = {self.tau!r}"
+            ) from None
 
 
 class Greeks(NamedTuple):
@@ -120,50 +139,3 @@ def d1d2_call(inp: BsInputs) -> float:
     _require_interior(inp, "d1d2_call")
     d1, _, st = _d1_d2(inp)
     return inp.spot * norm_pdf(d1) / st * (1.0 - d1 / st)
-
-
-class CallConstants(NamedTuple):
-    """Per-contract constants of :func:`call_and_d1d2`: everything but sigma.
-
-    Build with :meth:`of`; the inputs are taken as already validated
-    (positive spot and strike, positive finite ``tau``).
-    """
-
-    spot: np.ndarray
-    log_moneyness: np.ndarray  # log(spot / strike)
-    rate: np.ndarray
-    tau: np.ndarray
-    sqrt_tau: np.ndarray
-    disc_strike: np.ndarray  # strike * exp(-rate * tau)
-
-    @classmethod
-    def of(cls, spot, strike, rate, tau) -> "CallConstants":
-        spot, strike, rate, tau = (np.asarray(v, dtype=float) for v in (spot, strike, rate, tau))
-        return cls(
-            spot=spot,
-            log_moneyness=np.log(spot / strike),
-            rate=rate,
-            tau=tau,
-            sqrt_tau=np.sqrt(tau),
-            disc_strike=strike * np.exp(-rate * tau),
-        )
-
-
-def call_and_d1d2(c: CallConstants, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Call value and D1D2 of every contract in ``c`` at volatility ``sigma``.
-
-    Array form of :func:`bs_call_price` and :func:`d1d2_call` sharing one
-    ``d1``; defined on interior inputs only (``sigma > 0``, ``tau > 0``), so
-    the caller rules out the boundary cases.  The call value applies the
-    formula of :func:`norm_cdf` element by element (``math.erfc`` has no
-    array form), so it is the one :func:`bs_call_price` gives from the same
-    ``d1`` and ``d2``.
-    """
-    st = sigma * c.sqrt_tau
-    d1 = (c.log_moneyness + (c.rate + 0.5 * sigma**2) * c.tau) / st
-    call = np.array([
-        x * (0.5 * math.erfc(-a / _SQRT2)) - k * (0.5 * math.erfc(-b / _SQRT2))
-        for x, a, k, b in zip(c.spot.tolist(), d1.tolist(), c.disc_strike.tolist(), (d1 - st).tolist())
-    ])
-    d1d2 = c.spot * (np.exp(-0.5 * d1 * d1) / _SQRT_2PI) / st * (1.0 - d1 / st)
-    return call, d1d2

@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .black_scholes import BsInputs, CallConstants, bs_call_price, call_and_d1d2
+from .arrays import CallConstants, call_and_d1d2
+from .black_scholes import BsInputs, bs_call_price
 from .errors import (
     ChainParseError,
     EmptyChainError,
@@ -108,7 +109,12 @@ class OptionQuote:
         return self.maturity - self.t
 
     def intrinsic(self) -> float:
-        return max(self.spot - self.strike * math.exp(-self.rate * self.tau), 0.0)
+        """Discounted intrinsic value ``max(x - K e^{-r tau}, 0)``."""
+        try:
+            disc_strike = self.strike * math.exp(-self.rate * self.tau)
+        except OverflowError:
+            return 0.0  # the discounted strike is beyond the float range
+        return max(self.spot - disc_strike, 0.0)
 
 
 def load_chain(path) -> list[OptionQuote]:

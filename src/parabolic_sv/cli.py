@@ -10,7 +10,7 @@ The keys come from the library's types: the model keys of ``price``,
 ``simulate`` and ``diagnose`` are the fields of ``ModelParams``, the contract
 keys those of ``OptionSpec`` and the simulation keys those of ``SimConfig``,
 plus ``vol_kind`` (one of ``averaging.VOL_KINDS``), ``vol_table`` and
-simulate's ``eps_sweep``; ``z_scheme`` takes one of ``monte_carlo.Z_SCHEMES``.
+simulate's ``eps_sweep``; ``z_scheme`` takes one of ``params.Z_SCHEMES``.
 ``calibrate`` builds no model: it takes ``chain``, ``fit`` and the arguments
 of that fit's function, ``k``/``r`` or ``seed``/``n_restarts``.
 
@@ -26,9 +26,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .averaging import VOL_KINDS, VolFunction, effective_params, phi_residual_check
+from .averaging import VOL_KINDS, VolFunction, effective_params
 from .errors import (
     CenteringFailureError,
     ConfigError,
@@ -36,8 +34,7 @@ from .errors import (
     PricingError,
     SingularTimeError,
 )
-from .monte_carlo import BLOCK_SIZE, Z_SCHEMES, SimConfig, epsilon_sweep, estimate_from_sample, simulate_terminal
-from .params import ModelParams, OptionSpec, build_model
+from .params import Z_SCHEMES, ModelParams, OptionSpec, SimConfig, build_model
 from .pricer import p0_pde_residual, price_first_order
 from .slow_factor import (
     l2_time_coefficient_check,
@@ -205,7 +202,7 @@ def load_run_config(path, command: str) -> RunConfig:
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):  # numpy's float64 included: it subclasses float
         return format(float(v), ".10g")
     return str(v)
 
@@ -260,6 +257,9 @@ def cmd_price(cfg: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -> int:
+    # imported here, so that only this command pays for loading Monte Carlo and numpy
+    from .monte_carlo import BLOCK_SIZE, epsilon_sweep, estimate_from_sample, simulate_terminal
+
     sim = SimConfig(**_given(cfg.extras, _SIM_KEYS))
     # echo only the keys that shape the numbers; n_workers stays out so the
     # report is byte-identical across parallelism degrees
@@ -358,6 +358,8 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
 
 def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
     """Consistency report; numerical guard trips print WARN lines, never crash."""
+    from .arrays import phi_residual_check  # the grid oracle loads numpy
+
     model, opt, vol = cfg.model, cfg.option, cfg.vol
     arc = parabolic_coefficients(model)
     rows: list[tuple[str, object]] = [

@@ -27,9 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .arrays import vol_values
 from .averaging import VolFunction
 from .errors import ConfigError
-from .params import ModelParams, OptionSpec, correlation_matrix
+# SimConfig and Z_SCHEMES live in params, which the CLI reads without loading
+# numpy; they keep this import path too
+from .params import Z_SCHEMES, ModelParams, OptionSpec, SimConfig, correlation_matrix
 from .pricer import price_first_order
 from .slow_factor import parabolic_coefficients
 
@@ -48,42 +51,6 @@ __all__ = [
 
 #: Fixed path-block width; part of the reproducibility contract.
 BLOCK_SIZE = 1 << 16
-#: The slow-factor schemes: a simulated OU path, or frozen on its parabolic arc.
-Z_SCHEMES = ("ou", "parabolic")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation controls.
-
-    ``steps_per_year`` fixes the grid density (step = horizon / total steps,
-    with total steps = round(steps_per_year * horizon), at least 1); the
-    default 2000/year resolves the fast scale epsilon = 0.01 with 20 steps.
-    The fast factor starts at its long-run mean m.  ``antithetic`` mirrors
-    the raw normal draws of the second half of every block; ``n_paths`` must
-    then be even.
-    """
-
-    n_paths: int
-    steps_per_year: int = 2000
-    seed: int = 0
-    z_scheme: str = "ou"
-    antithetic: bool = False
-    n_workers: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.n_paths, int) or self.n_paths < 2:
-            raise ConfigError(f"n_paths = {self.n_paths!r} must be an integer >= 2")
-        if not isinstance(self.steps_per_year, int) or self.steps_per_year < 1:
-            raise ConfigError(f"steps_per_year = {self.steps_per_year!r} must be an integer >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer")
-        if self.z_scheme not in Z_SCHEMES:
-            raise ConfigError(f"z_scheme = {self.z_scheme!r} must be 'ou' or 'parabolic'")
-        if self.antithetic and self.n_paths % 2:
-            raise ConfigError("antithetic sampling needs an even n_paths")
-        if not isinstance(self.n_workers, int) or self.n_workers < 1:
-            raise ConfigError(f"n_workers = {self.n_workers!r} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,7 +145,7 @@ def _simulate_block(
 
     half = nb // 2
     for j in range(n_steps):
-        sigma = np.asarray(vol(y, z), dtype=float)
+        sigma = np.asarray(vol_values(vol, y, z), dtype=float)
         if cfg.antithetic:
             raw_half = rng.standard_normal((dim, half))
             raw = np.concatenate([raw_half, -raw_half], axis=1)

@@ -1,4 +1,4 @@
-"""Model and contract parameter containers with validation.
+"""Model, contract and simulation parameter containers with validation.
 
 The model has three risk-neutral factors: the asset X, a fast mean-reverting
 volatility factor Y (Ornstein-Uhlenbeck, long-run N(m, nu^2), mixing time
@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .errors import InvalidModelError, Violation
+from .errors import ConfigError, InvalidModelError, Violation
 
 __all__ = [
     "ModelParams",
     "OptionSpec",
+    "SimConfig",
+    "Z_SCHEMES",
     "build_model",
     "correlation_matrix",
 ]
@@ -150,8 +150,10 @@ def build_model(**kwargs) -> ModelParams:
     return ModelParams(**clean)
 
 
-def correlation_matrix(p: ModelParams) -> np.ndarray:
+def correlation_matrix(p: ModelParams) -> "numpy.ndarray":
     """3x3 correlation matrix of the (W^x, W^y, W^z) driving noises."""
+    import numpy as np
+
     return np.array(
         [
             [1.0, p.rho_xy, p.rho_xz],
@@ -202,3 +204,41 @@ class OptionSpec:
     def tau(self) -> float:
         """Time to exercise from the valuation date."""
         return self.maturity - self.t
+
+
+#: The slow-factor schemes: a simulated OU path, or frozen on its parabolic arc.
+Z_SCHEMES = ("ou", "parabolic")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Simulation controls.
+
+    ``steps_per_year`` fixes the grid density (step = horizon / total steps,
+    with total steps = round(steps_per_year * horizon), at least 1); the
+    default 2000/year resolves the fast scale epsilon = 0.01 with 20 steps.
+    The fast factor starts at its long-run mean m.  ``antithetic`` mirrors
+    the raw normal draws of the second half of every Monte Carlo block;
+    ``n_paths`` must then be even.
+    """
+
+    n_paths: int
+    steps_per_year: int = 2000
+    seed: int = 0
+    z_scheme: str = "ou"
+    antithetic: bool = False
+    n_workers: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.n_paths, int) or self.n_paths < 2:
+            raise ConfigError(f"n_paths = {self.n_paths!r} must be an integer >= 2")
+        if not isinstance(self.steps_per_year, int) or self.steps_per_year < 1:
+            raise ConfigError(f"steps_per_year = {self.steps_per_year!r} must be an integer >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer")
+        if self.z_scheme not in Z_SCHEMES:
+            raise ConfigError(f"z_scheme = {self.z_scheme!r} must be 'ou' or 'parabolic'")
+        if self.antithetic and self.n_paths % 2:
+            raise ConfigError("antithetic sampling needs an even n_paths")
+        if not isinstance(self.n_workers, int) or self.n_workers < 1:
+            raise ConfigError(f"n_workers = {self.n_workers!r} must be an integer >= 1")

@@ -16,7 +16,8 @@ from parabolic_sv import (
     sigma_bar,
     solve_phi_derivative,
 )
-from parabolic_sv.averaging import CENTERING_TOL, ORACLE_MAX_POINTS, _default_points, _tabulated_moments
+from parabolic_sv.arrays import CENTERING_TOL, ORACLE_MAX_POINTS, _default_points
+from parabolic_sv.averaging import _tabulated_moments
 
 EXP = VolFunction.separable_exp()
 FLAT = VolFunction.y_constant()
@@ -277,6 +278,9 @@ class TestVolFunction:
             ((1.0, 0.0), (0.2, 0.3)),  # decreasing
             ((0.0, 1.0), (0.2, -0.3)),  # negative value
             ((0.0, 1.0), (0.2, math.inf)),  # non-finite
+            ((0.0, math.nan, 1.0), (0.2, 0.3, 0.4)),  # NaN y: every order test passes it
+            ((0.0, 1.0), (math.nan, 0.3)),  # NaN f: every sign test passes it
+            ((0.0, 1.0), (0.2, 0.0)),  # zero value
             ((0.0, 1.0, 2.0), (0.2, 0.3)),  # mismatched lengths
         ],
     )

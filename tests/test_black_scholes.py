@@ -139,6 +139,7 @@ class TestPrice:
             dict(spot=100.0, strike=100.0, rate=0.0, sigma=-0.2, tau=1.0),
             dict(spot=100.0, strike=100.0, rate=0.0, sigma=0.2, tau=-1.0),
             dict(spot=math.nan, strike=100.0, rate=0.0, sigma=0.2, tau=1.0),
+            dict(spot=100.0, strike=90.0, rate=-2000.0, sigma=0.2, tau=0.5),  # exp(-r tau) overflows
         ],
     )
     def test_bad_inputs_rejected(self, kw):

@@ -71,6 +71,11 @@ class TestOptionQuote:
         assert q.tau == 1.0
         assert q.intrinsic() == pytest.approx(100.0 - 90.0 * math.exp(-0.03), rel=1e-14)
 
+    @pytest.mark.parametrize("rate", [-2000.0, -8e307])
+    def test_intrinsic_is_zero_where_the_discounted_strike_overflows(self, rate):
+        q = OptionQuote(t=0.0, maturity=0.5, strike=90.0, mid=10.0, spot=100.0, rate=rate)
+        assert q.intrinsic() == 0.0
+
     @pytest.mark.parametrize(
         "kw",
         [

@@ -240,6 +240,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_overflowing_discount_factor_is_input_error(self, tmp_path, capsys):
+        # exp(-r * tau) = e^1000 is beyond the float range
+        cfg = self.good_price_cfg(tmp_path, r=-2000.0)
+        assert main(["price", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: discount factor") and len(err.strip().splitlines()) == 1
+
     def test_every_error_class_is_in_the_table(self):
         assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(README_EXIT_CODES)
 
@@ -415,7 +422,6 @@ class TestSimulateCommand:
         assert first[0] == "0" and float(first[2]) == 100.0
 
     def test_paths_dump_reuses_the_pricing_run(self, tmp_path, capsys, monkeypatch):
-        import parabolic_sv.cli as cli
         import parabolic_sv.monte_carlo as monte_carlo
 
         cfg = write_cfg(
@@ -433,14 +439,13 @@ class TestSimulateCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(monte_carlo, "simulate_terminal", counting)
-        monkeypatch.setattr(cli, "simulate_terminal", counting)
         dump = tmp_path / "paths.csv"
         assert main(["simulate", "--config", cfg, "--paths-dump", str(dump)]) == 0
         assert kept == [8]
         assert capsys.readouterr().out == plain
 
     def test_sweep_paths_dump_runs_block_zero_only(self, tmp_path, capsys, monkeypatch):
-        import parabolic_sv.cli as cli
+        import parabolic_sv.monte_carlo as monte_carlo
 
         base = dict(
             spot=100.0, strike=100.0, maturity=0.02, n_paths=BLOCK_SIZE + 2,
@@ -450,14 +455,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", write_cfg(tmp_path, "p.cfg", **base), "--paths-dump", str(plain)]) == 0
 
         sizes = []
-        real = cli.simulate_terminal
+        real = monte_carlo.simulate_terminal
 
         def counting(model, option, vol, sim, **kwargs):
-            sizes.append(sim.n_paths)
+            if kwargs.get("return_paths"):  # the dump's run; the sweep's keep no paths
+                sizes.append(sim.n_paths)
             return real(model, option, vol, sim, **kwargs)
 
-        # the sweep itself calls monte_carlo's simulate_terminal: only the dump is counted
-        monkeypatch.setattr(cli, "simulate_terminal", counting)
+        monkeypatch.setattr(monte_carlo, "simulate_terminal", counting)
         swept = tmp_path / "swept.csv"
         cfg = write_cfg(tmp_path, "s.cfg", **base, eps_sweep="0.01")
         assert main(["simulate", "--config", cfg, "--paths-dump", str(swept)]) == 0
@@ -494,6 +499,23 @@ class TestCalibrateCommand:
         assert proc.returncode == 2
         assert_one_error_line(proc.stderr, "discount factor")
         assert "RuntimeWarning" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("rate", ["-2000", "-8e307"])
+    @pytest.mark.parametrize("fit", ["a", "effective"])
+    def test_rate_whose_discount_overflows(self, tmp_path, fit, rate):
+        # -r * tau is past the float exponent range: every row loads (its
+        # discounted intrinsic value is 0) and both fits refuse the chain with
+        # one error line, not an OverflowError traceback
+        chain = tmp_path / "chain.csv"
+        chain.write_text("t,T,K,mid,x,r\n" + "".join(
+            f"0.0,{mat},{strike},10.0,100.0,{rate}\n" for mat in (0.5, 3.0) for strike in (90.0, 100.0)
+        ))
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit=fit)
+        proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "calibrate", "--config", cfg)
+        assert proc.returncode == 2
+        assert_one_error_line(proc.stderr, "discount factor")
+        assert proc.stdout == ""
 
     def test_fit_a_report(self, tmp_path, capsys):
         # a above 2r keeps the modification factor above 1, so every synthetic
@@ -670,22 +692,28 @@ class TestDiagnoseCommand:
 
 
 # Runs cli.main on each argument list in this fresh interpreter, then prints
-# the exit codes and every scipy module loaded.  With "block" as its second
-# argument it first makes every scipy import fail.
-_RUN_AND_LIST_SCIPY = """
-import json, sys
+# the exit codes, each run's stdout, and which of numpy and scipy are loaded.
+# Its second argument lists top-level packages to block: importing any of
+# them fails.
+_RUN_AND_LIST_LOADED = """
+import contextlib, io, json, sys
 
-class BlockScipy:
+blocked = set(json.loads(sys.argv[2]))
+
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name.partition(".")[0] in blocked:
             raise ImportError(f"{name} is blocked")
 
-if sys.argv[2:] == ["block"]:
-    sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
 from parabolic_sv.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+codes, stdout = [], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(main(argv))
+    stdout.append(out.getvalue())
+loaded = sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+print(json.dumps({"codes": codes, "loaded": loaded, "stdout": stdout}))
 """
 
 
@@ -698,8 +726,10 @@ def run_python(*args):
     )
 
 
-def run_fresh(*argvs, block_scipy=False):
-    proc = run_python(_RUN_AND_LIST_SCIPY, json.dumps(argvs), *(["block"] if block_scipy else []))
+def run_fresh(*argvs, blocked=frozenset()):
+    """Exit codes, stdout and loaded numpy/scipy of ``cli.main`` runs in a fresh
+    interpreter where the top-level packages in ``blocked`` cannot be imported."""
+    proc = run_python(_RUN_AND_LIST_LOADED, json.dumps(argvs), json.dumps(sorted(blocked)))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -712,11 +742,12 @@ class TestScipyImport:
             ["diagnose", "--config", "configs/price.cfg"],
             ["simulate", "--config", "configs/simulate.cfg", "--paths-dump", str(tmp_path / "paths.csv")],
         )
-        assert got == {"codes": [0, 0, 0], "scipy": []}
+        # diagnose's grid oracle and simulate build arrays: numpy, no scipy
+        assert got["codes"] == [0, 0, 0] and got["loaded"] == ["numpy"]
 
     def test_calibrate_never_loads_scipy(self, tmp_path):
         got = run_fresh(["calibrate", "--config", "configs/calibrate.cfg", "--out", str(tmp_path / "fit.out")])
-        assert got == {"codes": [0], "scipy": []}
+        assert got["codes"] == [0] and got["loaded"] == ["numpy"]
         report = dict(line.split("=", 1) for line in (tmp_path / "fit.out").read_text().splitlines())
         assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
         assert report["converged"] == "true"
@@ -731,6 +762,45 @@ class TestScipyImport:
             ["simulate", "--config", "configs/simulate.cfg"],
             ["calibrate", "--config", "configs/calibrate.cfg"],
             ["calibrate", "--config", str(fit_a)],
-            block_scipy=True,
+            blocked={"scipy"},
         )
-        assert got == {"codes": [0] * 5, "scipy": []}
+        assert got["codes"] == [0] * 5 and "scipy" not in got["loaded"]
+
+
+class TestNumpyImport:
+    @pytest.fixture
+    def price_configs(self, tmp_path):
+        """configs/price.cfg once per vol kind."""
+        base = (ROOT / "configs" / "price.cfg").read_text()
+        extra = {
+            "separable_exp": "vol_kind = separable_exp\n",
+            "y_constant": "vol_kind = y_constant\n",
+            "tabulated": "vol_kind = tabulated\nvol_table = configs/vol_table_sample.txt\n",
+        }
+        paths = []
+        for kind, lines in extra.items():
+            path = tmp_path / f"price_{kind}.cfg"
+            path.write_text(base + lines)
+            paths.append(str(path))
+        return paths
+
+    def test_price_runs_with_numpy_blocked(self, price_configs):
+        argvs = [["price", "--config", path] for path in price_configs]
+        blocked = run_fresh(*argvs, blocked={"numpy"})
+        free = run_fresh(*argvs)
+        assert blocked["codes"] == free["codes"] == [0, 0, 0]
+        assert blocked["stdout"] == free["stdout"]
+        assert all(out.startswith("command") for out in free["stdout"])
+        assert free["loaded"] == []
+
+    def test_package_prices_without_numpy(self):
+        proc = run_python(
+            "import sys\n"
+            "import parabolic_sv as ps\n"
+            "spec = ps.OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.5)\n"
+            "print(ps.price_first_order(spec, ps.build_model(), ps.VolFunction.separable_exp()).total)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        total, numpy_modules = proc.stdout.splitlines()
+        assert math.isfinite(float(total)) and numpy_modules == "[]"

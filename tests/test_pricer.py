@@ -185,7 +185,7 @@ class TestAssembly:
         def oracle(*args, **kwargs):
             raise AssertionError("solve_phi_derivative called while pricing")
 
-        monkeypatch.setattr("parabolic_sv.averaging.solve_phi_derivative", oracle)
+        monkeypatch.setattr("parabolic_sv.arrays.solve_phi_derivative", oracle)
         table = VolFunction.tabulated((-1.0, 0.0, 1.0), (0.15, 0.22, 0.35))
         for vol in (EXP, table):
             got = price_first_order(ATM, build_model(nu=1.5, rho_xy=-0.5), vol)
