@@ -1,12 +1,10 @@
 """The package's numpy code outside Monte Carlo and calibration.
 
 Importing this module loads numpy, which the scalar pricing path (``price``)
-never does.  ``averaging`` and ``black_scholes`` resolve the public names
-defined here on first use (PEP 562), so each is also importable from the
-module of its topic.
+never does, so neither ``averaging`` nor ``black_scholes`` imports it.
 
-* :func:`vol_values` -- the vol function f(y, z) on arrays of y; what
-  ``VolFunction.__call__`` returns and what Monte Carlo steps with;
+* :func:`vol_values` -- the vol function f(y, z) on arrays of y, which Monte
+  Carlo steps with;
 * :class:`CallConstants` and :func:`call_and_d1d2` -- the Black-Scholes call
   value and D1D2 of a whole chain at one volatility, for calibration;
 * :func:`solve_phi_derivative` and :func:`phi_residual_check` -- the

@@ -22,11 +22,11 @@ has an exact expression, one code path per quantity:
   at most 4.  The clamped ends are pieces that run out to -inf and +inf.
 
 Every expression is plain :mod:`math`, so pricing loads no numpy.  The
-integrating-factor solution of the Poisson equation on a dense grid
-(:func:`solve_phi_derivative`) and its residual (:func:`phi_residual_check`)
-remain as an independent oracle for ``diagnose`` and the tests; pricing never
-runs them.  They live in :mod:`parabolic_sv.arrays` with ``f`` on arrays of
-``y`` (``VolFunction.__call__``), and resolve here on first use.
+integrating-factor solution of the Poisson equation on a dense grid and its
+residual remain as an independent oracle for ``diagnose`` and the tests;
+pricing never runs them.  They live in :mod:`parabolic_sv.arrays`
+(``solve_phi_derivative``, ``phi_residual_check``), beside ``vol_values``,
+which evaluates ``f`` on arrays of ``y``.
 """
 from __future__ import annotations
 
@@ -44,24 +44,8 @@ __all__ = [
     "EffectiveParams",
     "AveragingCache",
     "sigma_bar",
-    "solve_phi_derivative",
-    "PhiSolution",
     "effective_params",
-    "phi_residual_check",
 ]
-
-# the grid oracle lives in ``arrays``, which loads numpy; its names resolve
-# here on first use (PEP 562), so that pricing imports no numpy
-_ORACLE_NAMES = frozenset(("PhiSolution", "phi_residual_check", "solve_phi_derivative"))
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import arrays
-
-        return getattr(arrays, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -146,13 +130,6 @@ class VolFunction:
         if not ys:
             raise InputDomainError(f"{path}: empty table")
         return cls.tabulated(ys, fs)
-
-    # -- evaluation ---------------------------------------------------------
-    def __call__(self, y, z):
-        """f(y, z) for a scalar or a numpy array of y (:func:`arrays.vol_values`)."""
-        from .arrays import vol_values
-
-        return vol_values(self, y, z)
 
 
 # ---------------------------------------------------------------------------

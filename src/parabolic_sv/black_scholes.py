@@ -1,10 +1,9 @@
 """Classical Black-Scholes call pricing, greeks and the x(x^2 C_xx)_x operator.
 
-The scalar functions price one contract with :mod:`math`; :func:`call_and_d1d2`
-prices a whole chain at one volatility with numpy, from per-contract
-constants (:class:`CallConstants`) computed once.  Those two live in
-:mod:`parabolic_sv.arrays` and resolve here on first use, so pricing one
-contract loads no numpy.
+The functions price one contract with :mod:`math`, so pricing loads no numpy.
+The numpy kernel that prices a whole chain at one volatility
+(``call_and_d1d2`` from per-contract ``CallConstants``) lives in
+:mod:`parabolic_sv.arrays`.
 """
 from __future__ import annotations
 
@@ -16,28 +15,13 @@ from .errors import InputDomainError
 
 __all__ = [
     "BsInputs",
-    "CallConstants",
     "Greeks",
     "bs_call_price",
     "bs_greeks",
-    "call_and_d1d2",
     "d1d2_call",
     "norm_cdf",
     "norm_pdf",
 ]
-
-# the chain kernel lives in ``arrays``, which loads numpy; its names resolve
-# here on first use (PEP 562)
-_KERNEL_NAMES = frozenset(("CallConstants", "call_and_d1d2"))
-
-
-def __getattr__(name: str):
-    if name in _KERNEL_NAMES:
-        from . import arrays
-
-        return getattr(arrays, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -47,7 +47,7 @@ from .errors import (
     SingularTimeError,
 )
 from .optimize import minimize
-from .params import ModelParams
+from .params import ModelParams, discount_factor
 from .pricer import factor_exponent, modification_factor, p1_time_factor
 
 __all__ = [
@@ -456,15 +456,7 @@ class _ChainModel:
             if not math.isfinite(2.0 * r):
                 raise InputDomainError(f"r = {r!r} is too large: 2r overflows")
         for q in quotes:
-            try:
-                disc = math.exp(-q.rate * q.tau)
-            except OverflowError:
-                disc = math.inf
-            if not 0.0 < disc < math.inf:
-                raise InputDomainError(
-                    f"discount factor exp(-r * tau) = {disc:g} at r = {q.rate!r}, tau = {q.tau!r} "
-                    "is not a positive float"
-                )
+            discount_factor(q.rate, q.tau)
         self.mids = np.array([q.mid for q in quotes])
         self.bs = _call_constants(quotes)
         self.dates = list(dict.fromkeys(keys))

@@ -24,21 +24,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arrays import vol_values
 from .averaging import VolFunction
 from .errors import ConfigError
-# SimConfig and Z_SCHEMES live in params, which the CLI reads without loading
-# numpy; they keep this import path too
-from .params import Z_SCHEMES, ModelParams, OptionSpec, SimConfig, correlation_matrix
+from .params import ModelParams, OptionSpec, correlation_matrix, discount_factor
 from .pricer import price_first_order
 from .slow_factor import parabolic_coefficients
 
+if TYPE_CHECKING:  # annotations only: SimConfig is imported from params
+    from .params import SimConfig
+
 __all__ = [
     "BLOCK_SIZE",
-    "SimConfig",
     "McEstimate",
     "TerminalSample",
     "PathDump",
@@ -185,21 +186,24 @@ def simulate_terminal(
 
     ``return_paths`` keeps the full trajectories of that many leading paths
     (debugging aid; capped at the first block).
+
+    Raises:
+        ConfigError: unless maturity - t is positive.
+        InputDomainError: unless ``exp(-r tau)`` is a positive float, which
+            the estimate discounts the payoffs with.
     """
     horizon = spec.tau
     if horizon <= 0.0:
         raise ConfigError(f"maturity - t = {horizon:g} must be > 0 to simulate")
+    discount_factor(model.r, horizon)
     n_steps = max(1, round(cfg.steps_per_year * horizon))
     dt = horizon / n_steps
     sizes = _blocks(cfg.n_paths)
     collect = min(return_paths, sizes[0]) if return_paths else 0
 
-    if cfg.z_scheme == "parabolic":
-        sub = correlation_matrix(model)[:2, :2]
-        chol = np.zeros((3, 3))
-        chol[:2, :2] = np.linalg.cholesky(sub)
-    else:
-        chol = np.linalg.cholesky(correlation_matrix(model))
+    # the parabolic scheme draws no W^z and reads only the leading 2x2 block,
+    # which is the factor of the (W^x, W^y) correlations
+    chol = np.linalg.cholesky(correlation_matrix(model))
 
     def job(b: int):
         return _simulate_block(
@@ -233,7 +237,7 @@ def estimate_from_sample(
 ) -> McEstimate:
     """The estimate of :func:`mc_price` from a sample that ``simulate_terminal``
     drew with ``cfg``."""
-    disc = math.exp(-model.r * spec.tau)
+    disc = discount_factor(model.r, spec.tau)
     w = disc * np.maximum(sample.x - spec.strike, 0.0)
     price = float(np.mean(w))
     if cfg.antithetic:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, InvalidModelError, Violation
+from .errors import ConfigError, InputDomainError, InvalidModelError, Violation
 
 __all__ = [
     "ModelParams",
@@ -23,6 +23,7 @@ __all__ = [
     "Z_SCHEMES",
     "build_model",
     "correlation_matrix",
+    "discount_factor",
 ]
 
 
@@ -161,6 +162,25 @@ def correlation_matrix(p: ModelParams) -> "numpy.ndarray":
             [p.rho_xz, p.rho_yz, 1.0],
         ]
     )
+
+
+def discount_factor(rate: float, tau: float) -> float:
+    """``exp(-rate * tau)``, which must be a positive float.
+
+    Raises:
+        InputDomainError: when it overflows or underflows to 0; a value
+            discounted by it would be inf, nan or 0.
+    """
+    try:
+        disc = math.exp(-rate * tau)
+    except OverflowError:
+        disc = math.inf
+    if not 0.0 < disc < math.inf:
+        raise InputDomainError(
+            f"discount factor exp(-r * tau) = {disc:g} at r = {rate!r}, tau = {tau!r} "
+            "is not a positive float"
+        )
+    return disc
 
 
 @dataclass(frozen=True)

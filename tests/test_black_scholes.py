@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from parabolic_sv import BsInputs, InputDomainError, bs_call_price, bs_greeks, d1d2_call
-from parabolic_sv.black_scholes import CallConstants, call_and_d1d2, norm_cdf, norm_pdf
+from parabolic_sv.arrays import CallConstants, call_and_d1d2
+from parabolic_sv.black_scholes import norm_cdf, norm_pdf
 
 
 def call_by_quadrature(spot, strike, rate, sigma, tau):

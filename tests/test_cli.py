@@ -23,7 +23,8 @@ from parabolic_sv import (
 )
 from parabolic_sv import errors
 from parabolic_sv.cli import load_run_config, main
-from parabolic_sv.monte_carlo import BLOCK_SIZE, SimConfig
+from parabolic_sv.monte_carlo import BLOCK_SIZE
+from parabolic_sv.params import SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_TABLE = ROOT / "configs" / "vol_table_sample.txt"
@@ -379,6 +380,24 @@ class TestSimulateCommand:
         out1 = capsys.readouterr().out
         assert main(["simulate", "--config", cfg4]) == 0
         assert capsys.readouterr().out == out1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [-2000.0, 2000.0])
+    def test_rate_whose_discount_is_not_a_positive_float(self, tmp_path, capsys, monkeypatch, rate):
+        # exp(-r * tau) is e^1000 or e^-1000 at tau = 0.5: the horizon is refused
+        # with one error line before any path is drawn, with no traceback and
+        # no numpy warning (which this test turns into an error)
+        import parabolic_sv.monte_carlo as monte_carlo
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a path block was simulated")
+
+        monkeypatch.setattr(monte_carlo, "_simulate_block", no_paths)
+        cfg = write_cfg(tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.5, r=rate, n_paths=64)
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert_one_error_line(err, "discount factor", f"r = {rate!r}")
+        assert out == ""
 
     def test_every_sim_config_field_is_a_key(self, tmp_path, capsys):
         values = dict(

@@ -30,19 +30,38 @@ def test_exported_names_resolve(path):
 
 
 def test_lazy_calibration_names_resolve():
-    # the package resolves these on first use, so a stale entry fails only there;
-    # averaging and black_scholes resolve the names of arrays the same way
+    # the package resolves these on first use, so a stale entry fails only there
     import parabolic_sv
-    from parabolic_sv import arrays, averaging, black_scholes
 
     for n, module in parabolic_sv._LAZY_NAMES.items():
         source = importlib.import_module(f"parabolic_sv.{module}")
         assert n in parabolic_sv.__all__, n
         assert getattr(parabolic_sv, n) is getattr(source, n), n
-    for module, names in ((averaging, averaging._ORACLE_NAMES), (black_scholes, black_scholes._KERNEL_NAMES)):
-        for n in names:
-            assert n in module.__all__, n
-            assert getattr(module, n) is getattr(arrays, n), n
+
+
+def test_each_exported_name_has_one_module_home():
+    # besides the package root, no two modules export the same name
+    homes = {}
+    for path in SOURCES:
+        if path.stem != "__init__":
+            for n in getattr(importlib.import_module(f"parabolic_sv.{path.stem}"), "__all__", ()):
+                homes.setdefault(n, []).append(path.stem)
+    shared = {n: mods for n, mods in homes.items() if len(mods) > 1}
+    assert not shared, shared
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def nodes_outside(tree: ast.AST, scopes: tuple[type, ...]):
+    """Every node of ``tree`` but those inside a node of a ``scopes`` type,
+    which is itself yielded."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, scopes):
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def imports_of(tree: ast.Module, package: str, *, module_level_only: bool = False) -> list[int]:
@@ -50,12 +69,7 @@ def imports_of(tree: ast.Module, package: str, *, module_level_only: bool = Fals
     bodies included; with ``module_level_only``, only those that run when the
     module is imported, outside any function body."""
     lines = []
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        if module_level_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
+    for node in nodes_outside(tree, FUNCTIONS if module_level_only else ()):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -109,3 +123,39 @@ def test_numpy_rule_sees_module_level_imports_only():
     )
     assert imports_of(tree, "numpy", module_level_only=True) == [1, 3, 7]
     assert imports_of(tree, "numpy") == [1, 3, 5, 7, 9]
+
+
+def module_bindings(tree: ast.Module, name: str) -> list[int]:
+    """Lines that bind ``name`` in the module's own namespace, outside every
+    function and class body: a def, a class, an import or an assignment."""
+    lines = []
+    for node in nodes_outside(tree, (*FUNCTIONS, ast.ClassDef)):
+        if isinstance(node, ast.Name):
+            bound = node.id if isinstance(node.ctx, ast.Store) else None
+        elif isinstance(node, ast.alias):
+            bound = node.asname or node.name
+        else:
+            bound = getattr(node, "name", None)
+        if bound == name:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_only_the_package_root_defines_module_getattr(path):
+    # each public name has one module home; the package root alone resolves
+    # names on first use (PEP 562), so no module re-exports another's names
+    lines = module_bindings(ast.parse(path.read_text(), filename=str(path)), "__getattr__")
+    assert not lines, f"{path.name}: module-level __getattr__ at line(s) {lines}"
+
+
+def test_getattr_rule_sees_module_level_bindings_only():
+    tree = ast.parse(
+        "def __getattr__(name):\n    pass\n"
+        "if True:\n    __getattr__ = print\n"
+        "class C:\n    def __getattr__(self, name):\n        pass\n"
+        "def f():\n    def __getattr__(name):\n        pass\n"
+        "from .arrays import __getattr__\n"
+        "x = __getattr__\n"
+    )
+    assert module_bindings(tree, "__getattr__") == [1, 4, 11]
