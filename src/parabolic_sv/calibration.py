@@ -12,9 +12,12 @@ linear in ``(M, M v_eff)``, and by golden section over several.
   from the nearest-the-money implied vol, so the fit is one ``fit_a`` call.
 * :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)``.  At one
   valuation date a derivative-free simplex searches ``(k, sigma_bar)`` only
-  and ``(a, v_eff)`` is solved exactly at each of its points; over several
-  dates the simplex searches ``(a, k, sigma_bar)``.  Seeded random restarts
-  inside the box :data:`BOUNDS` keep the search deterministic per seed.
+  and ``(a, v_eff)`` is solved exactly at each of its points
+  (:meth:`_ChainModel.level_objective`: one level fit, whose vectors also
+  give the misfit); over several dates the simplex searches
+  ``(a, k, sigma_bar)``.  Seeded random restarts inside the box
+  :data:`BOUNDS` keep the search deterministic per seed, and a start stops
+  re-descending once its misfit reaches :data:`ROUNDING_FLOOR`.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -71,6 +74,16 @@ A_EXCLUSION = 1e-4
 INTRINSIC_TOL = 1e-6
 #: Iteration cap of each Nelder-Mead descent in calibrate_effective.
 SIMPLEX_MAX_ITER = 4000
+#: Rounding floor of the quote model's price RMSE, per unit of the chain's
+#: largest term ``L = max(spot, discounted strike)``.  A quote is
+#: ``M (x N(d1) - K e^{-r tau} N(d2) + v_eff tf D1D2)``, a difference of two
+#: terms of size up to ``L``.  Each term rounds three times by up to eps times
+#: its size (its ``d``, the erfc, the product), and the difference, the small
+#: correction and the product with ``M ~ 1`` once each: about 8 eps L per
+#: evaluation.  A mid computed from the same model carries as much again, so
+#: exact parameters leave residuals of up to 16 eps L, and no restart can
+#: improve a fit at or below that level.
+ROUNDING_FLOOR = 16.0 * sys.float_info.epsilon
 #: Log of the largest float: a factor e^x with x beyond it overflows.
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -283,8 +296,9 @@ def _level_fit(
     b: np.ndarray,
     s: np.ndarray,
     v_box: tuple[float, float],
-) -> float:
-    """Exact least-squares ``a`` of ``mids ~ M (b + v s)`` with ``M = exp((a - a_ref) g)``.
+) -> tuple[float, float]:
+    """Exact least-squares ``a`` of ``mids ~ M (b + v s)`` with ``M = exp((a - a_ref) g)``,
+    and the level ``M`` it takes there.
 
     The model is linear in ``(M, w) = (M, M v)``.  Each a-piece is an interval
     of ``M`` and the ``v`` box is the cone ``v_lo M <= w <= v_hi M``, so the
@@ -296,11 +310,15 @@ def _level_fit(
         NumericalOverflowError: when no feasible point has a finite misfit.
     """
     if g == 0.0:  # M = 1 for every a
-        return pieces[0][0]
+        return pieces[0][0], 1.0
     y = np.array([b, s, mids])
     (bb, bs, bm), (_, ss, sm), _ = (y @ y.T).tolist()
     if not bb > 0.0:  # no quote depends on a
-        return pieces[0][0]
+        a = pieces[0][0]
+        level = (a - a_ref) * g
+        if level >= _LOG_MAX:
+            raise NumericalOverflowError(f"modification factor e^{level:.6g} overflows")
+        return a, math.exp(level)
     # in the basis (u, w) = (M + c w, w) of b and the part of s orthogonal to
     # it, the misfit above the unconstrained optimum (u0, w0) is a sum of squares
     c = bs / bb
@@ -315,10 +333,10 @@ def _level_fit(
     if m0 > 0.0 and v_lo * m0 <= w0 <= v_hi * m0:
         a0 = a_ref + math.log(m0) / g
         if any(p_lo <= a0 <= p_hi for p_lo, p_hi in pieces):
-            return a0
+            return a0, m0
 
     w_den = bb * c * c + ssp
-    best_e, best_a = math.inf, None
+    best_e, best = math.inf, None
     for p_lo, p_hi in pieces:
         (l1, a1), (l2, a2) = sorted([((p_lo - a_ref) * g, p_lo), ((p_hi - a_ref) * g, p_hi)])
         m1 = math.exp(l1) if l1 < _LOG_MAX else math.inf
@@ -342,10 +360,10 @@ def _level_fit(
             du, dw = m + c * w - u0, w - w0
             e = bb * du * du + ssp * dw * dw  # inf, not an error, past the float range
             if e < best_e:
-                best_e, best_a = e, a
-    if best_a is None:
+                best_e, best = e, (a, m)
+    if best is None:
         raise NumericalOverflowError("every feasible modification factor overflows")
-    return best_a
+    return best
 
 
 def estimate_a(
@@ -440,7 +458,7 @@ class _ChainModel:
     quote's).  A ``v_box`` of ``(0, 0)`` pins ``v_eff`` at 0, and then no time
     factor is evaluated, so dates straddling ``2/k`` stay feasible.  The
     Black-Scholes kernel and the time factors of the last ``(k, sigma_bar)``
-    are kept, so the ``a`` solve and the objective at its result share them.
+    are kept, so the ``a`` solve and the ``v_eff`` at its result share them.
     """
 
     def __init__(
@@ -489,9 +507,11 @@ class _ChainModel:
         call, dd, tf = self._kernel(k, sig)
         mod = np.array([modification_factor(t, a, r, k) for t, _, r in self.dates])
         mod_tf = mod * tf
-        base = mod[self.date_of] * call
-        slope = mod_tf[self.date_of] * dd
-        target = self.mids - base
+        return self._profile(self.mids - mod[self.date_of] * call, mod_tf[self.date_of] * dd)
+
+    def _profile(self, target: np.ndarray, slope: np.ndarray) -> tuple[float, np.ndarray]:
+        """The least-squares ``v`` of ``target ~ v slope`` clamped to the v box,
+        and the residual there."""
         ss = float(slope @ slope)
         v = float(slope @ target) / ss if ss > 1e-300 else 0.0
         v = min(max(v, self.v_box[0]), self.v_box[1])
@@ -517,22 +537,24 @@ class _ChainModel:
             return 1e9
         return math.sqrt(float(resid @ resid) / self.n_quotes) + penalty
 
+    def _in_box(self, k: float, sig: float) -> bool:
+        _, (k_lo, k_hi), (s_lo, s_hi) = self.box
+        return k_lo <= k <= k_hi and s_lo <= sig <= s_hi
+
     def fit_a(self, k: float, sig: float) -> float:
         """The least-squares ``a`` at fixed (k, sigma_bar), with ``v_eff`` profiled.
 
         At one valuation date the factors are one level ``M`` times rate ratios
-        known once ``k`` is, taken against the rate whose ratios stay <= 1, and
-        ``a`` comes from :func:`_level_fit`.  Over several dates it is the best
-        golden-section minimum of the profiled sum of squares on each a-piece.
-        Outside the (k, sigma_bar) box ``a`` is the lower a-bound.
+        known once ``k`` is (:meth:`_fit_level`).  Over several dates it is the
+        best golden-section minimum of the profiled sum of squares on each
+        a-piece.  Outside the (k, sigma_bar) box ``a`` is the lower a-bound.
 
         Raises:
             SingularTimeError, LogDomainError, InputDomainError,
             NumericalOverflowError: at a point where the model is infeasible.
         """
-        (a_lo, _), (k_lo, k_hi), (s_lo, s_hi) = self.box
-        if not (k_lo <= k <= k_hi and s_lo <= sig <= s_hi):
-            return a_lo
+        if not self._in_box(k, sig):
+            return self.box[0][0]
         if self.single_date is None:
 
             def sse(a: float) -> float:
@@ -540,13 +562,38 @@ class _ChainModel:
                 return float(resid @ resid)
 
             return _golden_pieces(sse, self.a_pieces)
+        return self._fit_level(k, sig)[0]
+
+    def _fit_level(self, k: float, sig: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """At one valuation date: the least-squares ``a`` of :func:`_level_fit`,
+        its level ``M``, and the base and slope vectors ``b`` and ``s`` of the
+        quotes ``M (b + v_eff s)``.  The rate ratios are taken against the rate
+        whose ratios stay <= 1."""
         call, dd, tf = self._kernel(k, sig)
         g = factor_exponent(self.single_date, k)
         two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
         rho = np.exp((two_ref - self.two_rs) * g)
         b = rho[self.date_of] * call
         s = (rho * tf)[self.date_of] * dd
-        return _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
+        a, level = _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
+        return a, level, b, s
+
+    def level_objective(self, x: tuple[float, float]) -> float:
+        """The one-date objective over (k, sigma_bar): :meth:`objective` at
+        ``(fit_a(k, sigma_bar), k, sigma_bar)``.  Inside the box the misfit is
+        taken from the level fit's own vectors, ``mids - M (b + v_eff s)`` with
+        ``v_eff`` profiled; the fitted ``a`` lies in the box and outside every
+        band, so no penalty applies.  Outside the box it is the box penalty, and
+        at an infeasible point 1e9."""
+        k, sig = (float(v) for v in x)
+        if not self._in_box(k, sig):
+            return self.objective((self.box[0][0], k, sig))
+        try:
+            _, level, b, s = self._fit_level(k, sig)
+        except _INFEASIBLE:
+            return 1e9
+        _, resid = self._profile(self.mids - level * b, level * s)
+        return math.sqrt(float(resid @ resid) / self.n_quotes)
 
 
 @dataclass(frozen=True)
@@ -556,8 +603,10 @@ class CalibResult:
     ``iterations`` counts the Nelder-Mead iterations summed over starts and
     restarts: of the two-dimensional (k, sigma_bar) search, with ``a`` and
     ``v_eff`` solved exactly inside it, for a chain with one valuation date,
-    and of the (a, k, sigma_bar) search otherwise.  ``restart_objectives``
-    holds the final objective of each start.
+    and of the (a, k, sigma_bar) search otherwise.  ``evaluations`` counts the
+    objective evaluations summed the same way, each start's first included;
+    at one valuation date each is one level fit and one misfit pass.
+    ``restart_objectives`` holds the final objective of each start.
     """
 
     a_hat: float
@@ -566,6 +615,7 @@ class CalibResult:
     sigma_bar_hat: float
     objective: float
     iterations: int
+    evaluations: int
     converged: bool
     restart_objectives: tuple[float, ...]
 
@@ -583,11 +633,15 @@ def calibrate_effective(
     valuation date the simplex searches only (k, sigma_bar), and for each of
     its points the best ``(a, v_eff)`` is solved exactly
     (:meth:`_ChainModel.fit_a`); with several it searches (a, k, sigma_bar).
+    At one date the misfit of each point comes from the level fit's own
+    vectors (:meth:`_ChainModel.level_objective`), so it costs one pass.
     Runs the data-driven starts (ATM implied vol, ``a`` either side of the
     band around ``2r``, which are one point when ``a`` is solved) plus
     ``n_restarts`` seeded random starts inside the box ``BOUNDS``; each start
     is a chain of adaptive Nelder-Mead descents restarted on their own result
-    until the objective stalls.  Deterministic for fixed (quotes, seed).
+    until the objective stalls, or until it is at or below the rounding floor
+    ``ROUNDING_FLOOR * max(spot, discounted strike)``, where a fit is exact
+    to rounding.  Deterministic for fixed (quotes, seed).
 
     Raises:
         InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
@@ -612,18 +666,19 @@ def calibrate_effective(
     hi = np.array([BOUNDS[n][1] for n in names])
     model = _ChainModel(quotes, lo, hi, BOUNDS["v_eff"])
     if model.single_date is None:  # no closed form for a: the simplex searches it
-        free, objective = slice(0, 3), model.objective
+        free, fit_objective = slice(0, 3), model.objective
         offsets = (0.01, -0.01)
     else:
-        free, offsets = slice(1, 3), (0.0,)
+        free, fit_objective, offsets = slice(1, 3), model.level_objective, (0.0,)
+    evaluations = 0
 
-        def objective(x: tuple[float, float]) -> float:
-            k, sig = x
-            try:
-                a = model.fit_a(k, sig)
-            except _INFEASIBLE:
-                return 1e9
-            return model.objective((a, k, sig))
+    def objective(x) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return fit_objective(x)
+
+    # a start whose misfit reaches this is exact to rounding: it stops re-descending
+    floor = ROUNDING_FLOOR * float(np.max(np.maximum(model.bs.spot, model.bs.disc_strike)))
 
     rng = np.random.default_rng(seed)
     try:
@@ -650,7 +705,7 @@ def calibrate_effective(
             total_iters += res.nit
             improved = fval - res.fun
             x, fval, success = res.x, res.fun, res.success
-            if improved <= 1e-15 * max(1.0, abs(fval)):
+            if fval <= floor or improved <= 1e-15 * max(1.0, abs(fval)):
                 break
         restart_objs.append(fval)
         if best is None or fval < best[1]:
@@ -670,6 +725,7 @@ def calibrate_effective(
         sigma_bar_hat=sigma_hat,
         objective=obj,
         iterations=total_iters,
+        evaluations=evaluations,
         converged=converged,
         restart_objectives=tuple(restart_objs),
     )

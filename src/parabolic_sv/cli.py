@@ -348,6 +348,7 @@ def cmd_calibrate(cfg: RunConfig, out_path: str | None) -> int:
             ("sigma_bar_hat", res.sigma_bar_hat),
             ("objective", res.objective),
             ("iterations", res.iterations),
+            ("evaluations", res.evaluations),
             ("converged", res.converged),
         ]
         for i, obj in enumerate(res.restart_objectives):

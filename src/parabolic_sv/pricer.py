@@ -23,6 +23,7 @@ diagnostic, not asserted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .averaging import AveragingCache, EffectiveParams, VolFunction, effective_params
@@ -62,6 +63,23 @@ def modification_factor(t: float, a: float, r: float, k: float) -> float:
         raise NumericalOverflowError(
             f"modification factor e^{log_factor:.6g} overflows (a = {a:g}, r = {r:g}, k = {k:g}, t = {t:g})"
         ) from None
+
+
+def _pricing_factor(t: float, model: ModelParams) -> float:
+    """:func:`modification_factor` of ``model`` at ``t``, refused where it
+    underflows: a factor below the smallest normal float has lost its digits,
+    and at 0 it would multiply every price to 0.
+
+    Raises:
+        NumericalOverflowError: when the factor overflows or underflows.
+    """
+    mod = modification_factor(t, model.a, model.r, model.k)
+    if mod < sys.float_info.min:
+        raise NumericalOverflowError(
+            f"modification factor {mod:g} underflows (a = {model.a:g}, r = {model.r:g}, "
+            f"k = {model.k:g}, t = {t:g})"
+        )
+    return mod
 
 
 def factor_exponent(t: float, k: float) -> float:
@@ -135,6 +153,10 @@ def price_first_order(
 
     ``p0 = mod * q0`` is the leading order.  At ``t = maturity`` the price is
     the payoff.
+
+    Raises:
+        NumericalOverflowError: when the modification factor overflows, or
+            underflows below the smallest normal float.
     """
     _require_regular_horizon(model, spec)
 
@@ -159,7 +181,7 @@ def price_first_order(
     q0 = bs_call_price(inp)
     dd = d1d2_call(inp)
     tf = p1_time_factor(spec.t, spec.maturity, model.k)
-    mod = modification_factor(spec.t, model.a, model.r, model.k)
+    mod = _pricing_factor(spec.t, model)
     total = mod * (q0 + math.sqrt(model.epsilon) * tf * eff.v * dd)
     p0_val = mod * q0
     return PriceBreakdown(
@@ -201,7 +223,7 @@ def p0_pde_residual(
     sb = eff.sigma_bar
 
     def price(s: float, x: float) -> float:
-        mod = 1.0 if classical else modification_factor(s, model.a, model.r, model.k)
+        mod = 1.0 if classical else _pricing_factor(s, model)
         return mod * bs_call_price(BsInputs(x, spec.strike, model.r, sb, spec.maturity - s))
 
     gamma = 0.0 if classical else gamma_coefficient(model.k, spec.t)

@@ -573,6 +573,115 @@ class TestInnerSolve:
         assert calibrate_effective(quotes, n_restarts=1) == got
 
 
+class TestLevelObjective:
+    """The one-date objective of calibrate_effective, which takes the misfit from
+    the level fit's vectors, against the objective at the solved a."""
+
+    # the (k, sigma_bar) of both classes' points that lie inside the box
+    POINTS = tuple(dict.fromkeys(
+        [theta[1:] for theta in TestVectorObjective.THETAS if theta[2] >= BOUNDS["sigma_bar"][0]]
+        + list(TestInnerSolve.POINTS)
+    ))
+
+    @staticmethod
+    def check(quotes, points, lo, hi, v_box):
+        model = _ChainModel(quotes, lo, hi, v_box)
+        # at an exact fit both sides are rounding noise of the mids
+        noise = 4.0 * math.ulp(max(abs(q.mid) for q in quotes))
+        values = []
+        for k, sig in points:
+            try:
+                want = model.objective((model.fit_a(k, sig), k, sig))
+            except calibration._INFEASIBLE:
+                want = 1e9
+            got = model.level_objective((k, sig))
+            assert got == pytest.approx(want, rel=1e-12, abs=noise), (k, sig)
+            values.append(got)
+        return values
+
+    @pytest.mark.parametrize("chain", sorted(TestInnerSolve.CHAINS))
+    def test_matches_the_objective_at_the_solved_a(self, chain):
+        values = self.check(TestInnerSolve.CHAINS[chain], self.POINTS, *box())
+        assert all(math.isfinite(v) and v < 1e6 for v in values)
+
+    def test_exact_fit(self):
+        # (k, sigma_bar) of the chain itself: both are rounding noise
+        quotes = TestVectorObjective.CHAINS["single_date"]
+        (value,) = self.check(quotes, [(0.008, 0.21)], *box())
+        assert value <= 4.0 * math.ulp(max(q.mid for q in quotes))
+
+    def test_v_eff_on_its_box_edge(self):
+        quotes = TestVectorObjective.CHAINS["single_date"]  # v_eff = 0.003
+        lo, hi, v_box = box(v_eff=(-1e-3, 1e-3))
+        self.check(quotes, self.POINTS, lo, hi, v_box)
+        model = _ChainModel(quotes, lo, hi, v_box)
+        assert model.profiled_v(model.fit_a(0.008, 0.21), 0.008, 0.21)[0] == 1e-3
+
+    def test_outside_the_box(self):
+        points = [(1.5, 0.2), (0.05, 2.5), (-0.1, 0.2), (0.5, 0.001)]
+        for value in self.check(TestVectorObjective.CHAINS["single_date"], points, *box()):
+            assert value >= 1e6
+
+    @pytest.mark.parametrize(
+        "quotes, point",
+        [
+            (quotes_at(2.5, (3.0, 3.5)), (0.8, 0.2)),  # k t = 2
+            (quotes_at(1.5, (2.2, 2.5)), (1.0, 0.2)),  # t and T straddle 2/k
+        ],
+        ids=["singular", "straddles_2_over_k"],
+    )
+    def test_infeasible_points_score_1e9(self, quotes, point):
+        assert self.check(quotes, [point], *box()) == [1e9]
+
+
+class TestRestarts:
+    """Each start re-descends until its objective stalls or reaches the rounding floor."""
+
+    @staticmethod
+    def fit_counting(monkeypatch, quotes, n_restarts):
+        """The fit, the objective of each descent, and the evaluations each descent made."""
+        descents = []
+        real = calibration.minimize
+
+        def counting(fun, x0, *args, **kwargs):
+            calls = [0]
+
+            def counted(x):
+                calls[0] += 1
+                return fun(x)
+
+            res = real(counted, x0, *args, **kwargs)
+            descents.append((res.fun, calls[0]))
+            return res
+
+        monkeypatch.setattr(calibration, "minimize", counting)
+        return calibrate_effective(quotes, seed=0, n_restarts=n_restarts), descents
+
+    @staticmethod
+    def floor(quotes):
+        return calibration.ROUNDING_FLOOR * max(
+            max(q.spot, q.strike * math.exp(-q.rate * q.tau)) for q in quotes
+        )
+
+    def test_exact_chain_descends_once_per_start(self, monkeypatch):
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
+        res, descents = self.fit_counting(monkeypatch, quotes, 3)
+        assert len(descents) == len(res.restart_objectives) == 1 + 3
+        assert max(res.restart_objectives) <= self.floor(quotes)
+
+    def test_noisy_chain_restarts(self, monkeypatch):
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
+        res, descents = self.fit_counting(monkeypatch, quotes, 3)
+        assert len(descents) > len(res.restart_objectives) == 1 + 3
+        assert res.objective > self.floor(quotes)
+
+    @pytest.mark.parametrize("chain", ["single_date", "mixed"])
+    def test_evaluations_count_every_objective_call(self, monkeypatch, chain):
+        # the descents' own evaluations plus the one at each start
+        res, descents = self.fit_counting(monkeypatch, TestVectorObjective.CHAINS[chain], 1)
+        assert res.evaluations == sum(calls for _, calls in descents) + len(res.restart_objectives)
+
+
 def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0):
     out = synth_quotes(a=a, k=k, r=r, sigma=sigma, v_eff=v_eff)
     for maturity in (0.9, 1.6):

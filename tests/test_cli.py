@@ -16,7 +16,9 @@ from parabolic_sv import (
     VolFunction,
     bs_call_price,
     build_model,
+    calibrate_effective,
     d1d2_call,
+    load_chain,
     modification_factor,
     p1_time_factor,
     price_first_order,
@@ -240,6 +242,15 @@ class TestExitCodes:
         assert main(["price", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_underflowing_modification_factor_is_numerical_error(self, tmp_path, capsys):
+        # (a - 2r) * 24.1 ~ -9.6e4 sends the factor to 0, which priced the call
+        # at 0 against a discounted intrinsic value of 100
+        cfg = self.good_price_cfg(tmp_path, r=2000.0)
+        assert main(["price", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert_one_error_line(err, "modification factor", "underflows", "r = 2000")
+        assert out == ""
 
     def test_overflowing_discount_factor_is_input_error(self, tmp_path, capsys):
         # exp(-r * tau) = e^1000 is beyond the float range
@@ -559,6 +570,16 @@ class TestCalibrateCommand:
         assert abs(float(report["v_eff_hat"]) - 0.003) <= 1e-4
         assert abs(float(report["sigma_bar_hat"]) - 0.21) <= 1e-4
         assert report["converged"] in ("true", "false")
+
+    def test_fit_effective_reports_evaluations(self, tmp_path, capsys):
+        chain = write_chain(tmp_path / "chain.csv", a=0.06, sigma=0.21, v_eff=0.003)
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0)
+        assert main(["calibrate", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        rows = list(report)
+        assert rows.index("evaluations") == rows.index("iterations") + 1
+        res = calibrate_effective(load_chain(chain), seed=0)
+        assert int(report["evaluations"]) == res.evaluations > res.iterations
 
     def test_fit_effective_deterministic(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "chain.csv", a=0.06, sigma=0.21, v_eff=0.003)

@@ -1,6 +1,7 @@
 """Assembled first-order price: frozen component values, exact reductions,
 scaling laws, and the operator-residual diagnostics."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from parabolic_sv import (
     AveragingCache,
     InputDomainError,
     LogDomainError,
+    NumericalOverflowError,
     OptionSpec,
     SingularTimeError,
     VolFunction,
@@ -203,6 +205,30 @@ class TestHorizonGuards:
         spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=2.5)
         with pytest.raises(SingularTimeError):
             price_first_order(spec, build_model(k=1.0), EXP)
+
+
+class TestFactorRange:
+    # at t = 0 the factor is e^((a - 2r) * 24.1) at the default k = 0.008
+    @pytest.mark.parametrize("r", [2000.0, 14.96], ids=["zero", "subnormal"])
+    def test_underflowing_modification_factor_is_refused(self, r):
+        # r = 2000 sends the factor to 0, which priced the call at 0 against a
+        # discounted intrinsic value of 100; r = 14.96 leaves a subnormal ~e^-720
+        model = build_model(r=r)
+        assert modification_factor(0.0, model.a, r, model.k) < sys.float_info.min
+        with pytest.raises(NumericalOverflowError, match="underflows"):
+            price_first_order(ATM, model, EXP)
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.25, maturity=0.5)
+        eff = effective_params(EXP, 0.2, model)
+        with pytest.raises(NumericalOverflowError, match="underflows"):
+            p0_pde_residual(spec, model, eff)
+        assert math.isfinite(p0_pde_residual(spec, model, eff, classical=True))
+
+    def test_factor_just_above_the_underflow_prices(self):
+        # a normal factor ~e^-703 still prices: the factor times the classical price
+        model = build_model(r=14.6)
+        bd = price_first_order(ATM, model, EXP)
+        assert sys.float_info.min < bd.mod_factor < 1e-300
+        assert bd.p0 == bd.mod_factor * bd.q0 > 0.0
 
 
 class TestOperatorResidual:
