@@ -52,17 +52,23 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def vol_values(vol: VolFunction, y, z):
-    """f(y, z) for a scalar or an array of y; a float for scalar arguments."""
-    y = np.asarray(y, dtype=float)
+def vol_values(vol: VolFunction, y, z, out: np.ndarray | None = None):
+    """f(y, z) for a scalar or an array of y; a float where the result is a scalar.
+
+    The result has the shape of the arguments f depends on: the ``y_constant``
+    f is ``z`` itself, not broadcast against y, so it is a float for a scalar
+    z.  ``out`` receives the ``separable_exp`` values, so a caller that
+    evaluates f at every step allocates nothing for them; read the returned
+    value, which is ``out`` only there.
+    """
     if vol.kind == "y_constant":
-        out = np.broadcast_to(np.asarray(z, dtype=float), np.broadcast_shapes(y.shape, np.shape(z)))
-        return out.copy() if out.shape else float(out)
+        return z if np.ndim(z) else float(z)
+    y = np.asarray(y, dtype=float)
     if vol.kind == "separable_exp":
-        out = z * np.exp(y)
-        return out if out.shape else float(out)
-    out = np.interp(y, np.asarray(vol.y_nodes), np.asarray(vol.f_values))
-    return out if out.shape else float(out)
+        f = np.multiply(z, np.exp(y, out=out), out=out)
+    else:
+        f = np.interp(y, np.asarray(vol.y_nodes), np.asarray(vol.f_values))
+    return f if f.shape else float(f)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +212,7 @@ def solve_phi_derivative(
         sigma_bar_sq = sigma_bar(vol, z, m, nu) ** 2
     y = _grid(vol, m, nu, _default_points(vol, m, nu) if n_points is None else n_points)
     p = _density(y, m, nu)
-    f = np.asarray(vol_values(vol, y, z), dtype=float)
+    f = np.broadcast_to(vol_values(vol, y, z), y.shape)
     rhs = f * f - sigma_bar_sq
     # Simpson's rule on each cell, through its midpoint: a table's knots are
     # grid points (to within _KNOT_SNAP of a cell), so every cell lies within
@@ -215,7 +221,7 @@ def solve_phi_derivative(
     sixth = np.diff(y) / 6.0
     y_mid = 0.5 * (y[:-1] + y[1:])
     p_mid = _density(y_mid, m, nu)
-    f_mid = np.asarray(vol_values(vol, y_mid, z), dtype=float)
+    f_mid = vol_values(vol, y_mid, z)
 
     def cells(g: np.ndarray, g_mid: np.ndarray) -> np.ndarray:
         return sixth * (g[:-1] + 4.0 * g_mid + g[1:])

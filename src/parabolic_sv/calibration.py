@@ -476,6 +476,7 @@ class _ChainModel:
         for q in quotes:
             discount_factor(q.rate, q.tau)
         self.mids = np.array([q.mid for q in quotes])
+        self.mid_abs = float(np.max(np.abs(self.mids)))
         self.bs = _call_constants(quotes)
         self.dates = list(dict.fromkeys(keys))
         self.date_of = np.array([self.dates.index(key) for key in keys])
@@ -503,9 +504,27 @@ class _ChainModel:
         return self._kept[1]
 
     def profiled_v(self, a: float, k: float, sig: float) -> tuple[float, np.ndarray]:
-        """Least-squares v_eff given the nonlinear parameters (model is linear in it)."""
+        """Least-squares v_eff given the nonlinear parameters (model is linear in it).
+
+        Raises:
+            SingularTimeError, NumericalOverflowError: from a modification
+                factor, and NumericalOverflowError also where the factor is
+                finite but the misfit's sums of squares would overflow.
+        """
         call, dd, tf = self._kernel(k, sig)
         mod = np.array([modification_factor(t, a, r, k) for t, _, r in self.dates])
+        # every entry of target, slope and the residual is at most `bound` in
+        # size (|v| is clamped to the v box), so each sum of squares is at most
+        # n bound^2; Python floats reach inf here, where numpy would warn
+        top = float(np.max(mod))
+        v_abs = max(-self.v_box[0], self.v_box[1])
+        bound = self.mid_abs + top * float(np.max(np.abs(call))) + v_abs * (
+            top * float(np.max(np.abs(tf))) * float(np.max(np.abs(dd)))
+        )
+        if not 2.0 * self.n_quotes * bound * bound < math.inf:
+            raise NumericalOverflowError(
+                f"modification factor {top:.6g} overflows the misfit (a = {a:g}, k = {k:g})"
+            )
         mod_tf = mod * tf
         return self._profile(self.mids - mod[self.date_of] * call, mod_tf[self.date_of] * dd)
 
@@ -558,7 +577,10 @@ class _ChainModel:
         if self.single_date is None:
 
             def sse(a: float) -> float:
-                _, resid = self.profiled_v(a, k, sig)
+                try:
+                    _, resid = self.profiled_v(a, k, sig)
+                except NumericalOverflowError:  # a sum of squares past the float range
+                    return math.inf
                 return float(resid @ resid)
 
             return _golden_pieces(sse, self.a_pieces)

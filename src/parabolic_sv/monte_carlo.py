@@ -10,14 +10,18 @@ validated.  Risk-neutral dynamics:
 X advances by log-Euler with the volatility frozen over each step at its
 left endpoint; Y and Z advance by their exact OU transition laws, so the
 factor paths carry no discretisation bias at any step size.  Z can instead be
-frozen on its parabolic arc (``z_scheme="parabolic"``).
+frozen on its parabolic arc (``z_scheme="parabolic"``); at ``eta = 0`` the
+OU scheme's Z is its deterministic mean path.
 
 Reproducibility contract: paths are organised into fixed-size blocks of
 ``BLOCK_SIZE``; block ``b`` owns a counter-based Philox substream derived from
-``(seed, b)``, and per-step draws have a fixed layout inside the block.  The
-path set is therefore bit-identical for identical ``(seed, cfg)`` regardless
-of how many worker threads process the blocks, and reductions run in block
-order.
+``(seed, b)``, and per-step draws have a fixed layout inside the block: one
+standard normal per path (per pair of paths with antithetic sampling) for
+each noise that drives a factor, ``(W^x, W^y)`` and W^z only where Z is
+stochastic (``z_scheme="ou"`` with ``eta > 0``), correlated by the Cholesky
+factor of their correlation matrix.  The path set is therefore bit-identical
+for identical ``(seed, cfg)`` regardless of how many worker threads process
+the blocks, and reductions run in block order.
 """
 from __future__ import annotations
 
@@ -114,10 +118,23 @@ def _simulate_block(
     chol: np.ndarray,
     collect: int,
 ):
+    """Terminal (X, Y, Z) of one block of ``nb`` paths, and the dump of its
+    ``collect`` leading paths.
+
+    The block's arrays are allocated once and every step updates them in
+    place, with the operations of ``m + (y - m) decay + sd xi`` and of the log
+    scheme applied in that order, so each value rounds as the plain
+    expressions do.  A deterministic Z (the parabolic arc, or the OU mean path
+    at ``eta = 0``) is one float shared by every path.  With antithetic
+    sampling the correlated increments are formed on the drawn half and
+    negated into the other half, which is exact.
+    """
     rng = _block_rng(cfg.seed, block)
     frozen_z = cfg.z_scheme == "parabolic"
-    dim = 2 if frozen_z else 3
+    random_z = not frozen_z and model.eta > 0.0
+    dim = 3 if random_z else 2  # W^z is drawn only when it moves Z
     arc = parabolic_coefficients(model)
+    c = chol.tolist()
 
     sqrt_dt = math.sqrt(dt)
     decay_y = math.exp(-dt / model.epsilon)
@@ -130,8 +147,16 @@ def _simulate_block(
         z = float(arc.value(spec.t))
     else:
         # deterministic state at the valuation date: the OU mean path
-        z = np.full(nb, model.m_prime + (model.z0 - model.m_prime) * math.exp(-model.k * spec.t))
+        z = model.m_prime + (model.z0 - model.m_prime) * math.exp(-model.k * spec.t)
+        if random_z:
+            z = np.full(nb, z)
     log_x = np.full(nb, math.log(spec.spot))
+
+    n_draw = nb // 2 if cfg.antithetic else nb
+    raw = np.empty((dim, n_draw))
+    xi = np.empty((dim, nb))  # correlated increments of W^x, W^y (and W^z)
+    term = np.empty(n_draw)
+    f, drift, scale = np.empty(nb), np.empty(nb), np.empty(nb)
 
     dump = None
     if collect:
@@ -142,36 +167,57 @@ def _simulate_block(
         }
         dump["x"][:, 0] = spec.spot
         dump["y"][:, 0] = y[:collect]
-        dump["z"][:, 0] = z if frozen_z else z[:collect]
+        dump["z"][:, 0] = z[:collect] if random_z else z
 
-    half = nb // 2
     for j in range(n_steps):
-        sigma = np.asarray(vol_values(vol, y, z), dtype=float)
+        sigma = vol_values(vol, y, z, out=f)
+        rng.standard_normal(out=raw)
+        for i in range(dim):  # xi_i = chol[i, 0] raw_0 + ... + chol[i, i] raw_i
+            row = xi[i, :n_draw]
+            np.multiply(raw[0], c[i][0], out=row)
+            for p in range(1, i + 1):
+                row += np.multiply(raw[p], c[i][p], out=term)
         if cfg.antithetic:
-            raw_half = rng.standard_normal((dim, half))
-            raw = np.concatenate([raw_half, -raw_half], axis=1)
-        else:
-            raw = rng.standard_normal((dim, nb))
-        xi_x = chol[0, 0] * raw[0]
-        xi_y = chol[1, 0] * raw[0] + chol[1, 1] * raw[1]
+            np.negative(xi[:, :n_draw], out=xi[:, n_draw:])
 
-        log_x += (model.r - 0.5 * sigma * sigma) * dt + sigma * sqrt_dt * xi_x
-        y = model.m + (y - model.m) * decay_y + sd_y * xi_y
+        # log X += (r - sigma^2 / 2) dt + sigma sqrt(dt) xi_x
+        if isinstance(sigma, float):
+            drift_j, scale_j = (model.r - 0.5 * sigma * sigma) * dt, sigma * sqrt_dt
+        else:
+            drift_j = np.multiply(sigma, 0.5, out=drift)
+            drift_j *= sigma
+            np.subtract(model.r, drift_j, out=drift_j)
+            drift_j *= dt
+            scale_j = np.multiply(sigma, sqrt_dt, out=scale)
+        xi[0] *= scale_j
+        xi[0] += drift_j
+        log_x += xi[0]
+
+        _ou_step(y, model.m, decay_y, sd_y, xi[1])
         if frozen_z:
             z = float(arc.value(spec.t + (j + 1) * dt))
+        elif random_z:
+            _ou_step(z, model.m_prime, decay_z, sd_z, xi[2])
         else:
-            xi_z = chol[2, 0] * raw[0] + chol[2, 1] * raw[1] + chol[2, 2] * raw[2]
-            z = model.m_prime + (z - model.m_prime) * decay_z + sd_z * xi_z
+            z = model.m_prime + (z - model.m_prime) * decay_z
 
         if collect:
             dump["x"][:, j + 1] = np.exp(log_x[:collect])
             dump["y"][:, j + 1] = y[:collect]
-            dump["z"][:, j + 1] = z if frozen_z else z[:collect]
+            dump["z"][:, j + 1] = z[:collect] if random_z else z
 
-    x_t = np.exp(log_x)
-    y_t = y
-    z_t = np.full(nb, z) if frozen_z else z
-    return x_t, y_t, z_t, dump
+    x_t = np.exp(log_x, out=log_x)
+    z_t = z if random_z else np.full(nb, z)
+    return x_t, y, z_t, dump
+
+
+def _ou_step(state: np.ndarray, mean: float, decay: float, sd: float, xi: np.ndarray) -> None:
+    """``state = mean + (state - mean) decay + sd xi`` in place; overwrites ``xi``."""
+    state -= mean
+    state *= decay
+    state += mean
+    xi *= sd
+    state += xi
 
 
 def simulate_terminal(
@@ -201,7 +247,7 @@ def simulate_terminal(
     sizes = _blocks(cfg.n_paths)
     collect = min(return_paths, sizes[0]) if return_paths else 0
 
-    # the parabolic scheme draws no W^z and reads only the leading 2x2 block,
+    # a deterministic Z draws no W^z and reads only the leading 2x2 block,
     # which is the factor of the (W^x, W^y) correlations
     chol = np.linalg.cholesky(correlation_matrix(model))
 

@@ -444,6 +444,20 @@ class TestVectorObjective:
         assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9, why
         assert objective(theta) == 1e9, why
 
+    @pytest.mark.parametrize("k", [1.22e-4, 1.4e-4, 2.4e-4])
+    def test_finite_factor_whose_misfit_overflows_scores_1e9(self, k):
+        # at a = 0.5 these factors are e^708 to e^360: finite, but mod * call
+        # or slope @ slope is past the float range, where numpy would warn
+        # (an error in this suite) and the objective would read nan
+        quotes = [
+            OptionQuote(t, t + tau, strike, 5.0, 100.0, 0.0264)
+            for t in (0.0, 0.4) for tau in (0.5, 1.0) for strike in (90.0, 100.0, 110.0)
+        ]
+        model = _ChainModel(quotes, *box())
+        assert model.objective((0.5, k, 0.2)) == 1e9
+        with pytest.raises(NumericalOverflowError):
+            model.profiled_v(0.5, k, 0.2)
+
     def test_zero_sigma_scores_1e9_in_a_widened_box(self):
         # sigma_bar = 0 is outside the kernel's domain, as it is outside d1d2_call's
         quotes = self.CHAINS["single_date"]
@@ -704,6 +718,19 @@ def factor_quotes(t, maturities, a=0.05, k=0.008, rates=(0.0264,), sigma=0.2):
     ]
 
 
+def a_fit_sse(quotes, a, k, sig):
+    """The sum of squares of estimate_a's model at ``a``, quote by quote; +inf
+    past the float range."""
+    try:
+        return sum(
+            (q.mid - modification_factor(q.t, a, 0.0264, k)
+             * bs_call_price(BsInputs(q.spot, q.strike, q.rate, sig, q.tau))) ** 2
+            for q in quotes
+        )
+    except (NumericalOverflowError, OverflowError):
+        return math.inf
+
+
 class TestEstimateAGrid:
     """estimate_a, in closed form at one date and by golden section at two, against a dense a-grid."""
 
@@ -724,16 +751,23 @@ class TestEstimateAGrid:
         res = estimate_a(quotes, k=k, r=0.0264)
 
         def sse(a):
-            sig = res.sigma_bar_used
-            return sum(
-                (q.mid - modification_factor(q.t, a, 0.0264, k)
-                 * bs_call_price(BsInputs(q.spot, q.strike, q.rate, sig, q.tau))) ** 2
-                for q in quotes
-            )
+            return a_fit_sse(quotes, a, k, res.sigma_bar_used)
 
         assert res.objective == pytest.approx(sse(res.a_hat), rel=1e-10)
         grid = a_grid(quotes, -0.5, 0.5) + [res.a_hat - 1e-7, res.a_hat + 1e-7]
         assert res.objective <= min(sse(a) for a in grid)
+
+    @pytest.mark.parametrize("k", [1e-4, 1.3e-4])
+    def test_misfit_past_the_float_range_reads_inf(self, k):
+        # at a = 0.5 the factor overflows (k = 1e-4), or the squared misfit
+        # does though the factor is finite (k = 1.3e-4): the golden section
+        # reads +inf there, as the one-date closed form does, with no numpy
+        # warning (an error in this suite).  The fit stops on the band edge.
+        quotes = two_date_quotes()
+        res = estimate_a(quotes, k=k, r=0.0264)
+        assert res.a_hat == 2 * 0.0264 - A_EXCLUSION
+        assert res.objective == pytest.approx(a_fit_sse(quotes, res.a_hat, k, res.sigma_bar_used), rel=1e-10)
+        assert res.objective <= min(a_fit_sse(quotes, a, k, res.sigma_bar_used) for a in a_grid(quotes, -0.5, 0.5))
 
     @pytest.mark.parametrize("k", [0.8, 0.8 + 1e-14])
     def test_singular_valuation_date_raises(self, k):

@@ -22,6 +22,7 @@ from parabolic_sv.monte_carlo import BLOCK_SIZE
 
 EXP = VolFunction.separable_exp()
 FLAT = VolFunction.y_constant()
+TABLE = VolFunction.tabulated([-1.0, -0.2, 0.3, 1.0], [0.3, 0.2, 0.22, 0.35])
 
 
 def flat_vol_model(**kw):
@@ -255,3 +256,133 @@ class TestConfigValidation:
         spec = OptionSpec(spot=100.0, strike=100.0, t=0.5, maturity=0.5)
         with pytest.raises(ConfigError):
             simulate_terminal(build_model(), spec, EXP, SimConfig(n_paths=64))
+
+
+def reference_sample(model, spec, vol, cfg, collect=0):
+    """Terminal (x, y, z) and the dumped leading paths, from a plain step loop.
+
+    The loop allocates each step's arrays afresh and keeps Z as an array of
+    paths.  Each block draws from its own Philox substream of ``(seed,
+    block)``: ``(3, n)`` normals per step where Z is a random OU path, and
+    ``(2, n)`` where Z rides its arc or, at ``eta = 0``, its mean path.
+    """
+    horizon = spec.maturity - spec.t
+    n_steps = max(1, round(cfg.steps_per_year * horizon))
+    dt = horizon / n_steps
+    frozen_z = cfg.z_scheme == "parabolic"
+    dim = 3 if cfg.z_scheme == "ou" and model.eta > 0.0 else 2
+    chol = np.linalg.cholesky(np.array([
+        [1.0, model.rho_xy, model.rho_xz],
+        [model.rho_xy, 1.0, model.rho_yz],
+        [model.rho_xz, model.rho_yz, 1.0],
+    ]))
+    arc = parabolic_coefficients(model)
+    decay_y = math.exp(-dt / model.epsilon)
+    sd_y = model.nu * math.sqrt(1.0 - decay_y * decay_y)
+    decay_z = math.exp(-model.k * dt)
+    sd_z = model.eta * math.sqrt((1.0 - decay_z * decay_z) / (2.0 * model.k))
+
+    def f(y, z):
+        if vol.kind == "y_constant":
+            return np.broadcast_to(z, y.shape).copy()
+        if vol.kind == "separable_exp":
+            return z * np.exp(y)
+        return np.interp(y, np.asarray(vol.y_nodes), np.asarray(vol.f_values))
+
+    sizes = [BLOCK_SIZE] * (cfg.n_paths // BLOCK_SIZE) + [cfg.n_paths % BLOCK_SIZE] * bool(cfg.n_paths % BLOCK_SIZE)
+    xs, ys, zs, dump = [], [], [], {"x": [], "y": [], "z": []}
+    for block, nb in enumerate(sizes):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,))))
+        log_x = np.full(nb, math.log(spec.spot))
+        y = np.full(nb, model.m)
+        z0 = arc.value(spec.t) if frozen_z else model.m_prime + (model.z0 - model.m_prime) * math.exp(-model.k * spec.t)
+        z = np.full(nb, float(z0))
+        keep = collect if block == 0 else 0
+        rows = [(np.full(keep, spec.spot), y[:keep], z[:keep])]
+        for j in range(n_steps):
+            sigma = f(y, z)
+            if cfg.antithetic:
+                half = rng.standard_normal((dim, nb // 2))
+                raw = np.concatenate([half, -half], axis=1)
+            else:
+                raw = rng.standard_normal((dim, nb))
+            xi_x = chol[0, 0] * raw[0]
+            xi_y = chol[1, 0] * raw[0] + chol[1, 1] * raw[1]
+            log_x = log_x + ((model.r - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * xi_x)
+            y = model.m + (y - model.m) * decay_y + sd_y * xi_y
+            if frozen_z:
+                z = np.full(nb, float(arc.value(spec.t + (j + 1) * dt)))
+            elif dim == 3:
+                xi_z = chol[2, 0] * raw[0] + chol[2, 1] * raw[1] + chol[2, 2] * raw[2]
+                z = model.m_prime + (z - model.m_prime) * decay_z + sd_z * xi_z
+            else:
+                z = model.m_prime + (z - model.m_prime) * decay_z
+            rows.append((np.exp(log_x[:keep]), y[:keep], z[:keep]))
+        xs.append(np.exp(log_x))
+        ys.append(y)
+        zs.append(z)
+        if keep:
+            for i, name in enumerate("xyz"):
+                dump[name] = np.stack([row[i] for row in rows], axis=1)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(zs), dump
+
+
+class TestStepLoopReference:
+    """The in-place step loop against the plain loop of :func:`reference_sample`,
+    bit for bit, over a block and a remainder."""
+
+    MODEL = dict(rho_xy=-0.3, rho_xz=0.2, rho_yz=0.4, z0=0.2, m_prime=0.15)
+    SPEC = OptionSpec(spot=100.0, strike=95.0, t=0.1, maturity=0.12)
+
+    def assert_matches(self, model, vol, cfg):
+        sample = simulate_terminal(model, self.SPEC, vol, cfg, return_paths=3)
+        x, y, z, dump = reference_sample(model, self.SPEC, vol, cfg, collect=3)
+        assert sample.block_sizes == (BLOCK_SIZE, 1002)
+        assert np.array_equal(sample.x, x)
+        assert np.array_equal(sample.y, y)
+        assert np.array_equal(sample.z, z)
+        for name in "xyz":
+            assert np.array_equal(getattr(sample.paths, name), dump[name]), name
+
+    @pytest.mark.parametrize("scheme, eta", [("parabolic", 0.0), ("ou", 0.1)])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("vol", [FLAT, EXP, TABLE], ids=["y_constant", "separable_exp", "tabulated"])
+    def test_bit_identical_to_the_plain_loop(self, scheme, eta, antithetic, vol):
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 1002, steps_per_year=400, seed=5, z_scheme=scheme,
+                        antithetic=antithetic)
+        self.assert_matches(build_model(eta=eta, **self.MODEL), vol, cfg)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("vol", [FLAT, EXP], ids=["y_constant", "separable_exp"])
+    def test_deterministic_z_draws_two_normals(self, antithetic, vol):
+        # at eta = 0 no W^z is drawn: the (W^x, W^y) draws of each step are
+        # the (2, n) normals of the block's substream
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 1002, steps_per_year=400, seed=5, antithetic=antithetic)
+        self.assert_matches(build_model(**self.MODEL), vol, cfg)
+
+
+class TestDeterministicSlowFactor:
+    """``z_scheme = "ou"`` at ``eta = 0``: Z is its OU mean path."""
+
+    def test_terminal_z_is_the_mean_recursion(self):
+        model = build_model(k=0.5, z0=0.25, m_prime=0.15)
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.2, maturity=0.5)
+        cfg = SimConfig(n_paths=1 << 10, steps_per_year=100, seed=43)
+        sample = simulate_terminal(model, spec, EXP, cfg)
+        n_steps = round(100 * 0.3)
+        decay = math.exp(-model.k * (0.3 / n_steps))
+        z = model.m_prime + (model.z0 - model.m_prime) * math.exp(-model.k * spec.t)
+        for _ in range(n_steps):
+            z = model.m_prime + (z - model.m_prime) * decay
+        assert np.all(sample.z == z)
+
+    def test_spot_and_fast_factor_correlation(self):
+        # as in test_driving_noise_correlations: after one step log X and Y
+        # are linear in the (W^x, W^y) draws
+        model = build_model(rho_xy=-0.2, rho_xz=0.1, rho_yz=0.3)
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.01)
+        cfg = SimConfig(n_paths=1 << 16, steps_per_year=100, seed=11)
+        sample = simulate_terminal(model, spec, EXP, cfg)
+        got = np.corrcoef(np.log(sample.x), sample.y)[0, 1]
+        se = (1.0 - 0.2 * 0.2) / math.sqrt(sample.x.size)
+        assert abs(got - (-0.2)) <= 4.0 * se, got
