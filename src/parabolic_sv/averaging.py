@@ -34,7 +34,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputDomainError, NumericalOverflowError
 from .params import ModelParams
@@ -137,14 +137,13 @@ class VolFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(NamedTuple):
     """Averaged quantities at one slow-factor level and how they were computed.
 
     ``method`` names the exact expression used (``closed_form`` or
     ``piecewise_gaussian``), ``n_nodes`` counts the pieces it sums (1 for a
     closed form) and ``refine_delta`` is the error estimate, 0.0 for an exact
-    result.
+    result.  An immutable named tuple.
     """
 
     sigma_bar: float

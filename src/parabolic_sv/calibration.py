@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import CallConstants, call_and_d1d2
-from .black_scholes import BsInputs, bs_call_price
+from .black_scholes import BsInputs, bs_call_and_d1d2, bs_call_price
 from .errors import (
     ChainParseError,
     EmptyChainError,
@@ -192,10 +192,15 @@ def implied_vol(price: float, spot: float, strike: float, rate: float, tau: floa
 
     The call value increases with the volatility, so halving the bracket keeps
     the root inside it until its ends are neighbouring floats; the upper end
-    is returned.
+    is returned.  The inputs are checked once, at the bracket's lower end:
+    only the volatility moves, and it stays inside the bracket.
     """
-    f = lambda s: bs_call_price(BsInputs(spot, strike, rate, s, tau)) - price
     lo, hi = 1e-9, 5.0
+    inp = BsInputs(spot, strike, rate, lo, tau)
+    if tau == 0.0:  # the call value is the payoff at every volatility
+        f = lambda s: bs_call_price(inp) - price
+    else:
+        f = lambda s: bs_call_and_d1d2(spot, strike, rate, s, tau)[0] - price
     if not f(lo) <= 0.0 <= f(hi):
         return math.nan
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -14,6 +14,13 @@ arc z(t):
 
 Combined: ``total = (1+g) * (Q0 + sqrt(epsilon) * time_factor * V * D1D2 Q0)``.
 
+:func:`price_first_order` makes one checked pass per contract.  ``OptionSpec``
+and ``ModelParams`` have checked the spot, the strike, the dates and ``r``,
+so only the averaged ``sigma_bar`` and the discount factor are checked here,
+with the messages and in the order of ``BsInputs``; ``Q0`` and ``D1D2`` then
+come from one ``d1`` of :func:`~parabolic_sv.black_scholes.bs_call_and_d1d2`.
+The result is a :class:`PriceBreakdown`, an immutable named tuple.
+
 The modification factor does *not* tend to one at expiry, so the formula's own
 t -> T limit disagrees with the payoff; valuation exactly at t = T therefore
 short-circuits to the payoff.  The residual of the modified pricing operator
@@ -24,10 +31,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .averaging import AveragingCache, EffectiveParams, VolFunction, effective_params
-from .black_scholes import BsInputs, bs_call_price, d1d2_call
+from .black_scholes import (
+    BsInputs,
+    bs_call_and_d1d2,
+    bs_call_price,
+    check_discount,
+    check_finite,
+    check_interior,
+)
 from .errors import InputDomainError, LogDomainError, NumericalOverflowError, SingularTimeError
 from .params import ModelParams, OptionSpec
 from .slow_factor import SINGULAR_FLOOR, gamma_coefficient, parabolic_coefficients
@@ -118,8 +132,7 @@ def p1_time_factor(t: float, maturity: float, k: float) -> float:
     return 2.0 * (math.log1p(k * (maturity - t) / dt_) / k + (maturity - t) / (dT * dt_))
 
 
-@dataclass(frozen=True)
-class PriceBreakdown:
+class PriceBreakdown(NamedTuple):
     """All components of the first-order price at one valuation date."""
 
     z: float
@@ -155,6 +168,8 @@ def price_first_order(
     the payoff.
 
     Raises:
+        InputDomainError: when ``sigma_bar`` is not finite or is 0, or when
+            the discount factor ``exp(-r tau)`` overflows.
         NumericalOverflowError: when the modification factor overflows, or
             underflows below the smallest normal float.
     """
@@ -177,9 +192,12 @@ def price_first_order(
 
     z = float(parabolic_coefficients(model).value(spec.t))
     eff = effective_params(vol, z, model, cache=cache)
-    inp = BsInputs(spec.spot, spec.strike, model.r, eff.sigma_bar, spec.tau)
-    q0 = bs_call_price(inp)
-    dd = d1d2_call(inp)
+    sigma, tau = eff.sigma_bar, spec.tau
+    # tau > 0 past the payoff branch; the checks of BsInputs that can still fail
+    check_finite("sigma", sigma)
+    check_discount(model.r, tau)
+    check_interior(sigma, tau, "d1d2_call")
+    q0, dd = bs_call_and_d1d2(spec.spot, spec.strike, model.r, sigma, tau)
     tf = p1_time_factor(spec.t, spec.maturity, model.k)
     mod = _pricing_factor(spec.t, model)
     total = mod * (q0 + math.sqrt(model.epsilon) * tf * eff.v * dd)

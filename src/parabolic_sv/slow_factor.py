@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SingularTimeError
 from .params import ModelParams
@@ -30,9 +31,9 @@ __all__ = [
 SINGULAR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ParabolicSlowFactor:
-    """Coefficients of the arc ``z(t) = a_coef t^2 + b_coef t + c_coef``."""
+class ParabolicSlowFactor(NamedTuple):
+    """Coefficients of the arc ``z(t) = a_coef t^2 + b_coef t + c_coef``; an
+    immutable named tuple."""
 
     a_coef: float
     b_coef: float

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from parabolic_sv import BsInputs, InputDomainError, bs_call_price, bs_greeks, d1d2_call
 from parabolic_sv.arrays import CallConstants, call_and_d1d2
+from parabolic_sv.black_scholes import bs_call_and_d1d2
 from parabolic_sv.black_scholes import norm_cdf, norm_pdf
 
 
@@ -219,6 +220,28 @@ class TestOperatorD1D2:
             d1d2_call(BsInputs(100.0, 100.0, 0.0264, 0.0, 1.0))
         with pytest.raises(InputDomainError):
             d1d2_call(BsInputs(100.0, 100.0, 0.0264, 0.2, 0.0))
+
+
+class TestScalarKernel:
+    """bs_call_and_d1d2: the one scalar formula behind bs_call_price and d1d2_call."""
+
+    def test_same_bits_as_the_formula_written_out(self):
+        # d1 once, then the call value and D1D2 in the order of the formulas:
+        # x N(d1) - (K e^{-r tau}) N(d2), and x n(d1) / st * (1 - d1 / st)
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            spot, strike = float(rng.uniform(50.0, 150.0)), float(rng.uniform(20.0, 400.0))
+            rate, sigma = float(rng.uniform(-0.02, 0.1)), float(rng.uniform(0.01, 2.0))
+            tau = float(10.0 ** rng.uniform(-4.0, math.log10(5.0)))
+            st = sigma * math.sqrt(tau)
+            d1 = (math.log(spot / strike) + (rate + 0.5 * sigma**2) * tau) / st
+            disc_k = strike * math.exp(-rate * tau)
+            want_call = spot * norm_cdf(d1) - disc_k * norm_cdf(d1 - st)
+            want_dd = spot * norm_pdf(d1) / st * (1.0 - d1 / st)
+            args = (spot, strike, rate, sigma, tau)
+            assert bs_call_and_d1d2(*args) == (want_call, want_dd), args
+            assert bs_call_price(BsInputs(*args)) == want_call, args
+            assert d1d2_call(BsInputs(*args)) == want_dd, args
 
 
 class TestArrayKernel:

@@ -191,6 +191,40 @@ class TestImpliedVol:
             resolved += 1
 
 
+    def test_same_bits_as_bisecting_the_checked_call(self):
+        # one check at the bracket's lower end, then the shared kernel: the
+        # root is the one a checked bs_call_price per step gives
+        def bisect_checked(price, spot, strike, rate, tau):
+            f = lambda s: bs_call_price(BsInputs(spot, strike, rate, s, tau)) - price
+            lo, hi = 1e-9, 5.0
+            if not f(lo) <= 0.0 <= f(hi):
+                return math.nan
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if f(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        rng = np.random.default_rng(29)
+        resolved = 0
+        for _ in range(150):
+            args = (float(rng.uniform(0.0, 60.0)), float(rng.uniform(50.0, 150.0)), float(rng.uniform(20.0, 400.0)),
+                    float(rng.uniform(-0.02, 0.1)), float(10.0 ** rng.uniform(-4.0, math.log10(5.0))))
+            want, got = bisect_checked(*args), implied_vol(*args)
+            assert got == want or (math.isnan(got) and math.isnan(want)), args
+            resolved += not math.isnan(want)
+        assert resolved >= 30
+        # at tau = 0 the call value is the payoff at every volatility
+        assert implied_vol(5.0, 100.0, 95.0, 0.0, 0.0) == bisect_checked(5.0, 100.0, 95.0, 0.0, 0.0)
+
+    def test_bad_inputs_raise_before_the_bisection(self):
+        with pytest.raises(InputDomainError, match="discount factor"):
+            implied_vol(1.0, 100.0, 100.0, -2000.0, 0.5)
+        with pytest.raises(InputDomainError, match="tau = -1 must be >= 0"):
+            implied_vol(1.0, 100.0, 100.0, 0.0, -1.0)
+
+
 class TestEstimateA:
     def test_zero_noise_recovery(self):
         quotes = synth_quotes(a=0.05)

@@ -259,6 +259,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: discount factor") and len(err.strip().splitlines()) == 1
 
+    def test_zero_sigma_bar_is_input_error(self, tmp_path, capsys):
+        # separable_exp's sigma_bar = z e^(m + nu^2) underflows to 0 at m = -800
+        cfg = self.good_price_cfg(tmp_path, m=-800.0)
+        assert main(["price", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert_one_error_line(err, "d1d2_call undefined at sigma = 0, tau = 0.5")
+        assert out == ""
+
     def test_every_error_class_is_in_the_table(self):
         assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(README_EXIT_CODES)
 

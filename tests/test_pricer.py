@@ -8,17 +8,24 @@ import pytest
 
 from parabolic_sv import (
     AveragingCache,
+    BsInputs,
+    EffectiveParams,
     InputDomainError,
     LogDomainError,
     NumericalOverflowError,
     OptionSpec,
     SingularTimeError,
+    ParabolicSlowFactor,
+    PriceBreakdown,
     VolFunction,
+    bs_call_price,
     build_model,
+    d1d2_call,
     effective_params,
     modification_factor,
     p0_pde_residual,
     p1_time_factor,
+    parabolic_coefficients,
     price_first_order,
 )
 
@@ -129,6 +136,89 @@ class TestBreakdownFrozen:
         core = math.sqrt(model.epsilon) * got.time_factor * got.v * got.d1d2
         assert got.total == pytest.approx(got.mod_factor * (got.q0 + core), rel=1e-14)
         assert got.correction == pytest.approx(got.total - got.p0, abs=1e-12)
+
+
+class TestOnePass:
+    """price_first_order checks its inputs once and takes Q0 and D1D2 from one
+    d1; every component stays the composition of the checked public parts."""
+
+    TABLE = VolFunction.tabulated((-1.0, -0.2, 0.3, 1.0), (0.3, 0.2, 0.22, 0.4))
+
+    @staticmethod
+    def composed(spec, model, vol):
+        z = float(parabolic_coefficients(model).value(spec.t))
+        eff = effective_params(vol, z, model)
+        inp = BsInputs(spec.spot, spec.strike, model.r, eff.sigma_bar, spec.tau)
+        q0, dd = bs_call_price(inp), d1d2_call(inp)
+        tf = p1_time_factor(spec.t, spec.maturity, model.k)
+        mod = modification_factor(spec.t, model.a, model.r, model.k)
+        total = mod * (q0 + math.sqrt(model.epsilon) * tf * eff.v * dd)
+        p0 = mod * q0
+        return PriceBreakdown(z, eff.sigma_bar, q0, mod, p0, tf, eff.v, dd, total - p0, total)
+
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no_cache", "cache"])
+    def test_components_equal_the_checked_composition(self, with_cache):
+        rng = np.random.default_rng(17)
+        cache = AveragingCache() if with_cache else None
+        vols = (FLAT, EXP, self.TABLE)
+        for i in range(600):
+            model = build_model(
+                r=float(rng.uniform(-0.02, 0.1)), nu=float(rng.uniform(0.05, 1.5)),
+                rho_xy=float(rng.uniform(-0.9, 0.9)), m=float(rng.uniform(-0.5, 0.5)),
+                z0=float(rng.uniform(0.05, 0.5)), k=float(10.0 ** rng.uniform(-4.0, -1.0)),
+            )
+            t = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            tau = float(10.0 ** rng.uniform(-4.0, math.log10(5.0)))
+            spec = OptionSpec(100.0, float(rng.uniform(20.0, 400.0)), t, t + tau)
+            vol = vols[i % 3]
+            want = self.composed(spec, model, vol)
+            for _ in range(2 if with_cache else 1):  # the second price hits the cache
+                got = price_first_order(spec, model, vol, cache=cache)
+                # == per field: every component bit for bit
+                assert got._asdict() == want._asdict(), (i, spec, model)
+
+    def test_non_finite_sigma_bar_is_refused(self):
+        # f^2 overflows in the table's moments, and sigma_bar comes out NaN
+        table = VolFunction.tabulated((-1.0, 0.0, 1.0), (1e200, 2e200, 1e200))
+        with pytest.raises(InputDomainError) as exc:
+            price_first_order(ATM, build_model(), table)
+        assert str(exc.value) == "sigma = nan is not a finite number"
+
+    def test_overflowing_discount_factor_is_refused(self):
+        with pytest.raises(InputDomainError) as exc:
+            price_first_order(ATM, build_model(r=-2000.0), EXP)
+        assert str(exc.value) == "discount factor exp(-r * tau) overflows at r = -2000.0, tau = 0.5"
+
+    def test_zero_sigma_bar_is_refused(self):
+        # separable_exp's e^(m + nu^2) underflows to 0 at m = -800
+        assert effective_params(EXP, 0.2, build_model(m=-800.0)).sigma_bar == 0.0
+        with pytest.raises(InputDomainError) as exc:
+            price_first_order(ATM, build_model(m=-800.0), EXP)
+        assert str(exc.value) == "d1d2_call undefined at sigma = 0, tau = 0.5"
+
+    def test_checks_run_in_the_order_of_bs_inputs(self):
+        # with two faults at once, the first check of BsInputs names the fault:
+        # finiteness, then the discount factor, then d1d2_call's interior
+        nan_table = VolFunction.tabulated((-1.0, 0.0, 1.0), (1e200, 2e200, 1e200))
+        with pytest.raises(InputDomainError, match="^sigma = nan is not a finite number$"):
+            price_first_order(ATM, build_model(r=-2000.0), nan_table)
+        with pytest.raises(InputDomainError, match="^discount factor exp"):
+            price_first_order(ATM, build_model(r=-2000.0, m=-800.0), EXP)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            price_first_order(ATM, build_model(), EXP),
+            effective_params(EXP, 0.2, build_model()),
+            parabolic_coefficients(build_model()),
+        ],
+        ids=lambda r: type(r).__name__,
+    )
+    def test_records_are_immutable(self, record):
+        assert isinstance(record, (PriceBreakdown, EffectiveParams, ParabolicSlowFactor))
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1.0)
 
 
 class TestReductions:
