@@ -52,8 +52,9 @@ from .pricer import (
     price_first_order,
 )
 
-# The names of the modules that build arrays are imported on first use (PEP
-# 562): those modules load numpy, which a price process never needs.
+# The names of calibration and of the modules that build arrays are imported
+# on first use (PEP 562): a price process needs none of them, nor the numpy
+# that the array modules load.
 _LAZY_MODULES = {
     "arrays": ("phi_residual_check", "solve_phi_derivative"),
     "calibration": (

@@ -1,12 +1,11 @@
-"""The package's numpy code outside Monte Carlo and calibration.
+"""The package's numpy code outside Monte Carlo.
 
 Importing this module loads numpy, which the scalar pricing path (``price``)
-never does, so neither ``averaging`` nor ``black_scholes`` imports it.
+and ``calibrate`` with ``fit = a`` never do, so neither ``averaging`` nor
+``black_scholes`` imports it.
 
 * :func:`vol_values` -- the vol function f(y, z) on arrays of y, which Monte
   Carlo steps with;
-* :class:`CallConstants` and :func:`call_and_d1d2` -- the Black-Scholes call
-  value and D1D2 of a whole chain at one volatility, for calibration;
 * :func:`solve_phi_derivative` and :func:`phi_residual_check` -- the
   dense-grid Poisson oracle that ``diagnose`` and the tests set against the
   exact averages: the integrating-factor form ``phi'(y) = (1 / (nu^2 p(y)))
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +23,7 @@ from .averaging import VolFunction, _check_state, sigma_bar
 from .errors import CenteringFailureError
 
 __all__ = [
-    "CallConstants",
     "PhiSolution",
-    "call_and_d1d2",
     "phi_residual_check",
     "solve_phi_derivative",
     "vol_values",
@@ -48,7 +44,6 @@ RESIDUAL_WIDTH = 6.0
 #: lies on the grid; inserting it would leave a cell too narrow to difference.
 _KNOT_SNAP = 1e-9
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -69,59 +64,6 @@ def vol_values(vol: VolFunction, y, z, out: np.ndarray | None = None):
     else:
         f = np.interp(y, np.asarray(vol.y_nodes), np.asarray(vol.f_values))
     return f if f.shape else float(f)
-
-
-# ---------------------------------------------------------------------------
-# the Black-Scholes kernel over a chain
-# ---------------------------------------------------------------------------
-
-
-class CallConstants(NamedTuple):
-    """Per-contract constants of :func:`call_and_d1d2`: everything but sigma.
-
-    Build with :meth:`of`; the inputs are taken as already validated
-    (positive spot and strike, positive finite ``tau``).
-    """
-
-    spot: np.ndarray
-    log_moneyness: np.ndarray  # log(spot / strike)
-    rate: np.ndarray
-    tau: np.ndarray
-    sqrt_tau: np.ndarray
-    disc_strike: np.ndarray  # strike * exp(-rate * tau)
-
-    @classmethod
-    def of(cls, spot, strike, rate, tau) -> "CallConstants":
-        spot, strike, rate, tau = (np.asarray(v, dtype=float) for v in (spot, strike, rate, tau))
-        return cls(
-            spot=spot,
-            log_moneyness=np.log(spot / strike),
-            rate=rate,
-            tau=tau,
-            sqrt_tau=np.sqrt(tau),
-            disc_strike=strike * np.exp(-rate * tau),
-        )
-
-
-def call_and_d1d2(c: CallConstants, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Call value and D1D2 of every contract in ``c`` at volatility ``sigma``.
-
-    Array form of :func:`~parabolic_sv.black_scholes.bs_call_price` and
-    :func:`~parabolic_sv.black_scholes.d1d2_call` sharing one ``d1``; defined
-    on interior inputs only (``sigma > 0``, ``tau > 0``), so the caller rules
-    out the boundary cases.  The call value applies the formula of
-    :func:`~parabolic_sv.black_scholes.norm_cdf` element by element
-    (``math.erfc`` has no array form), so it is the one ``bs_call_price``
-    gives from the same ``d1`` and ``d2``.
-    """
-    st = sigma * c.sqrt_tau
-    d1 = (c.log_moneyness + (c.rate + 0.5 * sigma**2) * c.tau) / st
-    call = np.array([
-        x * (0.5 * math.erfc(-a / _SQRT2)) - k * (0.5 * math.erfc(-b / _SQRT2))
-        for x, a, k, b in zip(c.spot.tolist(), d1.tolist(), c.disc_strike.tolist(), (d1 - st).tolist())
-    ])
-    d1d2 = c.spot * (np.exp(-0.5 * d1 * d1) / _SQRT_2PI) / st * (1.0 - d1 / st)
-    return call, d1d2
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Classical Black-Scholes call pricing, greeks and the x(x^2 C_xx)_x operator.
 
 The functions price one contract with :mod:`math`, so pricing loads no numpy.
-:func:`bs_call_and_d1d2` is the one scalar formula of the call value and
-D1D2: it takes raw floats, computes ``d1`` once and checks nothing.
-:func:`bs_call_price` and :func:`d1d2_call` wrap it behind the checked
-:class:`BsInputs` and its degenerate ``sigma = 0`` / ``tau = 0`` branches;
-the pricer and ``implied_vol``, whose inputs are checked already, call it
-directly.  The check helpers (``check_finite``, ``check_discount``,
-``check_interior``) are shared with them, so each message has one home.
-The numpy kernel that prices a whole chain at one volatility
-(``call_and_d1d2`` from per-contract ``CallConstants``) lives in
-:mod:`parabolic_sv.arrays`.
+:func:`call_and_d1d2_at` is the one formula of the call value and D1D2: it
+takes a contract's :func:`call_constants` and a volatility, computes ``d1``
+once and checks nothing.  Calibration computes each quote's constants once
+and calls it at every volatility it tries; :func:`bs_call_and_d1d2` computes
+the constants and calls it for one contract.  :func:`bs_call_price` and
+:func:`d1d2_call` wrap that behind the checked :class:`BsInputs` and its
+degenerate ``sigma = 0`` / ``tau = 0`` branches; the pricer and
+``implied_vol``, whose inputs are checked already, call it directly.  The
+check helpers (``check_finite``, ``check_discount``, ``check_interior``) are
+shared with them, so each message has one home.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ __all__ = [
     "bs_call_and_d1d2",
     "bs_call_price",
     "bs_greeks",
+    "call_and_d1d2_at",
+    "call_constants",
     "d1d2_call",
     "norm_cdf",
     "norm_pdf",
@@ -102,24 +104,49 @@ class Greeks(NamedTuple):
     theta: float  # in calendar time: d(price)/dt at fixed maturity
 
 
-def _d1(spot: float, strike: float, rate: float, sigma: float, tau: float) -> tuple[float, float]:
-    """``(d1, sigma sqrt(tau))``."""
-    st = sigma * math.sqrt(tau)
-    return (math.log(spot / strike) + (rate + 0.5 * sigma**2) * tau) / st, st
+def call_constants(spot: float, strike: float, rate: float, tau: float) -> tuple[float, ...]:
+    """The constants of one contract that :func:`call_and_d1d2_at` takes
+    before the volatility: ``(spot, log(spot/strike), strike e^{-rate tau},
+    rate, tau, sqrt(tau))``."""
+    return spot, math.log(spot / strike), strike * math.exp(-rate * tau), rate, tau, math.sqrt(tau)
+
+
+def call_and_d1d2_at(
+    spot: float,
+    log_moneyness: float,
+    disc_strike: float,
+    rate: float,
+    tau: float,
+    sqrt_tau: float,
+    sigma: float,
+) -> tuple[float, float]:
+    """Call value and D1D2 of one contract, from its :func:`call_constants`
+    and one ``d1``.
+
+    Defined on interior inputs only (``sigma > 0``, ``tau > 0``) and checks
+    nothing, so the caller validates first.  The call value is
+    ``x N(d1) - K e^{-r tau} N(d2)`` and D1D2 the closed form
+    ``x n(d1)/(sigma sqrt(tau)) * (1 - d1/(sigma sqrt(tau)))``, with
+    :func:`norm_cdf` and :func:`norm_pdf` written out.  Where ``n(d1)``
+    underflows to 0, D1D2 is its limit, a zero of the sign of
+    ``1 - d1/(sigma sqrt(tau))``: at a tiny ``sigma`` that ratio overflows,
+    and the product would read ``0 * inf``.
+    """
+    st = sigma * sqrt_tau
+    d1 = (log_moneyness + (rate + 0.5 * sigma**2) * tau) / st
+    call = spot * (0.5 * math.erfc(-d1 / _SQRT2)) - disc_strike * (0.5 * math.erfc(-(d1 - st) / _SQRT2))
+    pdf = math.exp(-0.5 * d1 * d1) / _SQRT_2PI
+    if not pdf:
+        return call, math.copysign(0.0, 1.0 - d1 / st)
+    return call, spot * pdf / st * (1.0 - d1 / st)
 
 
 def bs_call_and_d1d2(
     spot: float, strike: float, rate: float, sigma: float, tau: float
 ) -> tuple[float, float]:
-    """Call value and D1D2 of one contract from one ``d1``.
-
-    Defined on interior inputs only (``sigma > 0``, ``tau > 0``) and checks
-    nothing, so the caller validates first.  D1D2 is the closed form
-    ``x n(d1)/(sigma sqrt(tau)) * (1 - d1/(sigma sqrt(tau)))``.
-    """
-    d1, st = _d1(spot, strike, rate, sigma, tau)
-    call = spot * norm_cdf(d1) - strike * math.exp(-rate * tau) * norm_cdf(d1 - st)
-    return call, spot * norm_pdf(d1) / st * (1.0 - d1 / st)
+    """Call value and D1D2 of one contract: :func:`call_and_d1d2_at` on the
+    contract's :func:`call_constants`.  Checks nothing, as that does."""
+    return call_and_d1d2_at(*call_constants(spot, strike, rate, tau), sigma)
 
 
 def bs_call_price(inp: BsInputs) -> float:
@@ -134,10 +161,10 @@ def bs_call_price(inp: BsInputs) -> float:
 def bs_greeks(inp: BsInputs) -> Greeks:
     """Closed-form delta, gamma, vega and calendar theta of the call."""
     check_interior(inp.sigma, inp.tau, "greeks")
-    d1, st = _d1(inp.spot, inp.strike, inp.rate, inp.sigma, inp.tau)
-    sqrt_tau = math.sqrt(inp.tau)
+    _, log_moneyness, disc_k, _, _, sqrt_tau = call_constants(inp.spot, inp.strike, inp.rate, inp.tau)
+    st = inp.sigma * sqrt_tau
+    d1 = (log_moneyness + (inp.rate + 0.5 * inp.sigma**2) * inp.tau) / st
     pdf1 = norm_pdf(d1)
-    disc_k = inp.strike * math.exp(-inp.rate * inp.tau)
     return Greeks(
         delta=norm_cdf(d1),
         gamma=pdf1 / (inp.spot * st),

@@ -13,11 +13,16 @@ linear in ``(M, M v_eff)``, and by golden section over several.
 * :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)``.  At one
   valuation date a derivative-free simplex searches ``(k, sigma_bar)`` only
   and ``(a, v_eff)`` is solved exactly at each of its points
-  (:meth:`_ChainModel.level_objective`: one level fit, whose vectors also
-  give the misfit); over several dates the simplex searches
-  ``(a, k, sigma_bar)``.  Seeded random restarts inside the box
+  (:meth:`_ChainModel.level_objective`: one pass over the quotes for the
+  level fit's sums, one for the misfit); over several dates the simplex
+  searches ``(a, k, sigma_bar)``.  Seeded random restarts inside the box
   :data:`BOUNDS` keep the search deterministic per seed, and a start stops
   re-descending once its misfit reaches :data:`ROUNDING_FLOOR`.
+
+The model works on plain floats through the one scalar Black-Scholes formula,
+:func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.  Only the restarts of
+:func:`calibrate_effective` load numpy, for its seeded generator, so
+:func:`estimate_a` runs without it.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -33,11 +38,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
-import numpy as np
-
-from .arrays import CallConstants, call_and_d1d2
-from .black_scholes import BsInputs, bs_call_and_d1d2, bs_call_price
+from .black_scholes import BsInputs, bs_call_and_d1d2, bs_call_price, call_and_d1d2_at, call_constants
 from .errors import (
     ChainParseError,
     EmptyChainError,
@@ -297,13 +300,12 @@ def _level_fit(
     pieces: list[tuple[float, float]],
     a_ref: float,
     g: float,
-    mids: np.ndarray,
-    b: np.ndarray,
-    s: np.ndarray,
+    sums: tuple[float, float, float, float, float],
     v_box: tuple[float, float],
 ) -> tuple[float, float]:
     """Exact least-squares ``a`` of ``mids ~ M (b + v s)`` with ``M = exp((a - a_ref) g)``,
-    and the level ``M`` it takes there.
+    and the level ``M`` it takes there, from the sums ``(b.b, b.s, b.mids,
+    s.s, s.mids)``.
 
     The model is linear in ``(M, w) = (M, M v)``.  Each a-piece is an interval
     of ``M`` and the ``v`` box is the cone ``v_lo M <= w <= v_hi M``, so the
@@ -316,8 +318,7 @@ def _level_fit(
     """
     if g == 0.0:  # M = 1 for every a
         return pieces[0][0], 1.0
-    y = np.array([b, s, mids])
-    (bb, bs, bm), (_, ss, sm), _ = (y @ y.T).tolist()
+    bb, bs, bm, ss, sm = sums
     if not bb > 0.0:  # no quote depends on a
         a = pieces[0][0]
         level = (a - a_ref) * g
@@ -410,7 +411,7 @@ def estimate_a(
     rate = _rate_of(quotes, r)
     sigma = _atm_sigma(quotes)
     a_lo, a_hi = BOUNDS["a"]
-    lo, hi = np.array([a_lo, k, sigma]), np.array([a_hi, k, sigma])
+    lo, hi = (a_lo, k, sigma), (a_hi, k, sigma)
 
     def model(chain: list[OptionQuote]) -> _ChainModel:
         return _ChainModel(chain, lo, hi, (0.0, 0.0), rate)
@@ -431,19 +432,10 @@ def estimate_a(
 
     return AEstimate(
         a_hat=a_hat,
-        objective=float(resid @ resid),
+        objective=sum(x * x for x in resid),
         sigma_bar_used=sigma,
         n_quotes=len(quotes),
         per_strike=tuple(per_strike),
-    )
-
-
-def _call_constants(quotes: list[OptionQuote]) -> CallConstants:
-    return CallConstants.of(
-        [q.spot for q in quotes],
-        [q.strike for q in quotes],
-        [q.rate for q in quotes],
-        [q.tau for q in quotes],
     )
 
 
@@ -456,21 +448,25 @@ class _ChainModel:
     ``v_eff`` profiled out, and the least-squares ``a`` for fixed
     ``(k, sigma_bar)``.
 
-    The chain's constants are computed once.  The modification and time
-    factors are computed once per distinct (t, T, r) date and broadcast to its
-    quotes; the rest is one vector expression.  ``rate``, when given, replaces
-    every quote's own rate in the modification factor (``Q0`` keeps the
-    quote's).  A ``v_box`` of ``(0, 0)`` pins ``v_eff`` at 0, and then no time
-    factor is evaluated, so dates straddling ``2/k`` stay feasible.  The
-    Black-Scholes kernel and the time factors of the last ``(k, sigma_bar)``
-    are kept, so the ``a`` solve and the ``v_eff`` at its result share them.
+    Each quote's :func:`~parabolic_sv.black_scholes.call_constants` are
+    computed once, and every ``(k, sigma_bar)`` point calls the one scalar
+    formula per quote on plain floats.  On the chains a fit serves, a dozen
+    or two quotes, that is cheaper than numpy calls on short arrays; past
+    about 30 quotes the arrays would win (``BENCH_18.json``).  The modification
+    and time factors are computed once per distinct (t, T, r) date.  ``rate``,
+    when given, replaces every quote's own rate in the modification factor
+    (``Q0`` keeps the quote's).  A ``v_box`` of ``(0, 0)`` pins ``v_eff`` at 0,
+    and then no time factor is evaluated, so dates straddling ``2/k`` stay
+    feasible.  The calls, D1D2 and time factors of the last
+    ``(k, sigma_bar)`` are kept, so the ``a`` solve over several dates and the
+    ``v_eff`` at its result share them.
     """
 
     def __init__(
         self,
         quotes: list[OptionQuote],
-        lo: np.ndarray,
-        hi: np.ndarray,
+        lo: Sequence[float],
+        hi: Sequence[float],
         v_box: tuple[float, float],
         rate: float | None = None,
     ):
@@ -480,66 +476,70 @@ class _ChainModel:
                 raise InputDomainError(f"r = {r!r} is too large: 2r overflows")
         for q in quotes:
             discount_factor(q.rate, q.tau)
-        self.mids = np.array([q.mid for q in quotes])
-        self.mid_abs = float(np.max(np.abs(self.mids)))
-        self.bs = _call_constants(quotes)
+        self.mids = [q.mid for q in quotes]
+        self.mid_abs = max(abs(m) for m in self.mids)
+        self.consts = [call_constants(q.spot, q.strike, q.rate, q.tau) for q in quotes]
         self.dates = list(dict.fromkeys(keys))
-        self.date_of = np.array([self.dates.index(key) for key in keys])
-        self.two_rs = np.array([2.0 * r for _, _, r in self.dates])
+        self.date_of = [self.dates.index(key) for key in keys]
+        self.two_rs = [2.0 * r for _, _, r in self.dates]
         self.rate_counts = Counter(2.0 * r for _, _, r in keys)
         self.n_quotes = len(quotes)
-        self.box = list(zip(lo.tolist(), hi.tolist()))
+        self.box = [(float(l), float(h)) for l, h in zip(lo, hi)]
         self.v_box = v_box
         self.a_pieces = _a_pieces(*self.box[0], self.rate_counts)
         valuation_dates = {q.t for q in quotes}
         self.single_date = valuation_dates.pop() if len(valuation_dates) == 1 else None
         self._kept = None, None
 
-    def _kernel(self, k: float, sig: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Calls, D1D2 and the per-date time factors at (k, sigma_bar)."""
+    def _time_factors(self, k: float, sig: float) -> list[float]:
+        """The per-date time factors at ``k``, once ``sigma_bar`` is checked."""
+        if not 0.0 < sig < math.inf:
+            raise InputDomainError(f"sigma_bar = {sig!r} must be positive and finite")
+        if self.v_box[0] == self.v_box[1] == 0.0:  # tf is multiplied by v_eff = 0
+            return [0.0] * len(self.dates)
+        return [p1_time_factor(t, mat, k) for t, mat, _ in self.dates]
+
+    def _kernel(self, k: float, sig: float) -> tuple[list[tuple[float, float]], list[float]]:
+        """Each quote's (call, D1D2) and the per-date time factors at (k, sigma_bar)."""
         if self._kept[0] != (k, sig):
-            if not 0.0 < sig < math.inf:
-                raise InputDomainError(f"sigma_bar = {sig!r} must be positive and finite")
-            if self.v_box[0] == self.v_box[1] == 0.0:  # tf is multiplied by v_eff = 0
-                tf = np.zeros(len(self.dates))
-            else:
-                tf = np.array([p1_time_factor(t, mat, k) for t, mat, _ in self.dates])
-            call, dd = call_and_d1d2(self.bs, sig)
-            self._kept = (k, sig), (call, dd, tf)
+            tf = self._time_factors(k, sig)
+            self._kept = (k, sig), ([call_and_d1d2_at(*c, sig) for c in self.consts], tf)
         return self._kept[1]
 
-    def profiled_v(self, a: float, k: float, sig: float) -> tuple[float, np.ndarray]:
-        """Least-squares v_eff given the nonlinear parameters (model is linear in it).
+    def profiled_v(self, a: float, k: float, sig: float) -> tuple[float, list[float]]:
+        """Least-squares v_eff given the nonlinear parameters (model is linear
+        in it), clamped to the v box, and the residuals there.
 
         Raises:
             SingularTimeError, NumericalOverflowError: from a modification
                 factor, and NumericalOverflowError also where the factor is
                 finite but the misfit's sums of squares would overflow.
         """
-        call, dd, tf = self._kernel(k, sig)
-        mod = np.array([modification_factor(t, a, r, k) for t, _, r in self.dates])
+        kernel, tf = self._kernel(k, sig)
+        mod = [modification_factor(t, a, r, k) for t, _, r in self.dates]
         # every entry of target, slope and the residual is at most `bound` in
         # size (|v| is clamped to the v box), so each sum of squares is at most
-        # n bound^2; Python floats reach inf here, where numpy would warn
-        top = float(np.max(mod))
+        # n bound^2 and finite when this is
+        top = max(mod)
         v_abs = max(-self.v_box[0], self.v_box[1])
-        bound = self.mid_abs + top * float(np.max(np.abs(call))) + v_abs * (
-            top * float(np.max(np.abs(tf))) * float(np.max(np.abs(dd)))
+        bound = self.mid_abs + top * max(abs(call) for call, _ in kernel) + v_abs * (
+            top * max(abs(f) for f in tf) * max(abs(dd) for _, dd in kernel)
         )
         if not 2.0 * self.n_quotes * bound * bound < math.inf:
             raise NumericalOverflowError(
                 f"modification factor {top:.6g} overflows the misfit (a = {a:g}, k = {k:g})"
             )
-        mod_tf = mod * tf
-        return self._profile(self.mids - mod[self.date_of] * call, mod_tf[self.date_of] * dd)
+        mod_tf = [m * f for m, f in zip(mod, tf)]
+        target = [mid - mod[d] * call for mid, d, (call, _) in zip(self.mids, self.date_of, kernel)]
+        slope = [mod_tf[d] * dd for d, (_, dd) in zip(self.date_of, kernel)]
+        v = self._profile(sum(x * y for x, y in zip(slope, target)), sum(x * x for x in slope))
+        return v, [y - v * x for y, x in zip(target, slope)]
 
-    def _profile(self, target: np.ndarray, slope: np.ndarray) -> tuple[float, np.ndarray]:
-        """The least-squares ``v`` of ``target ~ v slope`` clamped to the v box,
-        and the residual there."""
-        ss = float(slope @ slope)
-        v = float(slope @ target) / ss if ss > 1e-300 else 0.0
-        v = min(max(v, self.v_box[0]), self.v_box[1])
-        return v, target - v * slope
+    def _profile(self, slope_target: float, slope_slope: float) -> float:
+        """The least-squares ``v`` of ``target ~ v slope``, from the two sums of
+        products, clamped to the v box."""
+        v = slope_target / slope_slope if slope_slope > 1e-300 else 0.0
+        return min(max(v, self.v_box[0]), self.v_box[1])
 
     def objective(self, theta) -> float:
         """Price RMSE over (a, k, sigma_bar), with penalties outside the box and
@@ -559,7 +559,7 @@ class _ChainModel:
             _, resid = self.profiled_v(a, k, sig)
         except _INFEASIBLE:
             return 1e9
-        return math.sqrt(float(resid @ resid) / self.n_quotes) + penalty
+        return math.sqrt(sum(x * x for x in resid) / self.n_quotes) + penalty
 
     def _in_box(self, k: float, sig: float) -> bool:
         _, (k_lo, k_hi), (s_lo, s_hi) = self.box
@@ -586,41 +586,62 @@ class _ChainModel:
                     _, resid = self.profiled_v(a, k, sig)
                 except NumericalOverflowError:  # a sum of squares past the float range
                     return math.inf
-                return float(resid @ resid)
+                return sum(x * x for x in resid)
 
             return _golden_pieces(sse, self.a_pieces)
         return self._fit_level(k, sig)[0]
 
-    def _fit_level(self, k: float, sig: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    def _fit_level(
+        self, k: float, sig: float
+    ) -> tuple[float, float, list[float], list[float], tuple[float, float, float, float, float]]:
         """At one valuation date: the least-squares ``a`` of :func:`_level_fit`,
-        its level ``M``, and the base and slope vectors ``b`` and ``s`` of the
-        quotes ``M (b + v_eff s)``.  The rate ratios are taken against the rate
-        whose ratios stay <= 1."""
-        call, dd, tf = self._kernel(k, sig)
+        its level ``M``, the base and slope values ``b`` and ``s`` of the
+        quotes ``M (b + v_eff s)``, and the sums of products the fit took.
+        One pass over the quotes prices each and adds it to the sums.  The rate
+        ratios are taken against the rate whose ratios stay <= 1."""
+        tf = self._time_factors(k, sig)
         g = factor_exponent(self.single_date, k)
         two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
-        rho = np.exp((two_ref - self.two_rs) * g)
-        b = rho[self.date_of] * call
-        s = (rho * tf)[self.date_of] * dd
-        a, level = _level_fit(self.a_pieces, two_ref, g, self.mids, b, s, self.v_box)
-        return a, level, b, s
+        rho = [math.exp((two_ref - two_r) * g) for two_r in self.two_rs]
+        rho_tf = [p * f for p, f in zip(rho, tf)]
+        b, s = [], []
+        bb = bs = bm = ss = sm = 0.0
+        for c, d, mid in zip(self.consts, self.date_of, self.mids):
+            call, dd = call_and_d1d2_at(*c, sig)
+            bi, si = rho[d] * call, rho_tf[d] * dd
+            b.append(bi)
+            s.append(si)
+            bb += bi * bi
+            bs += bi * si
+            bm += bi * mid
+            ss += si * si
+            sm += si * mid
+        sums = bb, bs, bm, ss, sm
+        a, level = _level_fit(self.a_pieces, two_ref, g, sums, self.v_box)
+        return a, level, b, s, sums
 
     def level_objective(self, x: tuple[float, float]) -> float:
         """The one-date objective over (k, sigma_bar): :meth:`objective` at
         ``(fit_a(k, sigma_bar), k, sigma_bar)``.  Inside the box the misfit is
-        taken from the level fit's own vectors, ``mids - M (b + v_eff s)`` with
-        ``v_eff`` profiled; the fitted ``a`` lies in the box and outside every
-        band, so no penalty applies.  Outside the box it is the box penalty, and
-        at an infeasible point 1e9."""
+        taken from the level fit's own values, ``mids - M (b + v_eff s)``, with
+        ``v_eff`` profiled from its sums and one more pass for the residual;
+        the fitted ``a`` lies in the box and outside every band, so no penalty
+        applies.  Outside the box it is the box penalty, and at an infeasible
+        point 1e9."""
         k, sig = (float(v) for v in x)
         if not self._in_box(k, sig):
             return self.objective((self.box[0][0], k, sig))
         try:
-            _, level, b, s = self._fit_level(k, sig)
+            _, level, b, s, (_, bs, _, ss, sm) = self._fit_level(k, sig)
         except _INFEASIBLE:
             return 1e9
-        _, resid = self._profile(self.mids - level * b, level * s)
-        return math.sqrt(float(resid @ resid) / self.n_quotes)
+        # the slope is level * s and the target mids - level * b
+        v = self._profile(level * (sm - level * bs), level * (level * ss))
+        sse = 0.0
+        for bi, si, mid in zip(b, s, self.mids):
+            r = (mid - level * bi) - v * (level * si)
+            sse += r * r
+        return math.sqrt(sse / self.n_quotes)
 
 
 @dataclass(frozen=True)
@@ -688,9 +709,9 @@ def calibrate_effective(
             f"{len(quotes)} quotes, {n_maturities} maturities, {n_strikes} strikes"
         )
 
-    names = ("a", "k", "sigma_bar")
-    lo = np.array([BOUNDS[n][0] for n in names])
-    hi = np.array([BOUNDS[n][1] for n in names])
+    import numpy as np  # the seeded restarts draw from numpy's generator
+
+    lo, hi = zip(*(BOUNDS[n] for n in ("a", "k", "sigma_bar")))
     model = _ChainModel(quotes, lo, hi, BOUNDS["v_eff"])
     if model.single_date is None:  # no closed form for a: the simplex searches it
         free, fit_objective = slice(0, 3), model.objective
@@ -705,7 +726,7 @@ def calibrate_effective(
         return fit_objective(x)
 
     # a start whose misfit reaches this is exact to rounding: it stops re-descending
-    floor = ROUNDING_FLOOR * float(np.max(np.maximum(model.bs.spot, model.bs.disc_strike)))
+    floor = ROUNDING_FLOOR * max(max(spot, disc_strike) for spot, _, disc_strike, *_ in model.consts)
 
     rng = np.random.default_rng(seed)
     try:
@@ -718,7 +739,7 @@ def calibrate_effective(
     r_mean = float(np.mean([q.rate for q in quotes]))
     starts = [[2.0 * r_mean + off, 0.05, sigma_start][free] for off in offsets]
     for _ in range(n_restarts):
-        starts.append((lo + (hi - lo) * rng.random(3))[free].tolist())
+        starts.append([l + (h - l) * u for l, h, u in zip(lo, hi, rng.random(3).tolist())][free])
 
     best = None
     total_iters = 0

@@ -5,13 +5,13 @@ It follows scipy 1.17.1 step for step on the path kept here, so the iterates,
 and therefore calibration's reports, are the same bits:
 ``scipy.optimize.minimize(method="Nelder-Mead")`` with ``adaptive=True``
 (Gao & Han, *Comput. Optim. Appl.* 51(1), 2012): the default initial simplex,
-``xatol``/``fatol``/``maxiter``, no bounds and no callback.
+``xatol``/``fatol``/``maxiter``, no bounds and no callback.  The search
+runs on tuples of floats; numpy is loaded only to order tied vertices.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 __all__ = ["SimplexResult", "minimize"]
 
@@ -26,9 +26,17 @@ class SimplexResult(NamedTuple):
 
 
 def _ordered(sim: list, fsim: list) -> tuple[list, list]:
-    # scipy orders the vertices with np.argsort, which does not keep tied
-    # values in their order for 4 vertices; the search path depends on it
-    order = np.argsort(fsim).tolist()
+    """The vertices and values in the order of scipy's ``np.argsort(fsim)``.
+
+    Distinct values have one ascending order, which a plain sort finds.
+    Ties (and NaN) go to ``np.argsort`` itself: it does not keep tied values
+    in their order for 4 vertices, and the search path depends on it.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        import numpy as np
+
+        order = np.argsort(fsim).tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -109,6 +117,6 @@ def minimize(
         iterations += 1
         sim, fsim = _ordered(sim, fsim)
 
-    return SimplexResult(
-        x=sim[0], fun=float(np.min(fsim)), nit=iterations, success=iterations < maxiter
-    )
+    # scipy's np.min(fsim): the first value once ordered, NaN if any is NaN
+    fun = math.nan if any(math.isnan(f) for f in fsim) else float(fsim[0])
+    return SimplexResult(x=sim[0], fun=fun, nit=iterations, success=iterations < maxiter)

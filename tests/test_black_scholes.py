@@ -8,8 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from parabolic_sv import BsInputs, InputDomainError, bs_call_price, bs_greeks, d1d2_call
-from parabolic_sv.arrays import CallConstants, call_and_d1d2
-from parabolic_sv.black_scholes import bs_call_and_d1d2
+from parabolic_sv.black_scholes import bs_call_and_d1d2, call_and_d1d2_at, call_constants
 from parabolic_sv.black_scholes import norm_cdf, norm_pdf
 
 
@@ -223,7 +222,10 @@ class TestOperatorD1D2:
 
 
 class TestScalarKernel:
-    """bs_call_and_d1d2: the one scalar formula behind bs_call_price and d1d2_call."""
+    """call_and_d1d2_at: the one scalar formula behind bs_call_and_d1d2,
+    bs_call_price, d1d2_call and calibration's chain kernel."""
+
+    MONEYNESS = (0.2, 0.5, 0.8, 0.95, 1.0, 1.05, 1.25, 2.0, 5.0)  # strike / spot
 
     def test_same_bits_as_the_formula_written_out(self):
         # d1 once, then the call value and D1D2 in the order of the formulas:
@@ -243,62 +245,62 @@ class TestScalarKernel:
             assert bs_call_price(BsInputs(*args)) == want_call, args
             assert d1d2_call(BsInputs(*args)) == want_dd, args
 
-
-class TestArrayKernel:
-    """call_and_d1d2 against the scalar bs_call_price / d1d2_call."""
-
-    MONEYNESS = (0.2, 0.5, 0.8, 0.95, 1.0, 1.05, 1.25, 2.0, 5.0)  # strike / spot
-
     def test_matches_scalar_functions_on_a_grid(self):
         spot = 100.0
-        strikes = [spot * m for m in self.MONEYNESS]
-        n = len(strikes)
-        for rate in (0.0, 0.0264, 0.08):
-            for tau in (0.01, 0.25, 1.0, 5.0):
-                consts = CallConstants.of([spot] * n, strikes, [rate] * n, [tau] * n)
-                for sigma in (0.02, 0.2, 0.8, 2.0):
-                    call, dd = call_and_d1d2(consts, sigma)
-                    for i, strike in enumerate(strikes):
+        for strike in (spot * m for m in self.MONEYNESS):
+            for rate in (0.0, 0.0264, 0.08):
+                for tau in (0.01, 0.25, 1.0, 5.0):
+                    consts = call_constants(spot, strike, rate, tau)
+                    for sigma in (0.02, 0.2, 0.8, 2.0):
                         inp = BsInputs(spot, strike, rate, sigma, tau)
-                        ctx = (strike, rate, tau, sigma)
-                        # deep out of the money the price underflows towards
-                        # zero, so a floor far below any quoted price applies
-                        assert call[i] == pytest.approx(bs_call_price(inp), rel=1e-13, abs=1e-15), ctx
-                        assert dd[i] == pytest.approx(d1d2_call(inp), rel=1e-13, abs=1e-15), ctx
-
-    def test_mixed_contracts_in_one_call(self):
-        spots = [80.0, 100.0, 125.0]
-        strikes = [100.0, 90.0, 140.0]
-        rates = [0.0, 0.0264, 0.05]
-        taus = [0.1, 1.0, 3.0]
-        call, dd = call_and_d1d2(CallConstants.of(spots, strikes, rates, taus), 0.3)
-        for i, args in enumerate(zip(spots, strikes, rates, [0.3] * 3, taus)):
-            assert call[i] == pytest.approx(bs_call_price(BsInputs(*args)), rel=1e-13)
-            assert dd[i] == pytest.approx(d1d2_call(BsInputs(*args)), rel=1e-13)
+                        want = (bs_call_price(inp), d1d2_call(inp))
+                        assert call_and_d1d2_at(*consts, sigma) == want, (strike, rate, tau, sigma)
 
     def test_call_applies_the_scalar_cdf_exactly(self):
-        # the same bits as norm_cdf per element, deep into the lower tail,
-        # where formulas of the normal CDF part by tens of ulps
+        # the same bits as norm_cdf, deep into the lower tail, where formulas
+        # of the normal CDF part by tens of ulps
         rng = np.random.default_rng(3)
-        n = 400
-        consts = CallConstants.of(
-            rng.uniform(50.0, 150.0, n), rng.uniform(20.0, 400.0, n),
-            rng.uniform(-0.02, 0.1, n), rng.uniform(0.01, 5.0, n),
-        )
         lowest = math.inf
-        for sigma in (0.01, 0.2, 1.5):
-            call, _ = call_and_d1d2(consts, sigma)
-            st = sigma * consts.sqrt_tau
-            d1 = (consts.log_moneyness + (consts.rate + 0.5 * sigma**2) * consts.tau) / st
-            want = [
-                x * norm_cdf(a) - k * norm_cdf(b)
-                for x, a, k, b in zip(consts.spot, d1, consts.disc_strike, d1 - st)
-            ]
-            assert call.tolist() == want, sigma
-            lowest = min(lowest, d1.min())
+        for _ in range(400):
+            spot, strike = float(rng.uniform(50.0, 150.0)), float(rng.uniform(20.0, 400.0))
+            rate, tau = float(rng.uniform(-0.02, 0.1)), float(rng.uniform(0.01, 5.0))
+            consts = call_constants(spot, strike, rate, tau)
+            _, log_moneyness, disc_k, _, _, sqrt_tau = consts
+            for sigma in (0.01, 0.2, 1.5):
+                st = sigma * sqrt_tau
+                d1 = (log_moneyness + (rate + 0.5 * sigma**2) * tau) / st
+                call, _ = call_and_d1d2_at(*consts, sigma)
+                assert call == spot * norm_cdf(d1) - disc_k * norm_cdf(d1 - st), (consts, sigma)
+                lowest = min(lowest, d1)
         assert lowest < -30.0
 
     def test_frozen_at_the_money_values(self):
-        call, dd = call_and_d1d2(CallConstants.of([100.0], [100.0], [0.0264], [0.5]), 0.2)
-        assert call[0] == pytest.approx(6.2802357505251, abs=1e-10)
-        assert dd[0] == pytest.approx(-44.531895790019, rel=1e-10)
+        for call, dd in (
+            call_and_d1d2_at(*call_constants(100.0, 100.0, 0.0264, 0.5), 0.2),
+            bs_call_and_d1d2(100.0, 100.0, 0.0264, 0.2, 0.5),
+        ):
+            assert call == pytest.approx(6.2802357505251, abs=1e-10)
+            assert dd == pytest.approx(-44.531895790019, rel=1e-10)
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-200, 1e-300, 9.4e-323])
+    def test_d1d2_is_its_zero_limit_where_the_density_underflows(self, sigma):
+        # n(d1) underflows to 0 while d1 / st overflows: the product would be
+        # 0 * -inf; D1D2 is 0 with the sign of 1 - d1 / st, as at every
+        # finite ratio
+        call, dd = bs_call_and_d1d2(100.0, 100.0, 0.0264, sigma, 0.5)
+        assert call == 100.0 - 100.0 * math.exp(-0.0264 * 0.5)
+        assert dd == 0.0 and math.copysign(1.0, dd) == -1.0
+        # below the money d1 is large and negative: 1 - d1 / st is +inf
+        _, dd = bs_call_and_d1d2(100.0, 150.0, 0.0264, sigma, 0.5)
+        assert dd == 0.0 and math.copysign(1.0, dd) == 1.0
+
+    def test_underflowed_density_at_a_finite_ratio_keeps_the_product(self):
+        # deep out of the money at an ordinary sigma: n(d1) is 0 and the
+        # product spot * 0 / st * (1 - d1 / st) is an exact signed zero already
+        for strike in (1e-6, 1e12):
+            consts = call_constants(100.0, strike, 0.0264, 0.5)
+            _, dd = call_and_d1d2_at(*consts, 0.05)
+            st = 0.05 * consts[-1]
+            d1 = (consts[1] + (0.0264 + 0.5 * 0.05**2) * 0.5) / st
+            assert norm_pdf(d1) == 0.0 and math.isfinite(d1 / st)
+            assert math.copysign(1.0, dd) == math.copysign(1.0, 100.0 * 0.0 / st * (1.0 - d1 / st))

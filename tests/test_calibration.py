@@ -27,6 +27,7 @@ from parabolic_sv import (
     p1_time_factor,
 )
 import parabolic_sv.calibration as calibration
+from parabolic_sv.black_scholes import bs_call_and_d1d2
 from parabolic_sv.calibration import A_EXCLUSION, BOUNDS, _ChainModel
 from parabolic_sv.errors import LogDomainError, NumericalOverflowError, SingularTimeError
 from parabolic_sv.pricer import factor_exponent
@@ -458,8 +459,25 @@ class TestVectorObjective:
         res = calibrate_effective(quotes, seed=0)
         profiled_v = _ChainModel(quotes, *box()).profiled_v
         v, resid = profiled_v(res.a_hat, res.k_hat, res.sigma_bar_hat)
+        resid = np.asarray(resid)
         assert v == res.v_eff_hat
         assert math.sqrt(float(np.mean(resid**2))) == pytest.approx(res.objective, rel=1e-9, abs=1e-15)
+
+    def test_kernel_is_the_scalar_formula(self):
+        # mixed spots, strikes, rates and maturities in one chain: each quote's
+        # call and D1D2 are the bits of the one-contract formula
+        quotes = [
+            OptionQuote(t, t + tau, strike, 5.0, spot, rate)
+            for t, tau, spot, strike, rate in (
+                (0.0, 0.1, 80.0, 100.0, 0.0),
+                (0.0, 1.0, 100.0, 90.0, 0.0264),
+                (0.4, 3.0, 125.0, 140.0, 0.05),
+                (0.4, 0.5, 100.0, 20.0, -0.01),
+            )
+        ]
+        for sig in (0.01, 0.3, 2.0):
+            kernel, _ = _ChainModel(quotes, *box())._kernel(0.01, sig)
+            assert kernel == [bs_call_and_d1d2(q.spot, q.strike, q.rate, sig, q.tau) for q in quotes], sig
 
     @pytest.mark.parametrize(
         "quotes, theta, why",

@@ -128,6 +128,16 @@ class TestPriceCommand:
         assert float(report["total"]) == pytest.approx(want.total, rel=1e-9)
 
 
+    @pytest.mark.parametrize("m", [-360.0, -700.0, -740.0])
+    def test_tiny_sigma_bar_prints_finite_numbers(self, tmp_path, capsys, m):
+        cfg = write_cfg(tmp_path, "p.cfg", spot=100.0, strike=100.0, maturity=0.5, m=m)
+        assert main(["price", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        report = parse_report(out)
+        assert float(report["d1d2"]) == 0.0 and report["total"] == report["p0"]
+
+
 class TestExitCodes:
     def good_price_cfg(self, tmp_path, **extra):
         base = dict(spot=100.0, strike=100.0, maturity=0.5)
@@ -839,6 +849,18 @@ class TestNumpyImport:
         assert blocked["codes"] == free["codes"] == [0, 0, 0]
         assert blocked["stdout"] == free["stdout"]
         assert all(out.startswith("command") for out in free["stdout"])
+        assert free["loaded"] == []
+
+    def test_calibrate_fit_a_runs_with_numpy_blocked(self, tmp_path):
+        # estimate_a draws no restarts, so it needs no numpy
+        fit_a = tmp_path / "fit_a.cfg"
+        fit_a.write_text((ROOT / "configs" / "calibrate.cfg").read_text().replace("fit = effective", "fit = a"))
+        argv = ["calibrate", "--config", str(fit_a)]
+        blocked = run_fresh(argv, blocked={"numpy"})
+        free = run_fresh(argv)
+        assert blocked["codes"] == free["codes"] == [0]
+        assert blocked["stdout"] == free["stdout"]
+        assert "a_hat" in free["stdout"][0]
         assert free["loaded"] == []
 
     def test_package_prices_without_numpy(self):

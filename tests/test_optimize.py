@@ -4,7 +4,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from parabolic_sv.optimize import minimize
+from parabolic_sv.optimize import _ordered, minimize
 
 SIMPLEX_OPTIONS = {"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12}
 
@@ -69,3 +69,33 @@ class TestSimplex:
         got = minimize(fun, x0, maxiter=7, xatol=1e-12, fatol=1e-12)
         assert (got.nit, got.success) == (want.nit, want.success) == (7, False)
         assert list(got.x) == want.x.tolist()
+
+
+class TestOrdering:
+    """The vertex order is scipy's np.argsort order, ties included."""
+
+    @staticmethod
+    def value_sets(rng, n):
+        for _ in range(300):
+            yield rng.normal(size=n).tolist()  # distinct
+            pool = rng.normal(size=2).tolist()
+            yield [pool[i] for i in rng.integers(0, 2, n)]  # ties
+            yield [1e9 if u < 0.6 else v for u, v in zip(rng.random(n), rng.normal(size=n))]  # plateaus
+        yield [1e9] * n
+        yield rng.normal(size=n - 1).tolist() + [math.nan]  # argsort puts NaN last
+        yield [0.0] * (n - 1) + [-0.0]
+
+    def test_matches_argsort(self):
+        rng = np.random.default_rng(11)
+        ties = unstable = 0
+        for n in (3, 4):
+            for fsim in self.value_sets(rng, n):
+                sim = [(float(i),) for i in range(n)]
+                got_sim, got_f = _ordered(sim, fsim)
+                order = np.argsort(fsim).tolist()
+                assert got_sim == [sim[i] for i in order], fsim
+                assert got_f == [fsim[i] for i in order], fsim
+                ties += len(set(fsim)) < n
+                unstable += order != sorted(range(n), key=fsim.__getitem__)
+        # the ties include orders that a stable sort would not give
+        assert ties >= 400 and unstable >= 10

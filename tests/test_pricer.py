@@ -196,6 +196,15 @@ class TestOnePass:
             price_first_order(ATM, build_model(m=-800.0), EXP)
         assert str(exc.value) == "d1d2_call undefined at sigma = 0, tau = 0.5"
 
+    @pytest.mark.parametrize("m", [-360.0, -700.0, -740.0])
+    def test_tiny_sigma_bar_prices_without_a_correction(self, m):
+        # separable_exp's sigma_bar is below ~1e-155 here: n(d1) underflows
+        # to 0 while d1 / (sigma sqrt(tau)) overflows, and D1D2 is its limit 0
+        got = price_first_order(ATM, build_model(m=m), EXP)
+        assert 0.0 < got.sigma_bar < 1e-155
+        assert got.d1d2 == 0.0 and got.correction == 0.0
+        assert got.total == got.p0 and math.isfinite(got.total)
+
     def test_checks_run_in_the_order_of_bs_inputs(self):
         # with two faults at once, the first check of BsInputs names the fault:
         # finiteness, then the discount factor, then d1d2_call's interior
