@@ -31,7 +31,6 @@ which evaluates ``f`` on arrays of ``y``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -279,23 +278,20 @@ def sigma_bar(vol: VolFunction, z: float, m: float, nu: float) -> float:
 class AveragingCache:
     """Memo table for averaged quantities, keyed by (f, z, m, nu, rho_xy).
 
-    Reads and writes are serialized by a lock, so concurrent pricing threads
-    can share one instance.
+    A hit is one dict lookup, with no lock: a single ``dict.get`` or item
+    store is atomic in CPython (free-threaded builds lock each dict), and a
+    miss computes a deterministic value, so threads that race on one key
+    store equal values.  Concurrent pricing threads can share one instance.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._data: dict[tuple, EffectiveParams] = {}
 
     def get_or_compute(self, key: tuple, fn: Callable[[], EffectiveParams]) -> EffectiveParams:
-        with self._lock:
-            hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        val = fn()
-        with self._lock:
-            self._data[key] = val
-        return val
+        hit = self._data.get(key)
+        if hit is None:
+            hit = self._data[key] = fn()
+        return hit
 
 
 def effective_params(
@@ -310,11 +306,7 @@ def effective_params(
     V is ``(nu * rho_xy / sqrt(2)) * E[f * phi']``, exactly zero when
     rho_xy = 0 or f does not depend on y (phi' vanishes).
     """
-
-    def compute() -> EffectiveParams:
-        return _averages(vol, z, model.m, model.nu, model.rho_xy)
-
     if cache is None:
-        return compute()
+        return _averages(vol, z, model.m, model.nu, model.rho_xy)
     key = (vol, z, model.m, model.nu, model.rho_xy)
-    return cache.get_or_compute(key, compute)
+    return cache.get_or_compute(key, lambda: _averages(*key))

@@ -3,14 +3,14 @@
 The functions price one contract with :mod:`math`, so pricing loads no numpy.
 :func:`call_and_d1d2_at` is the one formula of the call value and D1D2: it
 takes a contract's :func:`call_constants` and a volatility, computes ``d1``
-once and checks nothing.  Calibration computes each quote's constants once
-and calls it at every volatility it tries; :func:`bs_call_and_d1d2` computes
-the constants and calls it for one contract.  :func:`bs_call_price` and
-:func:`d1d2_call` wrap that behind the checked :class:`BsInputs` and its
-degenerate ``sigma = 0`` / ``tau = 0`` branches; the pricer and
-``implied_vol``, whose inputs are checked already, call it directly.  The
-check helpers (``check_finite``, ``check_discount``, ``check_interior``) are
-shared with them, so each message has one home.
+once and checks nothing.  Calibration, ``implied_vol`` and the pricer, whose
+inputs are checked already, compute a contract's constants once and call it
+directly.  :func:`bs_call_and_d1d2` computes the constants and calls it for
+one contract; :func:`bs_call_price` and :func:`d1d2_call` wrap that behind
+the checked :class:`BsInputs` and its degenerate branches, where
+``sigma sqrt(tau)`` is 0.  The check helpers (``check_finite``,
+``check_discount``, ``check_interior``) are shared with the pricer, so each
+message has one home.
 """
 from __future__ import annotations
 
@@ -91,10 +91,13 @@ def check_discount(rate: float, tau: float) -> None:
 
 
 def check_interior(sigma: float, tau: float, what: str) -> None:
-    """Raise :class:`InputDomainError`, naming ``what``, at ``sigma = 0`` or
-    ``tau = 0``, where only the call value is defined."""
-    if tau == 0.0 or sigma == 0.0:
-        raise InputDomainError(f"{what} undefined at sigma = {sigma:g}, tau = {tau:g}")
+    """Raise :class:`InputDomainError`, naming ``what``, where
+    ``sigma sqrt(tau)`` is 0: at ``sigma = 0`` or ``tau = 0``, where only the
+    call value is defined, and where the product underflows, since ``d1``
+    divides by it."""
+    if sigma * math.sqrt(tau) == 0.0:
+        why = "" if sigma == 0.0 or tau == 0.0 else " (sigma * sqrt(tau) underflows to 0)"
+        raise InputDomainError(f"{what} undefined at sigma = {sigma:g}, tau = {tau:g}{why}")
 
 
 class Greeks(NamedTuple):
@@ -150,10 +153,11 @@ def bs_call_and_d1d2(
 
 
 def bs_call_price(inp: BsInputs) -> float:
-    """European call value; degenerate sigma/tau collapse to the forward bound."""
+    """European call value; degenerate sigma/tau collapse to the forward bound,
+    and so does a ``sigma sqrt(tau)`` that underflows to 0."""
     if inp.tau == 0.0:
         return max(inp.spot - inp.strike, 0.0)
-    if inp.sigma == 0.0:
+    if inp.sigma * math.sqrt(inp.tau) == 0.0:
         return max(inp.spot - inp.strike * math.exp(-inp.rate * inp.tau), 0.0)
     return bs_call_and_d1d2(inp.spot, inp.strike, inp.rate, inp.sigma, inp.tau)[0]
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .black_scholes import BsInputs, bs_call_and_d1d2, bs_call_price, call_and_d1d2_at, call_constants
+from .black_scholes import BsInputs, bs_call_price, call_and_d1d2_at, call_constants
 from .errors import (
     ChainParseError,
     EmptyChainError,
@@ -196,14 +196,18 @@ def implied_vol(price: float, spot: float, strike: float, rate: float, tau: floa
     The call value increases with the volatility, so halving the bracket keeps
     the root inside it until its ends are neighbouring floats; the upper end
     is returned.  The inputs are checked once, at the bracket's lower end:
-    only the volatility moves, and it stays inside the bracket.
+    only the volatility moves, and it stays inside the bracket.  The
+    contract's :func:`~parabolic_sv.black_scholes.call_constants` are
+    computed once too, and each step is one
+    :func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.
     """
     lo, hi = 1e-9, 5.0
     inp = BsInputs(spot, strike, rate, lo, tau)
     if tau == 0.0:  # the call value is the payoff at every volatility
         f = lambda s: bs_call_price(inp) - price
     else:
-        f = lambda s: bs_call_and_d1d2(spot, strike, rate, s, tau)[0] - price
+        consts = call_constants(spot, strike, rate, tau)
+        f = lambda s: call_and_d1d2_at(*consts, s)[0] - price
     if not f(lo) <= 0.0 <= f(hi):
         return math.nan
     while lo < (mid := 0.5 * (lo + hi)) < hi:

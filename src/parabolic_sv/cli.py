@@ -36,11 +36,7 @@ from .errors import (
 )
 from .params import Z_SCHEMES, ModelParams, OptionSpec, SimConfig, build_model
 from .pricer import p0_pde_residual, price_first_order
-from .slow_factor import (
-    l2_time_coefficient_check,
-    parabolic_coefficients,
-    truncation_report,
-)
+from .slow_factor import l2_time_coefficient_check, truncation_report
 
 __all__ = ["main", "RunConfig", "load_run_config"]
 
@@ -362,7 +358,7 @@ def cmd_diagnose(cfg: RunConfig, out_path: str | None) -> int:
     from .arrays import phi_residual_check  # the grid oracle loads numpy
 
     model, opt, vol = cfg.model, cfg.option, cfg.vol
-    arc = parabolic_coefficients(model)
+    arc = model.arc
     rows: list[tuple[str, object]] = [
         ("command", "diagnose"),
         ("arc_a_coef", arc.a_coef),

@@ -37,7 +37,6 @@ from .averaging import VolFunction
 from .errors import ConfigError
 from .params import ModelParams, OptionSpec, correlation_matrix, discount_factor
 from .pricer import price_first_order
-from .slow_factor import parabolic_coefficients
 
 if TYPE_CHECKING:  # annotations only: SimConfig is imported from params
     from .params import SimConfig
@@ -133,7 +132,7 @@ def _simulate_block(
     frozen_z = cfg.z_scheme == "parabolic"
     random_z = not frozen_z and model.eta > 0.0
     dim = 3 if random_z else 2  # W^z is drawn only when it moves Z
-    arc = parabolic_coefficients(model)
+    arc = model.arc
     c = chol.tolist()
 
     sqrt_dt = math.sqrt(dt)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import ConfigError, InputDomainError, InvalidModelError, Violation
 
@@ -60,6 +61,12 @@ class ModelParams:
         r: risk-free rate.
         a: empirical modification constant in the price adjustment; must
             differ from 2*r or the adjustment collapses to unity.
+
+    ``arc`` is the model's parabolic slow-factor arc,
+    :func:`~parabolic_sv.slow_factor.parabolic_coefficients` of the model,
+    computed on first use and kept on the instance.  It is not a field, so
+    ``==``, ``hash``, ``replace`` and the fields a config reads ignore it,
+    and a replaced model computes its own.
     """
 
     epsilon: float = 0.01
@@ -79,6 +86,12 @@ class ModelParams:
         violations = _model_violations(self)
         if violations:
             raise InvalidModelError(violations)
+
+    @cached_property
+    def arc(self) -> "ParabolicSlowFactor":
+        from .slow_factor import parabolic_coefficients  # slow_factor imports this module
+
+        return parabolic_coefficients(self)
 
 
 def _model_violations(p: ModelParams) -> list[Violation]:

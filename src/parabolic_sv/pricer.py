@@ -16,10 +16,18 @@ Combined: ``total = (1+g) * (Q0 + sqrt(epsilon) * time_factor * V * D1D2 Q0)``.
 
 :func:`price_first_order` makes one checked pass per contract.  ``OptionSpec``
 and ``ModelParams`` have checked the spot, the strike, the dates and ``r``,
-so only the averaged ``sigma_bar`` and the discount factor are checked here,
-with the messages and in the order of ``BsInputs``; ``Q0`` and ``D1D2`` then
-come from one ``d1`` of :func:`~parabolic_sv.black_scholes.bs_call_and_d1d2`.
-The result is a :class:`PriceBreakdown`, an immutable named tuple.
+and the model keeps its arc (``ModelParams.arc``), so the arc is built once
+per model.  Only the averaged ``sigma_bar`` and the discount factor are
+checked here, with the messages and in the order of ``BsInputs``.  The
+contract's :func:`~parabolic_sv.black_scholes.call_constants` take the one
+``exp(-r tau)``, whose overflow is refused with ``check_discount``'s message,
+and ``Q0`` and ``D1D2`` come from one ``d1`` of
+:func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.  Where the kernel is
+undefined the price is refused with :class:`InputDomainError`: where
+``sigma_bar sqrt(tau)`` is 0, including where the product underflows, and
+where D1D2 is not finite (a tiny ``sigma_bar sqrt(tau)`` sends it past the
+float range, and the correction would read ``0 * inf``).  The result is a
+:class:`PriceBreakdown`, an immutable named tuple.
 
 The modification factor does *not* tend to one at expiry, so the formula's own
 t -> T limit disagrees with the payoff; valuation exactly at t = T therefore
@@ -36,15 +44,16 @@ from typing import NamedTuple
 from .averaging import AveragingCache, EffectiveParams, VolFunction, effective_params
 from .black_scholes import (
     BsInputs,
-    bs_call_and_d1d2,
     bs_call_price,
+    call_and_d1d2_at,
+    call_constants,
     check_discount,
     check_finite,
     check_interior,
 )
 from .errors import InputDomainError, LogDomainError, NumericalOverflowError, SingularTimeError
 from .params import ModelParams, OptionSpec
-from .slow_factor import SINGULAR_FLOOR, gamma_coefficient, parabolic_coefficients
+from .slow_factor import SINGULAR_FLOOR, gamma_coefficient
 
 #: Central-difference steps of :func:`p0_pde_residual`: relative in the spot,
 #: absolute (per year of maturity) in time.
@@ -168,8 +177,9 @@ def price_first_order(
     the payoff.
 
     Raises:
-        InputDomainError: when ``sigma_bar`` is not finite or is 0, or when
-            the discount factor ``exp(-r tau)`` overflows.
+        InputDomainError: when ``sigma_bar`` is not finite, when the discount
+            factor ``exp(-r tau)`` overflows, when ``sigma_bar sqrt(tau)`` is
+            0, or when D1D2 is not finite.
         NumericalOverflowError: when the modification factor overflows, or
             underflows below the smallest normal float.
     """
@@ -178,7 +188,7 @@ def price_first_order(
     if spec.t == spec.maturity:
         payoff = max(spec.spot - spec.strike, 0.0)
         return PriceBreakdown(
-            z=parabolic_coefficients(model).value(spec.t),
+            z=model.arc.value(spec.t),
             sigma_bar=math.nan,
             q0=payoff,
             mod_factor=modification_factor(spec.t, model.a, model.r, model.k),
@@ -190,30 +200,29 @@ def price_first_order(
             total=payoff,
         )
 
-    z = float(parabolic_coefficients(model).value(spec.t))
+    z = float(model.arc.value(spec.t))
     eff = effective_params(vol, z, model, cache=cache)
     sigma, tau = eff.sigma_bar, spec.tau
-    # tau > 0 past the payoff branch; the checks of BsInputs that can still fail
+    # tau > 0 past the payoff branch; the checks of BsInputs that can still
+    # fail, in its order
     check_finite("sigma", sigma)
-    check_discount(model.r, tau)
+    try:
+        consts = call_constants(spec.spot, spec.strike, model.r, tau)
+    except OverflowError:  # of exp(-r tau), the one call here that can raise it
+        check_discount(model.r, tau)
+        raise
     check_interior(sigma, tau, "d1d2_call")
-    q0, dd = bs_call_and_d1d2(spec.spot, spec.strike, model.r, sigma, tau)
+    q0, dd = call_and_d1d2_at(*consts, sigma)
+    if not math.isfinite(dd):
+        raise InputDomainError(
+            f"D1D2 = {dd:g} is not finite at sigma = {sigma:g}, tau = {tau:g}; "
+            "the first-order correction is undefined"
+        )
     tf = p1_time_factor(spec.t, spec.maturity, model.k)
     mod = _pricing_factor(spec.t, model)
     total = mod * (q0 + math.sqrt(model.epsilon) * tf * eff.v * dd)
     p0_val = mod * q0
-    return PriceBreakdown(
-        z=z,
-        sigma_bar=eff.sigma_bar,
-        q0=q0,
-        mod_factor=mod,
-        p0=p0_val,
-        time_factor=tf,
-        v=eff.v,
-        d1d2=dd,
-        correction=total - p0_val,
-        total=total,
-    )
+    return PriceBreakdown(z, sigma, q0, mod, p0_val, tf, eff.v, dd, total - p0_val, total)
 
 
 def p0_pde_residual(

@@ -45,7 +45,10 @@ class ParabolicSlowFactor(NamedTuple):
 
 
 def parabolic_coefficients(p: ModelParams) -> ParabolicSlowFactor:
-    """Arc coefficients matching the OU mean path to second order at t = 0."""
+    """Arc coefficients matching the OU mean path to second order at t = 0.
+
+    The one formula of the arc; ``ModelParams.arc`` keeps its value per model.
+    """
     gap = p.z0 - p.m_prime
     return ParabolicSlowFactor(
         a_coef=gap * p.k * p.k / 2.0,
@@ -80,7 +83,7 @@ def truncation_report(p: ModelParams, t: float) -> TruncationReport:
         raise ValueError(f"t = {t:g} must be >= 0")
     gap = p.z0 - p.m_prime
     exact = p.m_prime + gap * math.exp(-p.k * t)
-    approx = parabolic_coefficients(p).value(t)
+    approx = p.arc.value(t)
     err = abs(exact - approx)
     kt = p.k * t
     bound = abs(gap) * kt**3 / 6.0
@@ -127,7 +130,7 @@ def l2_time_coefficient_check(p: ModelParams, t: float) -> tuple[float, float]:
     # The arc slope 2*A*t + B vanishes exactly where 1 - k*t does, so a single
     # singularity guard (inside gamma_coefficient) covers both forms.
     gamma_form = 1.0 + gamma_coefficient(p.k, t)
-    arc = parabolic_coefficients(p)
+    arc = p.arc
     slope = 2.0 * arc.a_coef * t + arc.b_coef
     direct = 1.0 + p.k * (p.m_prime - arc.value(t)) / slope
     return direct, gamma_form

@@ -93,6 +93,11 @@ class TestPrice:
         )
         assert price(50.0, 100.0, 0.0264, 0.0, 1.0) == 0.0
 
+    def test_underflowing_sigma_sqrt_tau_is_forward_intrinsic(self):
+        # 1e-200 * sqrt(1e-300) underflows to 0, which d1 would divide by
+        assert price(101.0, 100.0, 0.0264, 1e-200, 1e-300) == 101.0 - 100.0 * math.exp(-0.0264e-300)
+        assert price(99.0, 100.0, 0.0264, 1e-200, 1e-300) == 0.0
+
     def test_monotonicity_weak_everywhere(self):
         # far from the money the sigma/tau sensitivities underflow, so only
         # weak ordering can hold in floating point
@@ -188,6 +193,8 @@ class TestGreeks:
             bs_greeks(BsInputs(100.0, 100.0, 0.0264, 0.0, 1.0))
         with pytest.raises(InputDomainError):
             bs_greeks(BsInputs(100.0, 100.0, 0.0264, 0.2, 0.0))
+        with pytest.raises(InputDomainError, match="underflows to 0"):
+            bs_greeks(BsInputs(100.0, 100.0, 0.0264, 1e-200, 1e-300))
 
 
 class TestOperatorD1D2:
@@ -219,6 +226,11 @@ class TestOperatorD1D2:
             d1d2_call(BsInputs(100.0, 100.0, 0.0264, 0.0, 1.0))
         with pytest.raises(InputDomainError):
             d1d2_call(BsInputs(100.0, 100.0, 0.0264, 0.2, 0.0))
+        with pytest.raises(InputDomainError) as exc:
+            d1d2_call(BsInputs(100.0, 100.0, 0.0264, 1e-200, 1e-300))
+        assert str(exc.value) == (
+            "d1d2_call undefined at sigma = 1e-200, tau = 1e-300 (sigma * sqrt(tau) underflows to 0)"
+        )
 
 
 class TestScalarKernel:

@@ -137,6 +137,23 @@ class TestPriceCommand:
         report = parse_report(out)
         assert float(report["d1d2"]) == 0.0 and report["total"] == report["p0"]
 
+    @pytest.mark.parametrize(
+        "keys, fragment",
+        [
+            (dict(m=-534.0, maturity=1e-300), "sigma * sqrt(tau) underflows to 0"),
+            (dict(m=-200.0, maturity=1e-300), "D1D2 = -inf is not finite"),
+            (dict(r=0.0, m=-740.0, maturity=0.5), "D1D2 = inf is not finite"),
+        ],
+        ids=["sigma_sqrt_tau_underflows", "d1d2_minus_inf", "d1d2_inf"],
+    )
+    def test_undefined_kernel_exits_2(self, tmp_path, capsys, keys, fragment):
+        # before: a ZeroDivisionError traceback, or "total nan" with exit 0
+        cfg = write_cfg(tmp_path, "p.cfg", spot=100.0, strike=100.0, t=0.0, **keys)
+        assert main(["price", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, fragment)
+
 
 class TestExitCodes:
     def good_price_cfg(self, tmp_path, **extra):

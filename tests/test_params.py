@@ -10,6 +10,7 @@ from parabolic_sv import (
     ModelParams,
     OptionSpec,
     build_model,
+    parabolic_coefficients,
 )
 from parabolic_sv.params import _corr_quadratic, correlation_matrix
 
@@ -132,6 +133,30 @@ class TestBuildModel:
         p = build_model()
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.epsilon = 0.5
+
+
+class TestModelArc:
+    def test_arc_is_the_one_formula_kept_per_model(self):
+        model = build_model(z0=0.27, m_prime=0.11, k=0.02)
+        assert model.arc == parabolic_coefficients(model)
+        assert model.arc is model.arc
+
+    def test_arc_is_not_a_field(self):
+        # the CLI reads its config keys from these fields
+        assert [f.name for f in dataclasses.fields(ModelParams)] == [
+            "epsilon", "m", "nu", "k", "m_prime", "eta",
+            "rho_xy", "rho_xz", "rho_yz", "z0", "r", "a",
+        ]
+        kept, fresh = build_model(), build_model()
+        kept.arc
+        assert kept == fresh and hash(kept) == hash(fresh)
+
+    def test_replaced_model_gets_its_own_arc(self):
+        model = build_model()
+        model.arc
+        moved = dataclasses.replace(model, z0=0.3)
+        assert moved.arc == parabolic_coefficients(moved)
+        assert moved.arc != model.arc
 
 
 class TestCorrelationMatrix:

@@ -2,10 +2,12 @@
 scaling laws, and the operator-residual diagnostics."""
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from parabolic_sv import slow_factor
 from parabolic_sv import (
     AveragingCache,
     BsInputs,
@@ -156,11 +158,12 @@ class TestOnePass:
         p0 = mod * q0
         return PriceBreakdown(z, eff.sigma_bar, q0, mod, p0, tf, eff.v, dd, total - p0, total)
 
-    @pytest.mark.parametrize("with_cache", [False, True], ids=["no_cache", "cache"])
-    def test_components_equal_the_checked_composition(self, with_cache):
+    @classmethod
+    def grid(cls):
+        """600 seeded (spec, model, vol) contracts over the three vol kinds."""
         rng = np.random.default_rng(17)
-        cache = AveragingCache() if with_cache else None
-        vols = (FLAT, EXP, self.TABLE)
+        vols = (FLAT, EXP, cls.TABLE)
+        out = []
         for i in range(600):
             model = build_model(
                 r=float(rng.uniform(-0.02, 0.1)), nu=float(rng.uniform(0.05, 1.5)),
@@ -170,12 +173,53 @@ class TestOnePass:
             t = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
             tau = float(10.0 ** rng.uniform(-4.0, math.log10(5.0)))
             spec = OptionSpec(100.0, float(rng.uniform(20.0, 400.0)), t, t + tau)
-            vol = vols[i % 3]
+            out.append((spec, model, vols[i % 3]))
+        return out
+
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no_cache", "cache"])
+    def test_components_equal_the_checked_composition(self, with_cache):
+        cache = AveragingCache() if with_cache else None
+        for i, (spec, model, vol) in enumerate(self.grid()):
             want = self.composed(spec, model, vol)
             for _ in range(2 if with_cache else 1):  # the second price hits the cache
                 got = price_first_order(spec, model, vol, cache=cache)
                 # == per field: every component bit for bit
                 assert got._asdict() == want._asdict(), (i, spec, model)
+
+    def test_threads_sharing_one_cache_match_a_sequential_run(self):
+        # the cache takes no lock: racing threads may both miss one key, and
+        # then store equal values; a short switch interval makes races likely
+        grid = self.grid()
+        want = [price_first_order(spec, model, vol) for spec, model, vol in grid]
+        cache = AveragingCache()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(price_first_order, spec, model, vol, cache=cache)
+                           for _ in range(2) for spec, model, vol in grid]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == want + want
+
+    def test_arc_is_built_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return parabolic_coefficients(model)
+
+        monkeypatch.setattr(slow_factor, "parabolic_coefficients", counting)
+        model = build_model()
+        rng = np.random.default_rng(23)
+        for i in range(100):
+            t = float(rng.uniform(0.0, 1.0))
+            # every tenth contract is valued at maturity, on the payoff branch
+            maturity = t if i % 10 == 0 else t + float(rng.uniform(0.01, 2.0))
+            got = price_first_order(OptionSpec(100.0, float(rng.uniform(50.0, 150.0)), t, maturity), model, EXP)
+            assert got.z == parabolic_coefficients(model).value(t)
+        assert calls == [model]
 
     def test_non_finite_sigma_bar_is_refused(self):
         # f^2 overflows in the table's moments, and sigma_bar comes out NaN
@@ -204,6 +248,31 @@ class TestOnePass:
         assert 0.0 < got.sigma_bar < 1e-155
         assert got.d1d2 == 0.0 and got.correction == 0.0
         assert got.total == got.p0 and math.isfinite(got.total)
+
+    @pytest.mark.parametrize(
+        "keys, maturity, message",
+        [
+            # sigma_bar ~ 2.7e-233 times sqrt(tau) = 1e-150 underflows to 0,
+            # which d1 divided by
+            (dict(m=-534.0), 1e-300,
+             "d1d2_call undefined at sigma = 2.67216e-233, tau = 1e-300 "
+             "(sigma * sqrt(tau) underflows to 0)"),
+            # x n(d1) / (sigma sqrt(tau)) times d1 / (sigma sqrt(tau)) overflows
+            (dict(m=-200.0), 1e-300,
+             "D1D2 = -inf is not finite at sigma = 3.02845e-88, tau = 1e-300; "
+             "the first-order correction is undefined"),
+            # at r = 0 an at-the-money n(d1) stays near 0.4 while sigma sqrt(tau) ~ 7e-323
+            (dict(r=0.0, m=-740.0), 0.5,
+             "D1D2 = inf is not finite at sigma = 9.38725e-323, tau = 0.5; "
+             "the first-order correction is undefined"),
+        ],
+        ids=["sigma_sqrt_tau_underflows", "d1d2_minus_inf", "d1d2_inf"],
+    )
+    def test_undefined_kernel_is_refused(self, keys, maturity, message):
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=maturity)
+        with pytest.raises(InputDomainError) as exc:
+            price_first_order(spec, build_model(**keys), EXP)
+        assert str(exc.value) == message
 
     def test_checks_run_in_the_order_of_bs_inputs(self):
         # with two faults at once, the first check of BsInputs names the fault:
