@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import InputDomainError, NumericalOverflowError
 from .params import ModelParams
@@ -48,6 +49,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+_T = TypeVar("_T")
 
 
 #: The vol function kinds, in the order messages list them.
@@ -64,6 +67,12 @@ class VolFunction:
         ``tabulated``      two-column table (y, f) at fixed z, linear
                            interpolation, clamped to the end values outside
                            the table range; the z argument is ignored.
+
+    The hash is computed on first use and kept on the instance (not a
+    field), so a cache key holding the vol function hashes in O(1).  It hashes
+    the kind's index in ``VOL_KINDS`` and the table's floats, never a ``str``
+    or ``None``, whose hashes change from process to process: a pickled
+    instance carries the kept value.
     """
 
     kind: str
@@ -88,6 +97,13 @@ class VolFunction:
                 raise InputDomainError("table y nodes must be strictly increasing")
             if any(v <= 0.0 for v in f):
                 raise InputDomainError("table f values must be positive")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((VOL_KINDS.index(self.kind), self.y_nodes or (), self.f_values or ()))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -176,7 +192,16 @@ def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, fl
 
     A plain loop: tables have a few rows, where numpy's per-call overhead
     outweighs the arithmetic (an array form wins from about 50 rows).
+
+    Raises:
+        NumericalOverflowError: when ``nu^2``, which ``E[f phi']`` divides
+            by, underflows to 0, or when the pieces' sum of ``E[f^2]`` comes
+            out negative (from about ``nu = 1e9`` on the sample table, its
+            large terms cancel below rounding).
     """
+    nu2 = nu * nu
+    if nu2 == 0.0:
+        raise NumericalOverflowError(f"table moments: nu^2 underflows to 0 at nu = {nu:g}")
     ys, fs = vol.y_nodes, vol.f_values
     n = len(ys)
     pieces = []
@@ -218,6 +243,10 @@ def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, fl
         pieces.append((c0, c1, d0, d1, d2, j0, j1, j2, j3, j4))
         if lo < hi:
             big_f += 0.5 * (f_a + fs[hi]) * h
+    if mean_f2 < 0.0:
+        raise NumericalOverflowError(
+            f"table moments: E[f^2] = {mean_f2:g} is negative at m = {m:g}, nu = {nu:g}; its pieces overflow or cancel"
+        )
 
     cov = 0.0
     for c0, c1, d0, d1, d2, j0, j1, j2, j3, j4 in pieces:
@@ -231,17 +260,21 @@ def _tabulated_moments(vol: VolFunction, m: float, nu: float) -> tuple[float, fl
             + (d1 * e2 + d2 * e1) * j3
             + d2 * e2 * j4
         )
-    return mean_f2, -cov / (nu * nu)
+    return mean_f2, -cov / nu2
 
 
-def _averages(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) -> EffectiveParams:
+def _averages(
+    vol: VolFunction, z: float, m: float, nu: float, rho_xy: float, cache: AveragingCache | None = None
+) -> EffectiveParams:
     """sigma_bar and V at slow-factor level ``z``; the one path behind every public entry.
 
-    V is exactly zero when rho_xy = 0 or f does not depend on y.
+    V is exactly zero when rho_xy = 0 or f does not depend on y.  A table's
+    moments do not depend on ``z``, so with a ``cache`` they are computed
+    once per ``(vol, m, nu)``.
     """
     _check_state(z, m, nu)
     if vol.kind == "y_constant":
-        return EffectiveParams(sigma_bar=z, v=0.0, z=z, n_nodes=1, refine_delta=0.0, method="closed_form")
+        return EffectiveParams(z, 0.0, z, 1, 0.0, "closed_form")
     if vol.kind == "separable_exp":
         # lognormal moments, with z inside the exponentials so that a result
         # beyond the float range raises there instead of turning into inf:
@@ -258,15 +291,18 @@ def _averages(vol: VolFunction, z: float, m: float, nu: float, rho_xy: float) ->
             raise NumericalOverflowError(
                 f"separable_exp moments overflow at z = {z:g}, m = {m:g}, nu = {nu:g}"
             ) from None
-        return EffectiveParams(sigma_bar=sb, v=v, z=z, n_nodes=1, refine_delta=0.0, method="closed_form")
-    mean_f2, e_f_phi = _tabulated_moments(vol, m, nu)
+        return EffectiveParams(sb, v, z, 1, 0.0, "closed_form")
+    if cache is None:
+        mean_f2, e_f_phi = _tabulated_moments(vol, m, nu)
+    else:
+        mean_f2, e_f_phi = cache.get_or_compute((vol, m, nu), lambda: _tabulated_moments(vol, m, nu))
     return EffectiveParams(
-        sigma_bar=math.sqrt(mean_f2),
-        v=nu * rho_xy / _SQRT2 * e_f_phi if rho_xy != 0.0 else 0.0,
-        z=z,
-        n_nodes=len(vol.y_nodes) + 1,
-        refine_delta=0.0,
-        method="piecewise_gaussian",
+        math.sqrt(mean_f2),
+        nu * rho_xy / _SQRT2 * e_f_phi if rho_xy != 0.0 else 0.0,
+        z,
+        len(vol.y_nodes) + 1,
+        0.0,
+        "piecewise_gaussian",
     )
 
 
@@ -276,18 +312,30 @@ def sigma_bar(vol: VolFunction, z: float, m: float, nu: float) -> float:
 
 
 class AveragingCache:
-    """Memo table for averaged quantities, keyed by (f, z, m, nu, rho_xy).
+    """Memo table of deterministic values, each under a key that fixes it.
 
-    A hit is one dict lookup, with no lock: a single ``dict.get`` or item
-    store is atomic in CPython (free-threaded builds lock each dict), and a
-    miss computes a deterministic value, so threads that race on one key
-    store equal values.  Concurrent pricing threads can share one instance.
+    Three kinds of entry share one table; their keys cannot compare equal:
+
+    * ``(vol, model, t)`` -- the pricer's terms of one valuation date (its
+      arc level ``z``, the averaged :class:`EffectiveParams` and the
+      modification factor), so a date is averaged once however many
+      contracts it prices;
+    * ``(vol, m, nu)`` -- a table's moments, which do not depend on ``z``;
+    * ``(vol, z, m, nu, rho_xy)`` -- :func:`effective_params` called with a
+      cache.
+
+    The vol function and the model keep their hashes, so a key hashes in
+    O(1).  A hit is one dict lookup, with no lock: a single ``dict.get`` or
+    item store is atomic in CPython (free-threaded builds lock each dict), and
+    a miss computes a deterministic value, so threads that race on one key
+    store equal values.  A computation that raises stores nothing.
+    Concurrent pricing threads can share one instance.
     """
 
     def __init__(self):
-        self._data: dict[tuple, EffectiveParams] = {}
+        self._data: dict[tuple, object] = {}
 
-    def get_or_compute(self, key: tuple, fn: Callable[[], EffectiveParams]) -> EffectiveParams:
+    def get_or_compute(self, key: tuple, fn: Callable[[], _T]) -> _T:
         hit = self._data.get(key)
         if hit is None:
             hit = self._data[key] = fn()
@@ -309,4 +357,4 @@ def effective_params(
     if cache is None:
         return _averages(vol, z, model.m, model.nu, model.rho_xy)
     key = (vol, z, model.m, model.nu, model.rho_xy)
-    return cache.get_or_compute(key, lambda: _averages(*key))
+    return cache.get_or_compute(key, lambda: _averages(*key, cache))

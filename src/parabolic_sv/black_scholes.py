@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InputDomainError
+from .errors import InputDomainError, NumericalOverflowError
 
 __all__ = [
     "BsInputs",
@@ -91,13 +91,21 @@ def check_discount(rate: float, tau: float) -> None:
 
 
 def check_interior(sigma: float, tau: float, what: str) -> None:
-    """Raise :class:`InputDomainError`, naming ``what``, where
-    ``sigma sqrt(tau)`` is 0: at ``sigma = 0`` or ``tau = 0``, where only the
-    call value is defined, and where the product underflows, since ``d1``
-    divides by it."""
+    """Refuse, naming ``what``, the inputs where the kernel's ``d1`` is
+    undefined.
+
+    Raises:
+        InputDomainError: where ``sigma sqrt(tau)`` is 0: at ``sigma = 0`` or
+            ``tau = 0``, where only the call value is defined, and where the
+            product underflows, since ``d1`` divides by it.
+        NumericalOverflowError: where ``sigma^2``, which ``d1`` takes,
+            overflows.
+    """
     if sigma * math.sqrt(tau) == 0.0:
         why = "" if sigma == 0.0 or tau == 0.0 else " (sigma * sqrt(tau) underflows to 0)"
         raise InputDomainError(f"{what} undefined at sigma = {sigma:g}, tau = {tau:g}{why}")
+    if sigma * sigma == math.inf:
+        raise NumericalOverflowError(f"{what} undefined at sigma = {sigma:g}, tau = {tau:g} (sigma^2 overflows)")
 
 
 class Greeks(NamedTuple):
@@ -110,8 +118,20 @@ class Greeks(NamedTuple):
 def call_constants(spot: float, strike: float, rate: float, tau: float) -> tuple[float, ...]:
     """The constants of one contract that :func:`call_and_d1d2_at` takes
     before the volatility: ``(spot, log(spot/strike), strike e^{-rate tau},
-    rate, tau, sqrt(tau))``."""
-    return spot, math.log(spot / strike), strike * math.exp(-rate * tau), rate, tau, math.sqrt(tau)
+    rate, tau, sqrt(tau))``.
+
+    Raises:
+        InputDomainError: when ``spot / strike`` underflows to 0, where the
+            log-moneyness is undefined.
+        OverflowError: when ``exp(-rate tau)`` overflows; callers refuse it
+            with :func:`check_discount`.
+    """
+    moneyness = spot / strike
+    if moneyness == 0.0:
+        raise InputDomainError(
+            f"spot / strike = {spot:g} / {strike:g} underflows to 0; the log-moneyness is undefined"
+        )
+    return spot, math.log(moneyness), strike * math.exp(-rate * tau), rate, tau, math.sqrt(tau)
 
 
 def call_and_d1d2_at(
@@ -154,11 +174,13 @@ def bs_call_and_d1d2(
 
 def bs_call_price(inp: BsInputs) -> float:
     """European call value; degenerate sigma/tau collapse to the forward bound,
-    and so does a ``sigma sqrt(tau)`` that underflows to 0."""
+    and so does a ``sigma sqrt(tau)`` that underflows to 0.  A ``sigma`` whose
+    square overflows is refused by :func:`check_interior`."""
     if inp.tau == 0.0:
         return max(inp.spot - inp.strike, 0.0)
     if inp.sigma * math.sqrt(inp.tau) == 0.0:
         return max(inp.spot - inp.strike * math.exp(-inp.rate * inp.tau), 0.0)
+    check_interior(inp.sigma, inp.tau, "bs_call_price")
     return bs_call_and_d1d2(inp.spot, inp.strike, inp.rate, inp.sigma, inp.tau)[0]
 
 

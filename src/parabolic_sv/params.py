@@ -64,9 +64,11 @@ class ModelParams:
 
     ``arc`` is the model's parabolic slow-factor arc,
     :func:`~parabolic_sv.slow_factor.parabolic_coefficients` of the model,
-    computed on first use and kept on the instance.  It is not a field, so
-    ``==``, ``hash``, ``replace`` and the fields a config reads ignore it,
-    and a replaced model computes its own.
+    computed on first use and kept on the instance.  The hash of the fields
+    is kept the same way, so a cache key holding the model hashes in O(1).
+    Neither is a field, so ``==``, ``replace`` and the fields a config reads
+    ignore them, and a replaced model computes its own.  The fields are
+    numbers, whose hashes do not change from process to process.
     """
 
     epsilon: float = 0.01
@@ -86,6 +88,13 @@ class ModelParams:
         violations = _model_violations(self)
         if violations:
             raise InvalidModelError(violations)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     @cached_property
     def arc(self) -> "ParabolicSlowFactor":

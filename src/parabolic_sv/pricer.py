@@ -17,17 +17,25 @@ Combined: ``total = (1+g) * (Q0 + sqrt(epsilon) * time_factor * V * D1D2 Q0)``.
 :func:`price_first_order` makes one checked pass per contract.  ``OptionSpec``
 and ``ModelParams`` have checked the spot, the strike, the dates and ``r``,
 and the model keeps its arc (``ModelParams.arc``), so the arc is built once
-per model.  Only the averaged ``sigma_bar`` and the discount factor are
-checked here, with the messages and in the order of ``BsInputs``.  The
-contract's :func:`~parabolic_sv.black_scholes.call_constants` take the one
+per model.  Three terms depend only on the model and the valuation date:
+the arc level ``z(t)``, the averaged ``sigma_bar`` and ``V`` at it, and the
+modification factor ``1+g``.  With an ``AveragingCache`` they are computed
+once per ``(vol, model, t)``, so a warm price is one lookup for its date plus
+the contract's own work; a refused factor is stored as refused and raised
+at its place in each contract's check order.  Only the averaged
+``sigma_bar`` and the discount factor are checked here, with the messages
+and in the order of ``BsInputs``.  The contract's
+:func:`~parabolic_sv.black_scholes.call_constants` take the one
 ``exp(-r tau)``, whose overflow is refused with ``check_discount``'s message,
 and ``Q0`` and ``D1D2`` come from one ``d1`` of
 :func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.  Where the kernel is
 undefined the price is refused with :class:`InputDomainError`: where
 ``sigma_bar sqrt(tau)`` is 0, including where the product underflows, and
 where D1D2 is not finite (a tiny ``sigma_bar sqrt(tau)`` sends it past the
-float range, and the correction would read ``0 * inf``).  The result is a
-:class:`PriceBreakdown`, an immutable named tuple.
+float range, and the correction would read ``0 * inf``).  Where
+``sigma_bar^2`` overflows, ``check_interior`` refuses it with
+:class:`NumericalOverflowError`.  The result is a :class:`PriceBreakdown`,
+an immutable named tuple.
 
 The modification factor does *not* tend to one at expiry, so the formula's own
 t -> T limit disagrees with the payoff; valuation exactly at t = T therefore
@@ -51,7 +59,7 @@ from .black_scholes import (
     check_finite,
     check_interior,
 )
-from .errors import InputDomainError, LogDomainError, NumericalOverflowError, SingularTimeError
+from .errors import InputDomainError, LogDomainError, NumericalOverflowError, PricingError, SingularTimeError
 from .params import ModelParams, OptionSpec
 from .slow_factor import SINGULAR_FLOOR, gamma_coefficient
 
@@ -59,6 +67,8 @@ from .slow_factor import SINGULAR_FLOOR, gamma_coefficient
 #: absolute (per year of maturity) in time.
 _DX_REL = 1e-4
 _DT_ABS = 1e-5
+
+_NORMAL_MIN = sys.float_info.min
 
 __all__ = [
     "PriceBreakdown",
@@ -89,17 +99,21 @@ def modification_factor(t: float, a: float, r: float, k: float) -> float:
 
 
 def _pricing_factor(t: float, model: ModelParams) -> float:
-    """:func:`modification_factor` of ``model`` at ``t``, refused where it
-    underflows: a factor below the smallest normal float has lost its digits,
-    and at 0 it would multiply every price to 0.
+    """:func:`modification_factor` of ``model`` at ``t``, refused unless it
+    is a finite normal float: a factor below the smallest normal float has
+    lost its digits, and at 0 it would multiply every price to 0.  ``exp``
+    raises no error where its exponent is itself infinite or NaN (a tiny
+    ``k`` times a huge ``a``), and returns inf or NaN.
 
     Raises:
-        NumericalOverflowError: when the factor overflows or underflows.
+        NumericalOverflowError: when the factor overflows, underflows or is
+            not a number.
     """
     mod = modification_factor(t, model.a, model.r, model.k)
-    if mod < sys.float_info.min:
+    if not _NORMAL_MIN <= mod < math.inf:
+        why = "underflows" if mod < _NORMAL_MIN else "is not finite"
         raise NumericalOverflowError(
-            f"modification factor {mod:g} underflows (a = {model.a:g}, r = {model.r:g}, "
+            f"modification factor {mod:g} {why} (a = {model.a:g}, r = {model.r:g}, "
             f"k = {model.k:g}, t = {t:g})"
         )
     return mod
@@ -164,6 +178,28 @@ def _require_regular_horizon(model: ModelParams, spec: OptionSpec) -> None:
         )
 
 
+def _date_terms(
+    vol: VolFunction, model: ModelParams, t: float, cache: AveragingCache | None
+) -> tuple[float, EffectiveParams, float | None]:
+    """The terms of the price that depend only on the model and the valuation
+    date: the arc level ``z``, the averaged :class:`EffectiveParams` at it
+    (with ``sigma_bar`` checked finite, as ``BsInputs`` checks it first), and
+    the modification factor, ``None`` where :func:`_pricing_factor` refuses
+    it; the contract raises that refusal at its own place in the check order.
+
+    Only a table's averaging takes the cache, which keeps its moments for
+    every date; a closed form costs less to recompute than to look up.
+    """
+    z = float(model.arc.value(t))
+    eff = effective_params(vol, z, model, cache=cache if vol.kind == "tabulated" else None)
+    check_finite("sigma", eff.sigma_bar)
+    try:
+        mod = _pricing_factor(t, model)
+    except PricingError:
+        mod = None
+    return z, eff, mod
+
+
 def price_first_order(
     spec: OptionSpec,
     model: ModelParams,
@@ -174,24 +210,27 @@ def price_first_order(
     """First-order price ``mod * (q0 + sqrt(eps) * tf * V * dd)`` with its components.
 
     ``p0 = mod * q0`` is the leading order.  At ``t = maturity`` the price is
-    the payoff.
+    the payoff.  With a ``cache``, the terms of the valuation date are
+    computed once per ``(vol, model, t)`` and shared by every contract priced
+    on that date.
 
     Raises:
-        InputDomainError: when ``sigma_bar`` is not finite, when the discount
-            factor ``exp(-r tau)`` overflows, when ``sigma_bar sqrt(tau)`` is
-            0, or when D1D2 is not finite.
-        NumericalOverflowError: when the modification factor overflows, or
-            underflows below the smallest normal float.
+        InputDomainError: when ``sigma_bar`` is not finite, when
+            ``spot / strike`` underflows to 0, when the discount factor
+            ``exp(-r tau)`` overflows, when ``sigma_bar sqrt(tau)`` is 0, or
+            when D1D2 is not finite.
+        NumericalOverflowError: when ``sigma_bar^2`` overflows, or when the
+            modification factor is not a finite normal float.
     """
     _require_regular_horizon(model, spec)
-
-    if spec.t == spec.maturity:
+    t = spec.t
+    if t == spec.maturity:
         payoff = max(spec.spot - spec.strike, 0.0)
         return PriceBreakdown(
-            z=model.arc.value(spec.t),
+            z=model.arc.value(t),
             sigma_bar=math.nan,
             q0=payoff,
-            mod_factor=modification_factor(spec.t, model.a, model.r, model.k),
+            mod_factor=modification_factor(t, model.a, model.r, model.k),
             p0=payoff,
             time_factor=0.0,
             v=0.0,
@@ -200,12 +239,13 @@ def price_first_order(
             total=payoff,
         )
 
-    z = float(model.arc.value(spec.t))
-    eff = effective_params(vol, z, model, cache=cache)
+    if cache is None:
+        z, eff, mod = _date_terms(vol, model, t, None)
+    else:
+        z, eff, mod = cache.get_or_compute((vol, model, t), lambda: _date_terms(vol, model, t, cache))
     sigma, tau = eff.sigma_bar, spec.tau
-    # tau > 0 past the payoff branch; the checks of BsInputs that can still
-    # fail, in its order
-    check_finite("sigma", sigma)
+    # tau > 0 past the payoff branch, and sigma is checked finite with its
+    # date; the other checks of BsInputs that can still fail, in its order
     try:
         consts = call_constants(spec.spot, spec.strike, model.r, tau)
     except OverflowError:  # of exp(-r tau), the one call here that can raise it
@@ -218,8 +258,9 @@ def price_first_order(
             f"D1D2 = {dd:g} is not finite at sigma = {sigma:g}, tau = {tau:g}; "
             "the first-order correction is undefined"
         )
-    tf = p1_time_factor(spec.t, spec.maturity, model.k)
-    mod = _pricing_factor(spec.t, model)
+    tf = p1_time_factor(t, spec.maturity, model.k)
+    if mod is None:
+        mod = _pricing_factor(t, model)  # raises its refusal here, after tf
     total = mod * (q0 + math.sqrt(model.epsilon) * tf * eff.v * dd)
     p0_val = mod * q0
     return PriceBreakdown(z, sigma, q0, mod, p0_val, tf, eff.v, dd, total - p0_val, total)

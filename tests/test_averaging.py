@@ -1,14 +1,20 @@
 """Averaging pipeline: closed forms for the exponential kind, a brute-force
 dense-grid rerun of the whole construction, and the Poisson-residual check."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parabolic_sv import averaging
 from parabolic_sv import (
     AveragingCache,
     CenteringFailureError,
     InputDomainError,
+    NumericalOverflowError,
     VolFunction,
     build_model,
     effective_params,
@@ -18,6 +24,8 @@ from parabolic_sv import (
 )
 from parabolic_sv.arrays import CENTERING_TOL, ORACLE_MAX_POINTS, _default_points, vol_values
 from parabolic_sv.averaging import _tabulated_moments
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXP = VolFunction.separable_exp()
 FLAT = VolFunction.y_constant()
@@ -90,6 +98,34 @@ class TestTabulatedMoments:
         # 1.98e-17).  Reference: mpmath quadrature at 50 digits, offline.
         vol = VolFunction.tabulated((4.0, 4.5, 5.0), (0.2, 0.3, 0.25))
         assert v_of(vol, 0.2, 0.0, 0.5, -0.5) == pytest.approx(1.8706232706099199e-18, rel=1e-9, abs=0.0)
+
+
+    @pytest.mark.parametrize(
+        "m, nu, message",
+        [
+            # nu^2 = 1e-340 rounds to 0, which E[f phi'] divided by
+            (0.0, 1e-170, "table moments: nu^2 underflows to 0 at nu = 1e-170"),
+            # c1^2 overflows and the pieces' sum of E[f^2] reads -inf, whose
+            # square root raised a ValueError
+            (-800.0, 1e300, "table moments: E[f^2] = -inf is negative at m = -800, nu = 1e+300; "
+             "its pieces overflow or cancel"),
+            (3.0, 1e9, "table moments: E[f^2] = -0.0940906 is negative at m = 3, nu = 1e+09; "
+             "its pieces overflow or cancel"),
+        ],
+        ids=["nu_squared_underflows", "pieces_overflow", "pieces_cancel"],
+    )
+    def test_unrepresentable_moments_are_refused(self, m, nu, message):
+        vol = VolFunction.tabulated(SMILE_Y, SMILE_F)
+        with pytest.raises(NumericalOverflowError) as exc:
+            _tabulated_moments(vol, m, nu)
+        assert str(exc.value) == message
+        with pytest.raises(NumericalOverflowError):
+            sigma_bar(vol, 0.2, m, nu)
+
+    def test_subnormal_nu_squared_still_divides(self):
+        # nu^2 ~ 1e-320 is subnormal but not 0: the division stays defined
+        mean_f2, e_f_phi = _tabulated_moments(VolFunction.tabulated(SMILE_Y, SMILE_F), 0.0, 1e-160)
+        assert mean_f2 == pytest.approx(0.22**2, rel=1e-12) and math.isfinite(e_f_phi)
 
 
 class TestSigmaBar:
@@ -260,6 +296,39 @@ class TestEffectiveParams:
         assert effective_params(other, 0.2, model, cache=cache).sigma_bar != tab.sigma_bar
 
 
+    def test_a_table_is_averaged_once_per_m_and_nu(self, monkeypatch):
+        calls = []
+
+        def counting(vol, m, nu):
+            calls.append((m, nu))
+            return _tabulated_moments(vol, m, nu)
+
+        monkeypatch.setattr(averaging, "_tabulated_moments", counting)
+        cache = AveragingCache()
+        table = VolFunction.tabulated(SMILE_Y, SMILE_F)
+        model = build_model(rho_xy=-0.5)
+        # two dates: two levels z, one (vol, m, nu)
+        first = effective_params(table, 0.2, model, cache=cache)
+        second = effective_params(table, 0.25, model, cache=cache)
+        assert calls == [(0.0, 0.3)]
+        assert (second.sigma_bar, second.v, second.z) == (first.sigma_bar, first.v, 0.25)
+        # another rho_xy shares the moments; another nu does not
+        effective_params(table, 0.2, build_model(rho_xy=0.3), cache=cache)
+        effective_params(table, 0.2, build_model(nu=0.4), cache=cache)
+        assert calls == [(0.0, 0.3), (0.0, 0.4)]
+        # without a cache every call averages
+        effective_params(table, 0.2, model)
+        assert len(calls) == 3
+
+    def test_a_refused_computation_stores_nothing(self):
+        cache = AveragingCache()
+        table = VolFunction.tabulated(SMILE_Y, SMILE_F)
+        for _ in range(2):
+            with pytest.raises(NumericalOverflowError, match="nu\\^2 underflows"):
+                effective_params(table, 0.2, build_model(nu=1e-170), cache=cache)
+        assert cache._data == {}
+
+
 class TestVolFunction:
     def test_tabulated_clamps_outside_range(self):
         vol = VolFunction.tabulated(TABLE_Y, TABLE_F)
@@ -316,3 +385,46 @@ class TestVolFunction:
         path.write_text("# only a comment\n")
         with pytest.raises(InputDomainError):
             VolFunction.from_table_file(path)
+
+    def test_equal_vol_functions_hash_equal(self):
+        assert hash(VolFunction.tabulated(TABLE_Y, TABLE_F)) == hash(VolFunction.tabulated(TABLE_Y, TABLE_F))
+        assert hash(VolFunction.separable_exp()) == hash(VolFunction(kind="separable_exp"))
+        table = VolFunction.tabulated(TABLE_Y, TABLE_F)
+        assert "_hash" not in vars(table)
+        hash(table)
+        assert vars(table)["_hash"] == hash(table)
+        kinds = {VolFunction.y_constant(), EXP, table, VolFunction.tabulated(TABLE_Y, TABLE_F)}
+        assert len(kinds) == 3
+
+    def test_pickled_vol_function_finds_its_entry_under_another_hash_seed(self, tmp_path):
+        # the kept hash travels with the pickle, so it must not depend on
+        # str or None hashing, which change from process to process
+        dump = tmp_path / "vols.pkl"
+
+        def run(seed, code):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        run(1, f"""
+import pickle
+from parabolic_sv import VolFunction
+vols = [VolFunction.y_constant(), VolFunction.separable_exp(), VolFunction.tabulated({TABLE_Y}, {TABLE_F})]
+for vol in vols:
+    hash(vol)
+open({str(dump)!r}, "wb").write(pickle.dumps(vols))
+""")
+        out = run(2, f"""
+import pickle
+from parabolic_sv import AveragingCache, VolFunction, build_model, effective_params
+vols = pickle.loads(open({str(dump)!r}, "rb").read())
+assert all("_hash" in vars(vol) for vol in vols)
+fresh = [VolFunction.y_constant(), VolFunction.separable_exp(), VolFunction.tabulated({TABLE_Y}, {TABLE_F})]
+cache, model = AveragingCache(), build_model()
+for kept, new in zip(vols, fresh):
+    stored = effective_params(new, 0.2, model, cache=cache)
+    assert effective_params(kept, 0.2, model, cache=cache) is stored, kept.kind
+print("found", len(vols))
+""")
+        assert out == "found 3\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from parabolic_sv import BsInputs, InputDomainError, bs_call_price, bs_greeks, d1d2_call
+from parabolic_sv import BsInputs, InputDomainError, NumericalOverflowError, bs_call_price, bs_greeks, d1d2_call
 from parabolic_sv.black_scholes import bs_call_and_d1d2, call_and_d1d2_at, call_constants
 from parabolic_sv.black_scholes import norm_cdf, norm_pdf
 
@@ -316,3 +316,22 @@ class TestScalarKernel:
             d1 = (consts[1] + (0.0264 + 0.5 * 0.05**2) * 0.5) / st
             assert norm_pdf(d1) == 0.0 and math.isfinite(d1 / st)
             assert math.copysign(1.0, dd) == math.copysign(1.0, 100.0 * 0.0 / st * (1.0 - d1 / st))
+
+    def test_underflowing_moneyness_is_refused(self):
+        # spot / strike = 1e-330 rounds to 0, and log(0) raised a ValueError
+        with pytest.raises(InputDomainError) as exc:
+            call_constants(1e-30, 1e300, 0.0264, 1.0)
+        assert str(exc.value) == "spot / strike = 1e-30 / 1e+300 underflows to 0; the log-moneyness is undefined"
+        # a subnormal ratio still has its log
+        assert call_constants(1e-20, 1e300, 0.0264, 1.0)[1] == math.log(1e-20 / 1e300)
+
+    @pytest.mark.parametrize("fn", [bs_call_price, d1d2_call, bs_greeks], ids=lambda f: f.__name__)
+    def test_overflowing_sigma_squared_is_refused(self, fn):
+        # d1 takes sigma**2, which raised an OverflowError from about 1.34e154
+        what = {"bs_greeks": "greeks"}.get(fn.__name__, fn.__name__)
+        with pytest.raises(NumericalOverflowError) as exc:
+            fn(BsInputs(100.0, 100.0, 0.0264, 1e160, 1.0))
+        assert str(exc.value) == f"{what} undefined at sigma = 1e+160, tau = 1 (sigma^2 overflows)"
+        assert math.isfinite(bs_call_price(BsInputs(100.0, 100.0, 0.0264, 1.3e154, 1.0)))
+        # at tau = 0 the call value is the payoff, whatever sigma
+        assert bs_call_price(BsInputs(120.0, 100.0, 0.0264, 1e160, 0.0)) == 20.0

@@ -154,6 +154,31 @@ class TestPriceCommand:
         assert captured.out == ""
         assert_one_error_line(captured.err, fragment)
 
+    @pytest.mark.parametrize(
+        "keys, code, fragment",
+        [
+            # before: "mod_factor inf" / "mod_factor nan" and "total nan" with exit 0
+            (dict(k=1e-10, a=1e300), 3, "modification factor inf is not finite"),
+            (dict(k=1e-320), 3, "modification factor nan is not finite"),
+            # before: a ZeroDivisionError, ValueError, OverflowError or ValueError traceback
+            (dict(vol_kind="tabulated", vol_table=SAMPLE_TABLE, nu=1e-170), 3,
+             "nu^2 underflows to 0 at nu = 1e-170"),
+            (dict(vol_kind="tabulated", vol_table=SAMPLE_TABLE, nu=1e300, m=-800), 3,
+             "E[f^2] = -inf is negative"),
+            (dict(vol_kind="y_constant", z0=1e160), 3, "undefined at sigma = 1e+160, tau = 1 (sigma^2 overflows)"),
+            (dict(spot=1e-30, strike=1e300), 2, "spot / strike = 1e-30 / 1e+300 underflows to 0"),
+        ],
+        ids=["factor_inf", "factor_nan", "table_nu_tiny", "table_nu_huge", "sigma_squared", "moneyness"],
+    )
+    def test_unrepresentable_terms_exit_with_one_error_line(self, tmp_path, capsys, keys, code, fragment):
+        pairs = dict(spot=100.0, strike=100.0, t=0.0, maturity=1.0)
+        pairs.update(keys)
+        cfg = write_cfg(tmp_path, "p.cfg", **pairs)
+        assert main(["price", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, fragment)
+
 
 class TestExitCodes:
     def good_price_cfg(self, tmp_path, **extra):

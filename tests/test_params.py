@@ -159,6 +159,31 @@ class TestModelArc:
         assert moved.arc != model.arc
 
 
+class TestModelHash:
+    def test_equal_models_hash_equal(self):
+        kept, fresh = build_model(z0=0.25), build_model(z0=0.25)
+        assert hash(kept) == hash(fresh) == hash(dataclasses.astuple(fresh))
+        assert {kept: 1}[fresh] == 1
+
+    def test_hash_is_kept_on_the_instance_and_is_not_a_field(self):
+        model = build_model()
+        assert "_hash" not in vars(model)
+        hash(model)
+        assert vars(model)["_hash"] == hash(model)
+        assert "_hash" not in {f.name for f in dataclasses.fields(ModelParams)}
+        assert "_hash" not in repr(model)
+
+    def test_replaced_model_gets_its_own_hash_and_arc(self):
+        model = build_model()
+        hash(model), model.arc
+        moved = dataclasses.replace(model, a=0.07)
+        assert "_hash" not in vars(moved) and "arc" not in vars(moved)
+        assert hash(moved) == hash(dataclasses.astuple(moved)) != hash(model)
+        assert moved.arc == parabolic_coefficients(moved)
+        # a replacement equal to the model shares its hash
+        assert hash(dataclasses.replace(model)) == hash(model)
+
+
 class TestCorrelationMatrix:
     def test_shape_and_symmetry(self):
         mat = correlation_matrix(build_model(rho_xy=-0.2, rho_xz=0.1, rho_yz=0.05))

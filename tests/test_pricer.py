@@ -3,11 +3,12 @@ scaling laws, and the operator-residual diagnostics."""
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parabolic_sv import slow_factor
+from parabolic_sv import pricer, slow_factor
 from parabolic_sv import (
     AveragingCache,
     BsInputs,
@@ -33,6 +34,7 @@ from parabolic_sv import (
 
 EXP = VolFunction.separable_exp()
 FLAT = VolFunction.y_constant()
+SAMPLE_TABLE = Path(__file__).resolve().parents[1] / "configs" / "vol_table_sample.txt"
 
 ATM = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.5)
 
@@ -299,6 +301,118 @@ class TestOnePass:
                 setattr(record, field, 1.0)
 
 
+class TestDateTerms:
+    """With a cache, the terms that depend only on the model and the valuation
+    date (z, the averaging and the modification factor) are computed once per
+    (vol, model, t); each contract keeps its own checks in their order."""
+
+    TABLE = VolFunction.tabulated((-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5), (0.12, 0.14, 0.17, 0.22, 0.28, 0.34, 0.40))
+
+    @staticmethod
+    def ladder(t):
+        return [OptionSpec(100.0, strike, t, t + mat) for strike in (90.0, 100.0, 110.0) for mat in (0.25, 1.0)]
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        calls = []
+        orig = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("vol", [FLAT, EXP, TABLE], ids=lambda v: v.kind)
+    def test_a_ladder_computes_its_date_once(self, monkeypatch, vol):
+        model = build_model(rho_xy=-0.4)
+        want = [price_first_order(spec, model, vol) for spec in self.ladder(0.3)]
+        factors = self.count(monkeypatch, pricer, "_pricing_factor")
+        averages = self.count(monkeypatch, pricer, "effective_params")
+        cache = AveragingCache()
+        for _ in range(2):
+            assert [price_first_order(spec, model, vol, cache=cache) for spec in self.ladder(0.3)] == want
+        assert len(factors) == 1 and len(averages) == 1
+        # another date computes its terms once more; an equal model finds the stored date
+        price_first_order(self.ladder(0.4)[0], model, vol, cache=cache)
+        price_first_order(self.ladder(0.3)[0], build_model(rho_xy=-0.4), vol, cache=cache)
+        assert len(factors) == 2 and len(averages) == 2
+        # without a cache every contract computes its date
+        for spec in self.ladder(0.3):
+            price_first_order(spec, model, vol)
+        assert len(factors) == 8 and len(averages) == 8
+
+    def test_two_dates_of_a_table_average_its_moments_once(self, monkeypatch):
+        from parabolic_sv import averaging
+
+        moments = self.count(monkeypatch, averaging, "_tabulated_moments")
+        model, cache = build_model(rho_xy=-0.4), AveragingCache()
+        got = [price_first_order(spec, model, self.TABLE, cache=cache) for spec in self.ladder(0.3) + self.ladder(0.6)]
+        assert len(moments) == 1
+        assert got[0].z != got[6].z and got[0].sigma_bar == got[6].sigma_bar
+        assert got == [price_first_order(spec, model, self.TABLE) for spec in self.ladder(0.3) + self.ladder(0.6)]
+
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no_cache", "cache"])
+    def test_a_refused_factor_keeps_its_place_in_the_check_order(self, with_cache):
+        # r = -2000: the discount factor overflows at tau = 0.5, and so does
+        # the modification factor e^((a - 2r) * 24.1); the discount is checked first
+        cache = AveragingCache() if with_cache else None
+        model = build_model(r=-2000.0)
+        for _ in range(2):  # the second price finds the date's refusal stored
+            with pytest.raises(InputDomainError, match="^discount factor exp"):
+                price_first_order(ATM, model, EXP, cache=cache)
+        # a contract whose own checks pass raises the factor's refusal, after
+        # tf: at tau = 1e-3 the discount factor is e^2
+        short = OptionSpec(100.0, 100.0, 0.0, 1e-3)
+        with pytest.raises(NumericalOverflowError, match="^modification factor e\\^.* overflows"):
+            price_first_order(short, model, EXP, cache=cache)
+
+    def test_a_refused_averaging_stores_nothing(self, monkeypatch):
+        # sigma_bar is NaN: the refusal repeats for every contract of the date
+        nan_table = VolFunction.tabulated((-1.0, 0.0, 1.0), (1e200, 2e200, 1e200))
+        averages = self.count(monkeypatch, pricer, "effective_params")
+        cache = AveragingCache()
+        for spec in self.ladder(0.0)[:3]:
+            with pytest.raises(InputDomainError, match="^sigma = nan is not a finite number$"):
+                price_first_order(spec, build_model(), nan_table, cache=cache)
+        assert len(averages) == 3
+
+
+class TestKernelRange:
+    """Inputs whose terms leave the float range are refused with a typed
+    error before the operation that would raise."""
+
+    def test_overflowing_sigma_squared_is_refused(self):
+        # y_constant's sigma_bar is z0 = 1e160 at t = 0, and the kernel's
+        # sigma**2 raised an OverflowError
+        spec = OptionSpec(100.0, 100.0, 0.0, 1.0)
+        with pytest.raises(NumericalOverflowError) as exc:
+            price_first_order(spec, build_model(z0=1e160), FLAT)
+        assert str(exc.value) == "d1d2_call undefined at sigma = 1e+160, tau = 1 (sigma^2 overflows)"
+        # the largest sigma whose square is finite still prices
+        bd = price_first_order(spec, build_model(z0=1.3e154), FLAT)
+        assert math.isfinite(bd.total)
+
+    def test_underflowing_moneyness_is_refused(self):
+        spec = OptionSpec(1e-30, 1e300, 0.0, 1.0)
+        with pytest.raises(InputDomainError, match="^spot / strike = 1e-30 / 1e\\+300 underflows to 0"):
+            price_first_order(spec, build_model(), EXP)
+
+    @pytest.mark.parametrize(
+        "keys, fragment",
+        [(dict(nu=1e-170), "nu^2 underflows to 0"), (dict(nu=1e300, m=-800.0), "E[f^2] = -inf is negative")],
+        ids=["nu_tiny", "nu_huge"],
+    )
+    def test_unrepresentable_table_moments_are_refused(self, keys, fragment):
+        table = VolFunction.from_table_file(SAMPLE_TABLE)
+        spec = OptionSpec(100.0, 100.0, 0.0, 1.0)
+        for cache in (None, AveragingCache()):
+            with pytest.raises(NumericalOverflowError) as exc:
+                price_first_order(spec, build_model(**keys), table, cache=cache)
+            assert fragment in str(exc.value)
+
+
 class TestReductions:
     def test_payoff_at_maturity(self):
         rng = np.random.default_rng(37)
@@ -390,6 +504,24 @@ class TestFactorRange:
         with pytest.raises(NumericalOverflowError, match="underflows"):
             p0_pde_residual(spec, model, eff)
         assert math.isfinite(p0_pde_residual(spec, model, eff, classical=True))
+
+    @pytest.mark.parametrize(
+        "k, a, message",
+        [
+            # (a - 2r) * factor_exponent is inf, and exp(inf) is inf without an error
+            (1e-10, 1e300, "modification factor inf is not finite (a = 1e+300, r = 0.0264, k = 1e-10, t = 0)"),
+            # log(q) / k and 1 / (k q) are both inf: the exponent is inf - inf = nan
+            (1e-320, 0.05, "modification factor nan is not finite (a = 0.05, r = 0.0264, k = 9.99989e-321, t = 0)"),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_modification_factor_is_refused(self, k, a, message):
+        model = build_model(k=k, a=a)
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=1.0)
+        for cache in (None, AveragingCache()):
+            with pytest.raises(NumericalOverflowError) as exc:
+                price_first_order(spec, model, EXP, cache=cache)
+            assert str(exc.value) == message
 
     def test_factor_just_above_the_underflow_prices(self):
         # a normal factor ~e^-703 still prices: the factor times the classical price

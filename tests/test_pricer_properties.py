@@ -3,9 +3,13 @@ either prices to finite numbers or raises a typed PricingError.
 
 The strategies reach the edges of the input space, not only uniform ranges:
 ``m`` down to -800, where ``sigma_bar`` of ``separable_exp`` underflows; a
-zero rate, at which an at-the-money ``d1`` carries no drift; and times to
+zero rate, at which an at-the-money ``d1`` carries no drift; times to
 maturity of 0, 1e-300, 1e-200 and 1e-12, where ``sigma_bar sqrt(tau)``
-underflows.
+underflows; ``k`` of 1e-320 and 1e-10 and ``a`` of +-1e300, where the
+modification factor's exponent is NaN or infinite; ``nu`` of 1e-170 and
+1e300, where a table's ``nu^2`` underflows and its moments overflow; ``z0``
+of 1e160, where ``sigma_bar^2`` overflows; and a spot of 1e-30 against a
+strike of 1e300, whose ratio underflows to 0.
 """
 import math
 
@@ -45,19 +49,20 @@ MODELS = st.fixed_dictionaries(
     dict(
         epsilon=st.floats(1e-4, 0.1),
         m=edged([-800.0, -740.0, -534.0, -360.0, -200.0, 0.0], -800.0, 1.0),
-        nu=st.floats(0.01, 2.0),
-        k=st.floats(-5.0, math.log10(0.2)).map(lambda e: 10.0**e),
+        nu=edged([1e-170, 1e300], 0.01, 2.0),
+        k=st.one_of(st.sampled_from([1e-320, 1e-10]), st.floats(-5.0, math.log10(0.2)).map(lambda e: 10.0**e)),
         m_prime=st.floats(0.0, 0.5),
         rho_xy=st.floats(-0.95, 0.95),
-        z0=st.floats(0.01, 1.0),
+        z0=edged([1e160], 0.01, 1.0),
         r=edged([0.0, 0.0264], -0.1, 0.2),
-        a=st.floats(-0.5, 0.5),
+        a=edged([-1e300, 1e300], -0.5, 0.5),
     )
 )
 
 CONTRACTS = st.fixed_dictionaries(
     dict(
-        strike=edged([100.0], 1.0, 1000.0),
+        spot=edged([1e-30], 100.0, 100.0),
+        strike=edged([100.0, 1e300], 1.0, 1000.0),
         t=edged([0.0], 0.0, 3.0),
         tau=edged([0.0, 1e-300, 1e-200, 1e-12], 1e-6, 5.0),
     )
@@ -72,7 +77,7 @@ def test_a_price_is_finite_or_a_typed_error(model_keys, contract, vol):
     except InvalidModelError:
         assume(False)
     t = contract["t"]
-    spec = OptionSpec(100.0, contract["strike"], t, t + contract["tau"])
+    spec = OptionSpec(contract["spot"], contract["strike"], t, t + contract["tau"])
     try:
         got = price_first_order(spec, model, vol)
     except PricingError:
