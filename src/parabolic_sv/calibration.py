@@ -2,22 +2,23 @@
 
 Both fits run on one chain model, :class:`_ChainModel`: each quote is
 ``M * (Q0 + v_eff * time_factor * D1D2 Q0)`` with ``M = modification_factor(t;
-a, r, k)`` and ``v_eff = sqrt(epsilon) * V``; ``v_eff`` is always profiled out
-exactly, and :meth:`_ChainModel.fit_a` solves the best ``a`` at fixed
-``(k, sigma_bar)``: in closed form at one valuation date, where the quotes are
-linear in ``(M, M v_eff)``, and by golden section over several.
+a, r, k)`` and ``v_eff = sqrt(epsilon) * V``.  At each valuation date the
+quotes are linear in ``(M, M v_eff)``, so :meth:`_ChainModel.fit_a` solves the
+best ``(a, v_eff)`` at fixed ``(k, sigma_bar)`` from one pass over the quotes:
+in closed form at one valuation date, and over several as the root of the
+misfit's derivative in ``a``, which the pass's sums give in O(dates).
 
 * :func:`estimate_a` -- least-squares fit of the empirical constant ``a``
   alone: ``v_eff`` is pinned at 0, ``k`` is given and ``sigma_bar`` is pinned
   from the nearest-the-money implied vol, so the fit is one ``fit_a`` call.
-* :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)``.  At one
-  valuation date a derivative-free simplex searches ``(k, sigma_bar)`` only
-  and ``(a, v_eff)`` is solved exactly at each of its points
+* :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)``: a
+  derivative-free simplex searches ``(k, sigma_bar)`` only, at any number of
+  valuation dates, and ``(a, v_eff)`` is solved at each of its points
   (:meth:`_ChainModel.level_objective`: one pass over the quotes for the
-  level fit's sums, one for the misfit); over several dates the simplex
-  searches ``(a, k, sigma_bar)``.  Seeded random restarts inside the box
-  :data:`BOUNDS` keep the search deterministic per seed, and a start stops
-  re-descending once its misfit reaches :data:`ROUNDING_FLOOR`.
+  level fit's sums, one for the misfit).  Seeded random restarts inside the
+  box :data:`BOUNDS`, with ``k`` kept below ``2 / T_max``, keep the search
+  deterministic per seed, and a start stops re-descending once its misfit
+  reaches :data:`ROUNDING_FLOOR`.
 
 The model works on plain floats through the one scalar Black-Scholes formula,
 :func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.  Only the restarts of
@@ -35,7 +36,6 @@ import csv
 import logging
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -55,6 +55,7 @@ from .errors import (
 from .optimize import minimize
 from .params import ModelParams, discount_factor
 from .pricer import factor_exponent, modification_factor, p1_time_factor
+from .slow_factor import SINGULAR_FLOOR
 
 __all__ = [
     "OptionQuote",
@@ -228,27 +229,6 @@ def _atm_sigma(quotes: list[OptionQuote]) -> float:
     raise InsufficientDataError("no quote admits an implied volatility")
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if hi - lo < 1e-13 * max(1.0, abs(lo) + abs(hi)):
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fn(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
-
-
 @dataclass(frozen=True)
 class AEstimate:
     """Least-squares fit of the modification constant."""
@@ -290,14 +270,6 @@ def _a_pieces(lo: float, hi: float, two_rs) -> list[tuple[float, float]]:
     if not pieces:
         raise NoInteriorMinimumError("a-bounds lie inside the excluded band around 2r")
     return pieces
-
-
-def _golden_pieces(fn, pieces: list[tuple[float, float]]) -> float:
-    """The best of the golden-section minima of fn over each piece and of the
-    pieces' ends, which the search itself only approaches."""
-    found = [_golden_min(fn, lo, hi) for lo, hi in pieces]
-    found += [(a, fn(a)) for piece in pieces for a in piece]
-    return min(found, key=lambda best: best[1])[0]
 
 
 def _level_fit(
@@ -393,7 +365,8 @@ def estimate_a(
     the box ``BOUNDS["a"]`` is not.  ``a`` comes from :meth:`_ChainModel.fit_a`:
     with one valuation date the factor is one scalar ``M`` and the fit is the
     closed form ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``;
-    with several it is a golden-section search on each side of the band.
+    with several it is the root of the misfit's derivative on each side of the
+    band, compared with the sides' ends.
 
     Raises:
         InputDomainError: ``k`` is not finite and positive, ``r`` is given
@@ -447,23 +420,77 @@ def estimate_a(
 _INFEASIBLE = (SingularTimeError, LogDomainError, InputDomainError, NumericalOverflowError)
 
 
-class _ChainModel:
-    """The quote model ``M * (Q0 + v_eff * tf * D1D2 Q0)`` over one chain, with
-    ``v_eff`` profiled out, and the least-squares ``a`` for fixed
-    ``(k, sigma_bar)``.
+def _level_chord(lo: float, hi: float, w_lo: float, w_hi: float, g: float) -> float:
+    """Where the chord through ``(lo, w_lo)`` and ``(hi, w_hi)``, drawn against
+    the level ``e^{g a}`` rather than ``a``, crosses zero; ``w_lo <= 0 < w_hi``.
+    The level's range is taken in log space, where its ends may lie past the
+    float range."""
+    t = w_lo / (w_lo - w_hi)  # the crossing's share of the level's range
+    d = g * (hi - lo)
+    if d > 0.0:  # e^{g a} / e^{g hi} = t + (1 - t) e^{-d} at the crossing
+        share = t + (1.0 - t) * math.exp(-d)
+        return hi + math.log(share) / g if share > 0.0 else lo
+    share = 1.0 + t * math.expm1(d)  # e^{g a} / e^{g lo} at the crossing
+    return lo + math.log(share) / g if share > 0.0 else hi
 
-    Each quote's :func:`~parabolic_sv.black_scholes.call_constants` are
-    computed once, and every ``(k, sigma_bar)`` point calls the one scalar
-    formula per quote on plain floats.  On the chains a fit serves, a dozen
-    or two quotes, that is cheaper than numpy calls on short arrays; past
-    about 30 quotes the arrays would win (``BENCH_18.json``).  The modification
-    and time factors are computed once per distinct (t, T, r) date.  ``rate``,
-    when given, replaces every quote's own rate in the modification factor
-    (``Q0`` keeps the quote's).  A ``v_box`` of ``(0, 0)`` pins ``v_eff`` at 0,
-    and then no time factor is evaluated, so dates straddling ``2/k`` stay
-    feasible.  The calls, D1D2 and time factors of the last
-    ``(k, sigma_bar)`` are kept, so the ``a`` solve over several dates and the
-    ``v_eff`` at its result share them.
+
+def _bracketed_root(fn, lo: float, hi: float, f_lo: float, f_hi: float, g: float) -> float:
+    """A root of ``fn`` in ``[lo, hi]``, where ``f_lo <= 0 < f_hi``: a point
+    where ``fn`` is 0 or, of the ends of a bracket at most ``4 eps |x|`` wide,
+    the one where ``|fn|`` is least.
+
+    Regula falsi with the Illinois halving of an end kept twice (Dowell &
+    Jarratt, BIT 11, 1971), its chord drawn against the level ``e^{g x}``
+    (:func:`_level_chord`), in which the misfit's derivative is close to
+    linear.  Each step lands at least ``2 eps |x|`` inside the bracket, so
+    that a root next to one end is bracketed by the next step, and two steps
+    that each leave more than half of the bracket are followed by a
+    bisection.
+    """
+    w_lo, w_hi = f_lo, f_hi  # the chord's weights, halved by the Illinois rule
+    side = stalled = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        width = hi - lo
+        tol = 2.0 * sys.float_info.epsilon * max(abs(lo), abs(hi))
+        if width <= 2.0 * tol:
+            break
+        bisect = stalled >= 2
+        x = mid if bisect else _level_chord(lo, hi, w_lo, w_hi, g)
+        if not lo + tol <= x <= hi - tol:
+            x = mid if math.isnan(x) else min(max(x, lo + tol), hi - tol)
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            if side < 0:
+                w_hi *= 0.5
+            lo, f_lo, w_lo, side = x, fx, fx, -1
+        else:
+            if side > 0:
+                w_lo *= 0.5
+            hi, f_hi, w_hi, side = x, fx, fx, 1
+        stalled = 0 if bisect or hi - lo <= 0.5 * width else stalled + 1
+    return lo if -f_lo <= f_hi else hi
+
+
+class _ChainModel:
+    """The quote model ``M * (Q0 + v_eff * tf * D1D2 Q0)`` over one chain, and
+    its least-squares ``(a, v_eff)`` at fixed ``(k, sigma_bar)``.
+
+    At each valuation date the factors are one level ``M = exp((a - 2r') g)``
+    times rate ratios that ``k`` alone fixes, so the model is linear in ``M``
+    and ``M v_eff`` there: one pass over the quotes keeps, per valuation date,
+    the sums of products of the quotes' base values ``b``, slopes ``s`` and
+    mids, and ``a`` and ``v_eff`` are solved from those sums
+    (:meth:`_fit_level`).  Each quote's
+    :func:`~parabolic_sv.black_scholes.call_constants` are computed once, and
+    every ``(k, sigma_bar)`` point calls the one scalar formula per quote on
+    plain floats.  On the chains a fit serves, a dozen or two quotes, that is
+    cheaper than numpy calls on short arrays; past about 30 quotes the arrays
+    would win (``BENCH_18.json``).  ``rate``, when given, replaces every
+    quote's own rate in the modification factor (``Q0`` keeps the quote's).  A
+    ``v_box`` of ``(0, 0)`` pins ``v_eff`` at 0, and then no time factor is
+    evaluated, so dates straddling ``2/k`` stay feasible.
     """
 
     def __init__(
@@ -474,6 +501,7 @@ class _ChainModel:
         v_box: tuple[float, float],
         rate: float | None = None,
     ):
+        valuation_dates = list(dict.fromkeys(q.t for q in quotes))
         keys = [(q.t, q.maturity, q.rate if rate is None else rate) for q in quotes]
         for _, _, r in keys:
             if not math.isfinite(2.0 * r):
@@ -486,14 +514,20 @@ class _ChainModel:
         self.dates = list(dict.fromkeys(keys))
         self.date_of = [self.dates.index(key) for key in keys]
         self.two_rs = [2.0 * r for _, _, r in self.dates]
-        self.rate_counts = Counter(2.0 * r for _, _, r in keys)
+        self.valuation_dates = valuation_dates
+        #: the valuation date of each (t, T, r) date, and each valuation date's 2r values
+        self.day_of = [valuation_dates.index(t) for t, _, _ in self.dates]
+        self.day_two_rs = [[2.0 * r for t, _, r in self.dates if t == day] for day in valuation_dates]
+        #: each valuation date's (call constants, date, mid) of its quotes, and its mids
+        self.groups = [
+            [(c, d, mid) for c, d, mid in zip(self.consts, self.date_of, self.mids) if self.day_of[d] == j]
+            for j in range(len(valuation_dates))
+        ]
+        self.group_mids = [[mid for _, _, mid in group] for group in self.groups]
         self.n_quotes = len(quotes)
         self.box = [(float(l), float(h)) for l, h in zip(lo, hi)]
         self.v_box = v_box
-        self.a_pieces = _a_pieces(*self.box[0], self.rate_counts)
-        valuation_dates = {q.t for q in quotes}
-        self.single_date = valuation_dates.pop() if len(valuation_dates) == 1 else None
-        self._kept = None, None
+        self.a_pieces = _a_pieces(*self.box[0], self.two_rs)
 
     def _time_factors(self, k: float, sig: float) -> list[float]:
         """The per-date time factors at ``k``, once ``sigma_bar`` is checked."""
@@ -505,14 +539,12 @@ class _ChainModel:
 
     def _kernel(self, k: float, sig: float) -> tuple[list[tuple[float, float]], list[float]]:
         """Each quote's (call, D1D2) and the per-date time factors at (k, sigma_bar)."""
-        if self._kept[0] != (k, sig):
-            tf = self._time_factors(k, sig)
-            self._kept = (k, sig), ([call_and_d1d2_at(*c, sig) for c in self.consts], tf)
-        return self._kept[1]
+        tf = self._time_factors(k, sig)
+        return [call_and_d1d2_at(*c, sig) for c in self.consts], tf
 
     def profiled_v(self, a: float, k: float, sig: float) -> tuple[float, list[float]]:
         """Least-squares v_eff given the nonlinear parameters (model is linear
-        in it), clamped to the v box, and the residuals there.
+        in it), clamped to the v box, and the residuals there, quote by quote.
 
         Raises:
             SingularTimeError, NumericalOverflowError: from a modification
@@ -521,17 +553,17 @@ class _ChainModel:
         """
         kernel, tf = self._kernel(k, sig)
         mod = [modification_factor(t, a, r, k) for t, _, r in self.dates]
-        # every entry of target, slope and the residual is at most `bound` in
+        # each entry of target, slope and the residual is at most `bound` in
         # size (|v| is clamped to the v box), so each sum of squares is at most
-        # n bound^2 and finite when this is
-        top = max(mod)
+        # n bound^2 and finite when this is; a sum, not a max, so that a NaN
+        # term (0 * inf) is not skipped
         v_abs = max(-self.v_box[0], self.v_box[1])
-        bound = self.mid_abs + top * max(abs(call) for call, _ in kernel) + v_abs * (
-            top * max(abs(f) for f in tf) * max(abs(dd) for _, dd in kernel)
+        bound = self.mid_abs + sum(
+            mod[d] * (abs(call) + v_abs * abs(tf[d] * dd)) for d, (call, dd) in zip(self.date_of, kernel)
         )
         if not 2.0 * self.n_quotes * bound * bound < math.inf:
             raise NumericalOverflowError(
-                f"modification factor {top:.6g} overflows the misfit (a = {a:g}, k = {k:g})"
+                f"modification factor {max(mod):.6g} overflows the misfit (a = {a:g}, k = {k:g})"
             )
         mod_tf = [m * f for m, f in zip(mod, tf)]
         target = [mid - mod[d] * call for mid, d, (call, _) in zip(self.mids, self.date_of, kernel)]
@@ -545,37 +577,24 @@ class _ChainModel:
         v = slope_target / slope_slope if slope_slope > 1e-300 else 0.0
         return min(max(v, self.v_box[0]), self.v_box[1])
 
-    def objective(self, theta) -> float:
-        """Price RMSE over (a, k, sigma_bar), with penalties outside the box and
-        inside the excluded bands, and 1e9 at infeasible points."""
-        theta = [float(x) for x in theta]
-        a, k, sig = theta
-        (a_lo, a_hi), (k_lo, k_hi), (s_lo, s_hi) = self.box
-        if a < a_lo or a > a_hi or k < k_lo or k > k_hi or sig < s_lo or sig > s_hi:
-            excess = sum(max(lo - x, 0.0) + max(x - hi, 0.0) for x, (lo, hi) in zip(theta, self.box))
-            return 1e6 * (1.0 + excess)
-        penalty = 0.0
-        for two_r, count in self.rate_counts.items():
-            gap = abs(a - two_r)
-            if gap < A_EXCLUSION:
-                penalty += count * 1e3 * (A_EXCLUSION - gap) / A_EXCLUSION
-        try:
-            _, resid = self.profiled_v(a, k, sig)
-        except _INFEASIBLE:
-            return 1e9
-        return math.sqrt(sum(x * x for x in resid) / self.n_quotes) + penalty
+    def _profile_levels(self, levels: list[float], sums: list[tuple[float, ...]]) -> float:
+        """:meth:`_profile` of the quotes ``mids ~ M (b + v s)`` at each
+        valuation date's level ``M``, from the date's sums: the slope is
+        ``M s`` and the target ``mids - M b``."""
+        slope_target = slope_slope = 0.0
+        for m, (_, bs, _, ss, sm) in zip(levels, sums):
+            slope_target += m * (sm - m * bs)
+            slope_slope += m * (m * ss)
+        return self._profile(slope_target, slope_slope)
 
     def _in_box(self, k: float, sig: float) -> bool:
         _, (k_lo, k_hi), (s_lo, s_hi) = self.box
         return k_lo <= k <= k_hi and s_lo <= sig <= s_hi
 
     def fit_a(self, k: float, sig: float) -> float:
-        """The least-squares ``a`` at fixed (k, sigma_bar), with ``v_eff`` profiled.
-
-        At one valuation date the factors are one level ``M`` times rate ratios
-        known once ``k`` is (:meth:`_fit_level`).  Over several dates it is the
-        best golden-section minimum of the profiled sum of squares on each
-        a-piece.  Outside the (k, sigma_bar) box ``a`` is the lower a-bound.
+        """The least-squares ``a`` at fixed (k, sigma_bar), with ``v_eff``
+        profiled (:meth:`_fit_level`).  Outside the (k, sigma_bar) box ``a`` is
+        the lower a-bound.
 
         Raises:
             SingularTimeError, LogDomainError, InputDomainError,
@@ -583,68 +602,155 @@ class _ChainModel:
         """
         if not self._in_box(k, sig):
             return self.box[0][0]
-        if self.single_date is None:
-
-            def sse(a: float) -> float:
-                try:
-                    _, resid = self.profiled_v(a, k, sig)
-                except NumericalOverflowError:  # a sum of squares past the float range
-                    return math.inf
-                return sum(x * x for x in resid)
-
-            return _golden_pieces(sse, self.a_pieces)
         return self._fit_level(k, sig)[0]
 
     def _fit_level(
         self, k: float, sig: float
-    ) -> tuple[float, float, list[float], list[float], tuple[float, float, float, float, float]]:
-        """At one valuation date: the least-squares ``a`` of :func:`_level_fit`,
-        its level ``M``, the base and slope values ``b`` and ``s`` of the
-        quotes ``M (b + v_eff s)``, and the sums of products the fit took.
-        One pass over the quotes prices each and adds it to the sums.  The rate
-        ratios are taken against the rate whose ratios stay <= 1."""
+    ) -> tuple[float, list[float], list[list[float]], list[list[float]], list[tuple[float, ...]]]:
+        """The least-squares ``a``, each valuation date's level ``M`` there,
+        the base and slope values ``b`` and ``s`` of each date's quotes
+        ``M (b + v_eff s)``, and each date's sums of products ``(b.b, b.s,
+        b.mids, s.s, s.mids)``.
+
+        One pass over the quotes prices each and adds it to its date's sums.
+        The rate ratios of a valuation date are taken against the rate whose
+        ratios stay <= 1.  At one valuation date ``a`` is the closed form of
+        :func:`_level_fit`; over several, :meth:`_solve_a` solves it from the
+        sums.
+        """
         tf = self._time_factors(k, sig)
-        g = factor_exponent(self.single_date, k)
-        two_ref = min(self.rate_counts) if g > 0.0 else max(self.rate_counts)
-        rho = [math.exp((two_ref - two_r) * g) for two_r in self.two_rs]
+        gs = [factor_exponent(t, k) for t in self.valuation_dates]
+        refs = [min(two_rs) if g > 0.0 else max(two_rs) for g, two_rs in zip(gs, self.day_two_rs)]
+        rho = [math.exp((refs[j] - two_r) * gs[j]) for j, two_r in zip(self.day_of, self.two_rs)]
         rho_tf = [p * f for p, f in zip(rho, tf)]
-        b, s = [], []
-        bb = bs = bm = ss = sm = 0.0
-        for c, d, mid in zip(self.consts, self.date_of, self.mids):
-            call, dd = call_and_d1d2_at(*c, sig)
-            bi, si = rho[d] * call, rho_tf[d] * dd
-            b.append(bi)
-            s.append(si)
-            bb += bi * bi
-            bs += bi * si
-            bm += bi * mid
-            ss += si * si
-            sm += si * mid
-        sums = bb, bs, bm, ss, sm
-        a, level = _level_fit(self.a_pieces, two_ref, g, sums, self.v_box)
-        return a, level, b, s, sums
+        b, s, sums = [], [], []
+        for group in self.groups:
+            b_day, s_day = [], []
+            bb = bs = bm = ss = sm = 0.0
+            for c, d, mid in group:
+                call, dd = call_and_d1d2_at(*c, sig)
+                bi, si = rho[d] * call, rho_tf[d] * dd
+                b_day.append(bi)
+                s_day.append(si)
+                bb += bi * bi
+                bs += bi * si
+                bm += bi * mid
+                ss += si * si
+                sm += si * mid
+            b.append(b_day)
+            s.append(s_day)
+            sums.append((bb, bs, bm, ss, sm))
+        if len(gs) == 1:
+            a, level = _level_fit(self.a_pieces, refs[0], gs[0], sums[0], self.v_box)
+            return a, [level], b, s, sums
+        a, levels = self._solve_a(refs, gs, b, s, sums)
+        return a, levels, b, s, sums
+
+    def _solve_a(
+        self,
+        refs: list[float],
+        gs: list[float],
+        b: list[list[float]],
+        s: list[list[float]],
+        sums: list[tuple[float, ...]],
+    ) -> tuple[float, list[float]]:
+        """Over several valuation dates: the least-squares ``a`` of the quotes
+        ``M_j (b + v s)`` with ``M_j = exp((a - refs[j]) gs[j])`` and ``v``
+        profiled, and the levels ``M_j`` there.
+
+        With ``P_j = b.mids + v s.mids`` and ``Q_j = b.b + 2 v b.s + v^2 s.s``,
+        the misfit is ``mids.mids + sum_j M_j (M_j Q_j - 2 P_j)`` and, ``v``
+        being optimal, its derivative in ``a`` is ``2 sum_j g_j M_j (M_j Q_j -
+        P_j)``: both cost O(dates).  On each a-piece, cut to where every level
+        keeps the misfit's sums finite, ``a`` is the bracketed root of the
+        derivative (:func:`_bracketed_root`) where the misfit falls from the
+        piece's lower end and rises into its upper end, and the ends
+        themselves; the candidate with the least misfit wins.
+
+        Raises:
+            NumericalOverflowError: when no level keeps the misfit finite.
+        """
+        # the root is sought in the steepest level X, in which the misfit is
+        # close to a quadratic: the derivative in X, signed as the one in a,
+        # is 2 sum_j (g_j / |g_X|) (M_j / X) (M_j Q_j - P_j)
+        top = max(range(len(gs)), key=lambda j: abs(gs[j]))
+        if gs[top] == 0.0:  # M = 1 for every a
+            return self.a_pieces[0][0], [1.0] * len(gs)
+        # keep profiled_v's bound, mid_abs + sum_j M_j sum (|b| + |v| |s|), below
+        # sqrt(max float / 8 n), so that n bound^2 stays finite; each date's
+        # M_j sum (|b| + |v| |s|) may take `room` of it
+        room = (math.sqrt(sys.float_info.max / (8.0 * self.n_quotes)) - self.mid_abs) / len(gs)
+        if not room > 0.0:
+            raise NumericalOverflowError("the mids' sum of squares overflows")
+        v_abs = max(-self.v_box[0], self.v_box[1])
+        a_lo, a_hi = -math.inf, math.inf
+        for ref, g, b_day, s_day in zip(refs, gs, b, s):
+            size = sum(abs(bi) + v_abs * abs(si) for bi, si in zip(b_day, s_day))
+            if size > 0.0:
+                # the largest log level, below half the float range's so that
+                # the products of a level stay finite
+                log_cap = min(math.log(room) - math.log(size), 0.5 * _LOG_MAX)
+                if g > 0.0:
+                    a_hi = min(a_hi, ref + log_cap / g)
+                elif g < 0.0:
+                    a_lo = max(a_lo, ref + log_cap / g)
+                elif log_cap < 0.0:
+                    a_lo = math.inf
+        terms = [(g / abs(gs[top]), *day) for g, day in zip(gs, sums)]
+        misfits = {}  # the misfit less mids.mids at each a the derivative was taken
+
+        def slope(a: float) -> float:
+            logs = [(a - ref) * g for ref, g in zip(refs, gs)]
+            levels = [math.exp(x) for x in logs]
+            v = self._profile_levels(levels, sums)
+            slope = size = misfit = 0.0
+            for x, m, (w, bb, bs, bm, ss, sm) in zip(logs, levels, terms):
+                mq, p = m * (bb + v * (2.0 * bs + v * ss)), bm + v * sm
+                ratio = w * math.exp(x - logs[top])
+                slope += ratio * (mq - p)
+                size += abs(ratio) * (abs(mq) + abs(p))
+                misfit += m * (mq - 2.0 * p)
+            misfits[a] = misfit
+            # a difference of its terms' rounding is a root
+            return slope if abs(slope) > sys.float_info.epsilon * size else 0.0
+
+        candidates = []
+        for p_lo, p_hi in self.a_pieces:
+            lo, hi = max(p_lo, a_lo), min(p_hi, a_hi)
+            if lo > hi:
+                continue
+            candidates += [lo, hi]
+            d_lo, d_hi = slope(lo), slope(hi)
+            if d_lo <= 0.0 < d_hi:
+                candidates.append(_bracketed_root(slope, lo, hi, d_lo, d_hi, gs[top]))
+        if not candidates:
+            raise NumericalOverflowError("every feasible modification factor overflows the misfit")
+        a = min(candidates, key=misfits.__getitem__)
+        return a, [math.exp((a - ref) * g) for ref, g in zip(refs, gs)]
 
     def level_objective(self, x: tuple[float, float]) -> float:
-        """The one-date objective over (k, sigma_bar): :meth:`objective` at
-        ``(fit_a(k, sigma_bar), k, sigma_bar)``.  Inside the box the misfit is
-        taken from the level fit's own values, ``mids - M (b + v_eff s)``, with
-        ``v_eff`` profiled from its sums and one more pass for the residual;
-        the fitted ``a`` lies in the box and outside every band, so no penalty
-        applies.  Outside the box it is the box penalty, and at an infeasible
-        point 1e9."""
+        """The price RMSE over (k, sigma_bar), with ``(a, v_eff)`` solved at
+        each point (:meth:`_fit_level`).  The misfit is taken from the level
+        fit's own values, ``mids - M (b + v_eff s)``, in one more pass, with
+        ``v_eff`` profiled from the sums: read from the sums, it would cancel
+        to about eps times the mids' sum of squares.  The fitted ``a`` lies in
+        the box and outside every band around ``2r``.  Outside the (k,
+        sigma_bar) box it is ``1e6 (1 + excess)``, and at an infeasible point
+        1e9."""
         k, sig = (float(v) for v in x)
         if not self._in_box(k, sig):
-            return self.objective((self.box[0][0], k, sig))
+            excess = sum(max(lo - v, 0.0) + max(v - hi, 0.0) for v, (lo, hi) in zip((k, sig), self.box[1:]))
+            return 1e6 * (1.0 + excess)
         try:
-            _, level, b, s, (_, bs, _, ss, sm) = self._fit_level(k, sig)
+            _, levels, b, s, sums = self._fit_level(k, sig)
         except _INFEASIBLE:
             return 1e9
-        # the slope is level * s and the target mids - level * b
-        v = self._profile(level * (sm - level * bs), level * (level * ss))
+        v = self._profile_levels(levels, sums)
         sse = 0.0
-        for bi, si, mid in zip(b, s, self.mids):
-            r = (mid - level * bi) - v * (level * si)
-            sse += r * r
+        for level, b_day, s_day, mids in zip(levels, b, s, self.group_mids):
+            for bi, si, mid in zip(b_day, s_day, mids):
+                r = (mid - level * bi) - v * (level * si)
+                sse += r * r
         return math.sqrt(sse / self.n_quotes)
 
 
@@ -652,12 +758,11 @@ class _ChainModel:
 class CalibResult:
     """Fit of (a, k, v_eff, sigma_bar); objective is the price RMSE.
 
-    ``iterations`` counts the Nelder-Mead iterations summed over starts and
-    restarts: of the two-dimensional (k, sigma_bar) search, with ``a`` and
-    ``v_eff`` solved exactly inside it, for a chain with one valuation date,
-    and of the (a, k, sigma_bar) search otherwise.  ``evaluations`` counts the
-    objective evaluations summed the same way, each start's first included;
-    at one valuation date each is one level fit and one misfit pass.
+    ``iterations`` counts the Nelder-Mead iterations of the (k, sigma_bar)
+    search, with ``a`` and ``v_eff`` solved exactly inside it, summed over
+    starts and restarts.  ``evaluations`` counts the objective evaluations
+    summed the same way, each start's first included; each is one pass over
+    the quotes for the level fit's sums and one for the misfit.
     ``restart_objectives`` holds the final objective of each start.
     """
 
@@ -680,20 +785,20 @@ def calibrate_effective(
 ) -> CalibResult:
     """Joint fit of ``(a, k, v_eff, sigma_bar)`` to a quote chain.
 
-    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973):
-    the model is linear in ``v_eff``, which is profiled out exactly.  With one
-    valuation date the simplex searches only (k, sigma_bar), and for each of
-    its points the best ``(a, v_eff)`` is solved exactly
-    (:meth:`_ChainModel.fit_a`); with several it searches (a, k, sigma_bar).
-    At one date the misfit of each point comes from the level fit's own
-    vectors (:meth:`_ChainModel.level_objective`), so it costs one pass.
-    Runs the data-driven starts (ATM implied vol, ``a`` either side of the
-    band around ``2r``, which are one point when ``a`` is solved) plus
-    ``n_restarts`` seeded random starts inside the box ``BOUNDS``; each start
-    is a chain of adaptive Nelder-Mead descents restarted on their own result
-    until the objective stalls, or until it is at or below the rounding floor
-    ``ROUNDING_FLOOR * max(spot, discounted strike)``, where a fit is exact
-    to rounding.  Deterministic for fixed (quotes, seed).
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973;
+    Kaufman, BIT 15, 1975): at each valuation date the model is linear in
+    ``v_eff`` and in the level of the modification factor, so a
+    derivative-free simplex searches only (k, sigma_bar), and for each of its
+    points the best ``(a, v_eff)`` is solved from one pass over the quotes
+    (:meth:`_ChainModel.level_objective`).  Where ``BOUNDS["k"]`` reaches past
+    ``2 / T_max``, at which the longest maturity's time factor has no value,
+    the search's upper ``k`` is ``(2 - 2 SINGULAR_FLOOR) / T_max``.  Runs the
+    data-driven start (ATM implied vol) plus ``n_restarts`` seeded random
+    starts inside that box; each start is a chain of adaptive Nelder-Mead
+    descents restarted on their own result until the objective stalls, or
+    until it is at or below the rounding floor ``ROUNDING_FLOOR * max(spot,
+    discounted strike)``, where a fit is exact to rounding.  Deterministic for
+    fixed (quotes, seed).
 
     Raises:
         InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
@@ -715,19 +820,17 @@ def calibrate_effective(
 
     import numpy as np  # the seeded restarts draw from numpy's generator
 
-    lo, hi = zip(*(BOUNDS[n] for n in ("a", "k", "sigma_bar")))
-    model = _ChainModel(quotes, lo, hi, BOUNDS["v_eff"])
-    if model.single_date is None:  # no closed form for a: the simplex searches it
-        free, fit_objective = slice(0, 3), model.objective
-        offsets = (0.01, -0.01)
-    else:
-        free, fit_objective, offsets = slice(1, 3), model.level_objective, (0.0,)
+    (k_lo, k_hi), (s_lo, s_hi) = BOUNDS["k"], BOUNDS["sigma_bar"]
+    t_max = max(q.maturity for q in quotes)
+    if k_hi * t_max > 2.0:  # past 2 / T_max every point is infeasible
+        k_hi = (2.0 - 2.0 * SINGULAR_FLOOR) / t_max
+    model = _ChainModel(quotes, (BOUNDS["a"][0], k_lo, s_lo), (BOUNDS["a"][1], k_hi, s_hi), BOUNDS["v_eff"])
     evaluations = 0
 
     def objective(x) -> float:
         nonlocal evaluations
         evaluations += 1
-        return fit_objective(x)
+        return model.level_objective(x)
 
     # a start whose misfit reaches this is exact to rounding: it stops re-descending
     floor = ROUNDING_FLOOR * max(max(spot, disc_strike) for spot, _, disc_strike, *_ in model.consts)
@@ -737,19 +840,17 @@ def calibrate_effective(
         sigma_start = _atm_sigma(quotes)
     except InsufficientDataError:
         sigma_start = 0.2
-    sigma_start = min(max(sigma_start, BOUNDS["sigma_bar"][0]), BOUNDS["sigma_bar"][1])
-    # near a = 2r the factor is ~1 and the ATM implied vol alone reproduces the
-    # chain, so both sides of the excluded band make strong data-driven starts
-    r_mean = float(np.mean([q.rate for q in quotes]))
-    starts = [[2.0 * r_mean + off, 0.05, sigma_start][free] for off in offsets]
+    starts = [[0.05, min(max(sigma_start, s_lo), s_hi)]]
     for _ in range(n_restarts):
-        starts.append([l + (h - l) * u for l, h, u in zip(lo, hi, rng.random(3).tolist())][free])
+        # the first of the three draws was once a's start: each seed keeps its starts
+        _, u_k, u_s = rng.random(3).tolist()
+        starts.append([k_lo + (k_hi - k_lo) * u_k, s_lo + (s_hi - s_lo) * u_s])
 
     best = None
     total_iters = 0
     restart_objs = []
     converged = False
-    for idx, x0 in enumerate(starts):
+    for x0 in starts:
         x, fval = x0, objective(x0)
         success = False
         for _round in range(6):
@@ -761,14 +862,10 @@ def calibrate_effective(
                 break
         restart_objs.append(fval)
         if best is None or fval < best[1]:
-            best = (x, fval, idx)
+            best = (x, fval)
             converged = success
-    theta, obj, _ = best
-    if model.single_date is None:
-        a_hat, k_hat, sigma_hat = theta
-    else:
-        k_hat, sigma_hat = theta
-        a_hat = model.fit_a(k_hat, sigma_hat)
+    (k_hat, sigma_hat), obj = best
+    a_hat = model.fit_a(k_hat, sigma_hat)
     v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
     return CalibResult(
         a_hat=a_hat,

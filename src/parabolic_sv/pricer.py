@@ -210,7 +210,8 @@ def price_first_order(
     """First-order price ``mod * (q0 + sqrt(eps) * tf * V * dd)`` with its components.
 
     ``p0 = mod * q0`` is the leading order.  At ``t = maturity`` the price is
-    the payoff.  With a ``cache``, the terms of the valuation date are
+    the payoff, and the factor it reports is checked as at any other date.
+    With a ``cache``, the terms of the valuation date are
     computed once per ``(vol, model, t)`` and shared by every contract priced
     on that date.
 
@@ -230,7 +231,7 @@ def price_first_order(
             z=model.arc.value(t),
             sigma_bar=math.nan,
             q0=payoff,
-            mod_factor=modification_factor(t, model.a, model.r, model.k),
+            mod_factor=_pricing_factor(t, model),
             p0=payoff,
             time_factor=0.0,
             v=0.0,

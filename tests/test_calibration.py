@@ -359,15 +359,15 @@ class TestCalibrateEffective:
         assert res.iterations > 0
 
     def test_two_valuation_dates_round_trip(self):
-        # no closed form for a over several dates: the simplex searches
-        # (a, k, sigma_bar) from both data-driven starts
+        # over several dates a is solved inside the (k, sigma_bar) search as
+        # at one, from the one data-driven start
         quotes = two_date_quotes(a=0.06, sigma=0.21, v_eff=0.003)
         res = calibrate_effective(quotes, seed=0)
         assert res.objective <= 1e-8
         assert abs(res.sigma_bar_hat - 0.21) <= 1e-4
         assert abs(res.v_eff_hat - 0.003) <= 1e-4
         assert abs(res.a_hat - 0.06) <= 1e-3
-        assert len(res.restart_objectives) == 2 + 3
+        assert len(res.restart_objectives) == 1 + 3
 
     def test_insufficient_data(self):
         quotes = synth_quotes(a=0.06)
@@ -423,7 +423,7 @@ def quotes_at(t, maturities, rate=0.0264, strikes=(90.0, 100.0, 110.0)):
 
 
 class TestVectorObjective:
-    """The vectorised objective of calibrate_effective against a per-quote loop."""
+    """The chain model's misfit and its infeasible points against a per-quote loop."""
 
     CHAINS = {
         "single_date": synth_quotes(a=0.06, sigma=0.21, v_eff=0.003),
@@ -445,14 +445,24 @@ class TestVectorObjective:
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_matches_per_quote_loop(self, chain):
+        # the RMSE of profiled_v's residuals, at every point where the loop
+        # adds no penalty: inside the box and outside the bands around 2r
         quotes = self.CHAINS[chain]
         lo, hi, v_box = box()
-        objective = _ChainModel(quotes, lo, hi, v_box).objective
+        model = _ChainModel(quotes, lo, hi, v_box)
+        compared = 0
         for theta in self.THETAS:
             theta = np.array(theta)
+            if np.any(theta < lo) or np.any(theta > hi) or any(
+                abs(theta[0] - 2.0 * q.rate) < A_EXCLUSION for q in quotes
+            ):
+                continue
             want = loop_objective(quotes, theta, lo, hi, v_box)
             assert math.isfinite(want) and want != 1e9, theta
-            assert objective(theta) == pytest.approx(want, rel=1e-12), theta
+            _, resid = model.profiled_v(*theta)
+            assert math.sqrt(sum(x * x for x in resid) / len(resid)) == pytest.approx(want, rel=1e-12), theta
+            compared += 1
+        assert compared >= 4
 
     def test_profiled_v_matches_the_fit(self):
         quotes = self.CHAINS["single_date"]
@@ -490,34 +500,35 @@ class TestVectorObjective:
         ids=lambda x: x if isinstance(x, str) else "",
     )
     def test_infeasible_points_score_1e9(self, quotes, theta, why):
+        # the model refuses each point the loop scores 1e9; at the first three
+        # every a is infeasible, which TestLevelObjective scores
         lo, hi, v_box = box()
-        objective = _ChainModel(quotes, lo, hi, v_box).objective
-        theta = np.array(theta)
-        assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9, why
-        assert objective(theta) == 1e9, why
+        assert loop_objective(quotes, np.array(theta), lo, hi, v_box) == 1e9, why
+        with pytest.raises(calibration._INFEASIBLE):
+            _ChainModel(quotes, lo, hi, v_box).profiled_v(*theta)
 
     @pytest.mark.parametrize("k", [1.22e-4, 1.4e-4, 2.4e-4])
     def test_finite_factor_whose_misfit_overflows_scores_1e9(self, k):
         # at a = 0.5 these factors are e^708 to e^360: finite, but mod * call
         # or slope @ slope is past the float range, where numpy would warn
-        # (an error in this suite) and the objective would read nan
+        # (an error in this suite) and the objective would read nan.  The
+        # a-solve keeps to the levels whose misfit is finite.
         quotes = [
             OptionQuote(t, t + tau, strike, 5.0, 100.0, 0.0264)
             for t in (0.0, 0.4) for tau in (0.5, 1.0) for strike in (90.0, 100.0, 110.0)
         ]
-        model = _ChainModel(quotes, *box())
-        assert model.objective((0.5, k, 0.2)) == 1e9
+        lo, hi, v_box = box()
         with pytest.raises(NumericalOverflowError):
-            model.profiled_v(0.5, k, 0.2)
+            _ChainModel(quotes, lo, hi, v_box).profiled_v(0.5, k, 0.2)
+        (value,) = TestLevelObjective.check(quotes, [(k, 0.2)], lo, hi, v_box)
+        assert math.isfinite(value) and value < 1e6
 
     def test_zero_sigma_scores_1e9_in_a_widened_box(self):
         # sigma_bar = 0 is outside the kernel's domain, as it is outside d1d2_call's
         quotes = self.CHAINS["single_date"]
         lo, hi, v_box = box(sigma_bar=(0.0, 2.0))
-        objective = _ChainModel(quotes, lo, hi, v_box).objective
-        theta = np.array([0.06, 0.008, 0.0])
-        assert loop_objective(quotes, theta, lo, hi, v_box) == 1e9
-        assert objective(theta) == 1e9
+        assert loop_objective(quotes, np.array([0.06, 0.008, 0.0]), lo, hi, v_box) == 1e9
+        assert _ChainModel(quotes, lo, hi, v_box).level_objective((0.008, 0.0)) == 1e9
 
 
 SAMPLE_CHAIN = Path(__file__).resolve().parents[1] / "configs" / "chain_sample.csv"
@@ -540,12 +551,18 @@ class TestInnerSolve:
         # factors that differ by rate ratios at one date
         "two_rates": TestVectorObjective.CHAINS["single_date"]
         + quotes_at(0.0, (0.9, 1.6), rate=0.03),
+        # two valuation dates, each with its own rate: a is a root of the
+        # misfit's derivative, not a closed form
+        "two_dates": TestVectorObjective.CHAINS["mixed"],
     }
 
     @staticmethod
     def check(quotes, k, sig, lo, hi, v_box):
         model = _ChainModel(quotes, lo, hi, v_box)
-        objective = model.objective
+
+        def objective(theta):
+            return loop_objective(quotes, np.asarray(theta), lo, hi, v_box)
+
         a = model.fit_a(k, sig)
         assert lo[0] <= a <= hi[0]
         assert all(abs(a - 2.0 * q.rate) >= A_EXCLUSION for q in quotes)
@@ -609,10 +626,11 @@ class TestInnerSolve:
         assert res.objective <= 1.482837243299216e-11 + 1e-12
         assert round(res.a_hat, 7) == 0.0555002
 
-    @pytest.mark.parametrize("chain, dims", [("single_date", 2), ("mixed", 3)])
-    def test_fit_calls_the_module_optimiser(self, monkeypatch, chain, dims):
+    @pytest.mark.parametrize("chain", ["single_date", "mixed"])
+    def test_fit_calls_the_module_optimiser(self, monkeypatch, chain):
         # the benchmark traces the optimiser and its objective through this
-        # attribute; a is solved inside the search at one valuation date only
+        # attribute; a is solved inside the (k, sigma_bar) search at any
+        # number of valuation dates
         seen = []
         real = calibration.minimize
 
@@ -622,7 +640,7 @@ class TestInnerSolve:
 
         monkeypatch.setattr(calibration, "minimize", counting)
         calibrate_effective(TestVectorObjective.CHAINS[chain], n_restarts=0)
-        assert seen and set(seen) == {dims}
+        assert seen and set(seen) == {2}
 
     @pytest.mark.parametrize("chain", ["sample", "mixed"])
     def test_fit_is_the_one_scipy_would_make(self, monkeypatch, chain):
@@ -640,8 +658,8 @@ class TestInnerSolve:
 
 
 class TestLevelObjective:
-    """The one-date objective of calibrate_effective, which takes the misfit from
-    the level fit's vectors, against the objective at the solved a."""
+    """The objective of calibrate_effective, which takes the misfit from the
+    level fit's vectors, against the per-quote loop at the solved a."""
 
     # the (k, sigma_bar) of both classes' points that lie inside the box
     POINTS = tuple(dict.fromkeys(
@@ -657,7 +675,7 @@ class TestLevelObjective:
         values = []
         for k, sig in points:
             try:
-                want = model.objective((model.fit_a(k, sig), k, sig))
+                want = loop_objective(quotes, np.array((model.fit_a(k, sig), k, sig)), lo, hi, v_box)
             except calibration._INFEASIBLE:
                 want = 1e9
             got = model.level_objective((k, sig))
@@ -692,9 +710,10 @@ class TestLevelObjective:
         "quotes, point",
         [
             (quotes_at(2.5, (3.0, 3.5)), (0.8, 0.2)),  # k t = 2
+            (quotes_at(2.5 - 1e-13, (3.0, 3.5)), (0.8, 0.2)),  # k t within the floor of 2
             (quotes_at(1.5, (2.2, 2.5)), (1.0, 0.2)),  # t and T straddle 2/k
         ],
-        ids=["singular", "straddles_2_over_k"],
+        ids=["singular", "within_the_floor", "straddles_2_over_k"],
     )
     def test_infeasible_points_score_1e9(self, quotes, point):
         assert self.check(quotes, [point], *box()) == [1e9]
@@ -748,12 +767,16 @@ class TestRestarts:
         assert res.evaluations == sum(calls for _, calls in descents) + len(res.restart_objectives)
 
 
-def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0):
-    out = synth_quotes(a=a, k=k, r=r, sigma=sigma, v_eff=v_eff)
-    for maturity in (0.9, 1.6):
-        for strike in (90.0, 100.0, 110.0):
-            mid = model_mid(0.4, maturity, strike, 100.0, r, a, k, sigma, v_eff)
-            out.append(OptionQuote(t=0.4, maturity=maturity, strike=strike, mid=mid, spot=100.0, rate=r))
+def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0, noise_rel=0.0, seed=0):
+    rng = np.random.default_rng(seed)
+    out = []
+    for t, maturities in ((0.0, (0.25, 0.5, 1.0)), (0.4, (0.9, 1.6))):
+        for maturity in maturities:
+            for strike in (90.0, 100.0, 110.0):
+                mid = model_mid(t, maturity, strike, 100.0, r, a, k, sigma, v_eff)
+                if noise_rel:
+                    mid *= 1.0 + noise_rel * rng.standard_normal()
+                out.append(OptionQuote(t=t, maturity=maturity, strike=strike, mid=mid, spot=100.0, rate=r))
     return out
 
 
@@ -784,7 +807,8 @@ def a_fit_sse(quotes, a, k, sig):
 
 
 class TestEstimateAGrid:
-    """estimate_a, in closed form at one date and by golden section at two, against a dense a-grid."""
+    """estimate_a, in closed form at one date and by a root of the misfit's
+    derivative at two, against a dense a-grid."""
 
     @pytest.mark.parametrize(
         "quotes, k",
@@ -812,9 +836,10 @@ class TestEstimateAGrid:
     @pytest.mark.parametrize("k", [1e-4, 1.3e-4])
     def test_misfit_past_the_float_range_reads_inf(self, k):
         # at a = 0.5 the factor overflows (k = 1e-4), or the squared misfit
-        # does though the factor is finite (k = 1.3e-4): the golden section
-        # reads +inf there, as the one-date closed form does, with no numpy
-        # warning (an error in this suite).  The fit stops on the band edge.
+        # does though the factor is finite (k = 1.3e-4): the a-solve keeps to
+        # the levels whose misfit is finite, as the one-date closed form does,
+        # with no numpy warning (an error in this suite).  The fit stops on
+        # the band edge.
         quotes = two_date_quotes()
         res = estimate_a(quotes, k=k, r=0.0264)
         assert res.a_hat == 2 * 0.0264 - A_EXCLUSION
@@ -828,3 +853,67 @@ class TestEstimateAGrid:
         quotes = factor_quotes(2.5, (2.55, 2.6), a=0.06, k=0.7)
         with pytest.raises(SingularTimeError):
             estimate_a(quotes, k=k)
+
+
+def exact_two_date_draws(n):
+    """The first ``n`` exact two-date chains of a seeded draw of ``(a, k,
+    sigma_bar, v_eff)``: valuation dates 0 and 0.2, ``tau`` 0.25/1/2 after
+    each, strikes 90/100/110; draws with a mid below the intrinsic bound are
+    left out, as load_chain would reject them."""
+    rng = np.random.default_rng(20261019)
+    chains = []
+    while len(chains) < n:
+        a, k, sigma, v_eff = rng.uniform((0.054, 0.005, 0.15, -0.01), (0.075, 0.03, 0.3, 0.01)).tolist()
+        quotes = [
+            OptionQuote(t, t + tau, strike, model_mid(t, t + tau, strike, 100.0, 0.0264, a, k, sigma, v_eff),
+                        100.0, 0.0264)
+            for t in (0.0, 0.2) for tau in (0.25, 1.0, 2.0) for strike in (90.0, 100.0, 110.0)
+        ]
+        if all(q.mid > q.intrinsic() - calibration.INTRINSIC_TOL for q in quotes):
+            chains.append(quotes)
+    return chains
+
+
+class TestSeveralDates:
+    """calibrate_effective over two valuation dates against the objectives the
+    three-parameter (a, k, sigma_bar) simplex reached at seed 0."""
+
+    EXACT = exact_two_date_draws(6)
+    EXACT_OBJECTIVES = (
+        2.2999934130550275e-14,
+        1.647242783431814e-14,
+        1.6966818514276275e-14,
+        1.797178663681103e-14,
+        1.1735267311344684e-14,
+        1.7820147538215135e-14,
+    )
+    # two_date_quotes(a=0.06, sigma=0.21, v_eff=0.003) with 1% noise, by seed;
+    # and the mixed chain
+    NOISY_OBJECTIVES = {1: 0.06676781634680254, 2: 0.09949294558405425, 3: 0.18513301427269196}
+    MIXED_OBJECTIVE = 0.7597782122091545
+
+    @pytest.mark.parametrize("i", range(len(EXACT)))
+    def test_exact_chain(self, i):
+        # no worse than the old fit by more than the rounding floor
+        quotes = self.EXACT[i]
+        res = calibrate_effective(quotes, seed=0)
+        assert res.objective <= self.EXACT_OBJECTIVES[i] + TestRestarts.floor(quotes)
+
+    @pytest.mark.parametrize("seed", sorted(NOISY_OBJECTIVES))
+    def test_noisy_chain(self, seed):
+        quotes = two_date_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=seed)
+        res = calibrate_effective(quotes, seed=0)
+        assert res.objective <= self.NOISY_OBJECTIVES[seed] * (1.0 + 1e-9)
+
+    def test_mixed_chain(self):
+        res = calibrate_effective(TestVectorObjective.CHAINS["mixed"], seed=0)
+        assert res.objective <= self.MIXED_OBJECTIVE * (1.0 + 1e-9)
+
+    def test_k_box_ends_before_the_singular_time(self):
+        # T_max = 2.2, so BOUNDS["k"] reaches past 2 / T_max, where every
+        # point is infeasible, and seed 6 draws a start at 0.987 of the k box:
+        # the search box must end at (2 - 2 SINGULAR_FLOOR) / T_max
+        quotes = self.EXACT[0]
+        res = calibrate_effective(quotes, seed=6)
+        assert max(res.restart_objectives) < 1e6
+        assert res.objective <= TestRestarts.floor(quotes)

@@ -24,6 +24,7 @@ from parabolic_sv import (
     price_first_order,
 )
 from parabolic_sv import errors
+from parabolic_sv.calibration import ROUNDING_FLOOR
 from parabolic_sv.cli import load_run_config, main
 from parabolic_sv.monte_carlo import BLOCK_SIZE
 from parabolic_sv.params import SimConfig
@@ -167,8 +168,12 @@ class TestPriceCommand:
              "E[f^2] = -inf is negative"),
             (dict(vol_kind="y_constant", z0=1e160), 3, "undefined at sigma = 1e+160, tau = 1 (sigma^2 overflows)"),
             (dict(spot=1e-30, strike=1e300), 2, "spot / strike = 1e-30 / 1e+300 underflows to 0"),
+            # before: "mod_factor inf" / "mod_factor nan" beside the payoff, with exit 0
+            (dict(t=1.0, strike=90.0, k=1e-10, a=1e300), 3, "modification factor inf is not finite"),
+            (dict(t=1.0, strike=90.0, k=1e-320), 3, "modification factor nan is not finite"),
         ],
-        ids=["factor_inf", "factor_nan", "table_nu_tiny", "table_nu_huge", "sigma_squared", "moneyness"],
+        ids=["factor_inf", "factor_nan", "table_nu_tiny", "table_nu_huge", "sigma_squared", "moneyness",
+             "payoff_factor_inf", "payoff_factor_nan"],
     )
     def test_unrepresentable_terms_exit_with_one_error_line(self, tmp_path, capsys, keys, code, fragment):
         pairs = dict(spot=100.0, strike=100.0, t=0.0, maturity=1.0)
@@ -648,6 +653,33 @@ class TestCalibrateCommand:
         first = capsys.readouterr().out
         assert main(["calibrate", "--config", cfg]) == 0
         assert capsys.readouterr().out == first
+
+    def test_fit_effective_two_valuation_dates(self, tmp_path, capsys):
+        # exact mids at valuation dates 0 and 0.4, written to the last bit
+        a, k, r, sigma, v_eff = 0.06, 0.008, 0.0264, 0.21, 0.003
+        lines = ["t,T,K,mid,x,r"]
+        for t, maturities in ((0.0, (0.25, 0.5, 1.0)), (0.4, (0.9, 1.6))):
+            for maturity in maturities:
+                for strike in (90.0, 100.0, 110.0):
+                    inp = BsInputs(100.0, strike, r, sigma, maturity - t)
+                    mid = modification_factor(t, a, r, k) * (
+                        bs_call_price(inp) + v_eff * p1_time_factor(t, maturity, k) * d1d2_call(inp)
+                    )
+                    lines.append(f"{t},{maturity},{strike},{mid!r},100.0,{r}")
+        chain = tmp_path / "chain.csv"
+        chain.write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0, n_restarts=2)
+        assert main(["calibrate", "--config", cfg]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert list(report) == [
+            "command", "fit", "n_quotes", "a_hat", "k_hat", "v_eff_hat", "sigma_bar_hat", "objective",
+            "iterations", "evaluations", "converged", "restart_objective_0", "restart_objective_1",
+            "restart_objective_2",
+        ]
+        assert int(report["n_quotes"]) == 15
+        largest_term = max(max(100.0, strike * math.exp(-r * tau)) for strike in (90.0, 100.0, 110.0)
+                           for tau in (0.25, 0.5, 1.0, 0.5, 1.2))
+        assert float(report["objective"]) <= ROUNDING_FLOOR * largest_term
 
     def test_fit_effective_survives_extreme_random_start(self, tmp_path, capsys):
         # a random start of seed 7755 lands near k = 1.4e-4, a = -0.27, where the

@@ -82,5 +82,5 @@ def test_a_price_is_finite_or_a_typed_error(model_keys, contract, vol):
         got = price_first_order(spec, model, vol)
     except PricingError:
         return
-    for name in ("total", "q0", "p0", "correction"):
+    for name in ("total", "q0", "p0", "correction", "mod_factor"):
         assert math.isfinite(getattr(got, name)), (name, got)
