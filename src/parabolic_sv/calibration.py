@@ -17,8 +17,9 @@ misfit's derivative in ``a``, which the pass's sums give in O(dates).
   (:meth:`_ChainModel.level_objective`: one pass over the quotes for the
   level fit's sums, one for the misfit).  Seeded random restarts inside the
   box :data:`BOUNDS`, with ``k`` kept below ``2 / T_max``, keep the search
-  deterministic per seed, and a start stops re-descending once its misfit
-  reaches :data:`ROUNDING_FLOOR`.
+  deterministic per seed.  A start stops re-descending once its misfit
+  reaches :data:`ROUNDING_FLOOR`, and the search stops at the first start
+  that reaches it, so ``n_restarts`` is an upper bound.
 
 The model works on plain floats through the one scalar Black-Scholes formula,
 :func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.  Only the restarts of
@@ -513,27 +514,31 @@ class _ChainModel:
         self.consts = [call_constants(q.spot, q.strike, q.rate, q.tau) for q in quotes]
         self.dates = list(dict.fromkeys(keys))
         self.date_of = [self.dates.index(key) for key in keys]
-        self.two_rs = [2.0 * r for _, _, r in self.dates]
         self.valuation_dates = valuation_dates
-        #: the valuation date of each (t, T, r) date, and each valuation date's 2r values
-        self.day_of = [valuation_dates.index(t) for t, _, _ in self.dates]
-        self.day_two_rs = [[2.0 * r for t, _, r in self.dates if t == day] for day in valuation_dates]
+        day_of = [valuation_dates.index(t) for t, _, _ in self.dates]
+        two_rs = [2.0 * r for _, _, r in self.dates]
+        #: the valuation date and 2r of each (t, T, r) date, and each valuation
+        #: date's least and greatest 2r: the reference 2r of its rate ratios
+        self.date_rates = list(zip(day_of, two_rs))
+        day_two_rs = [[r for j, r in self.date_rates if j == day] for day in range(len(valuation_dates))]
+        self.day_refs = [(min(rs), max(rs)) for rs in day_two_rs]
         #: each valuation date's (call constants, date, mid) of its quotes, and its mids
         self.groups = [
-            [(c, d, mid) for c, d, mid in zip(self.consts, self.date_of, self.mids) if self.day_of[d] == j]
+            [(c, d, mid) for c, d, mid in zip(self.consts, self.date_of, self.mids) if day_of[d] == j]
             for j in range(len(valuation_dates))
         ]
         self.group_mids = [[mid for _, _, mid in group] for group in self.groups]
         self.n_quotes = len(quotes)
         self.box = [(float(l), float(h)) for l, h in zip(lo, hi)]
         self.v_box = v_box
-        self.a_pieces = _a_pieces(*self.box[0], self.two_rs)
+        self.v_pinned = v_box[0] == v_box[1] == 0.0
+        self.a_pieces = _a_pieces(*self.box[0], two_rs)
 
     def _time_factors(self, k: float, sig: float) -> list[float]:
         """The per-date time factors at ``k``, once ``sigma_bar`` is checked."""
         if not 0.0 < sig < math.inf:
             raise InputDomainError(f"sigma_bar = {sig!r} must be positive and finite")
-        if self.v_box[0] == self.v_box[1] == 0.0:  # tf is multiplied by v_eff = 0
+        if self.v_pinned:  # tf is multiplied by v_eff = 0
             return [0.0] * len(self.dates)
         return [p1_time_factor(t, mat, k) for t, mat, _ in self.dates]
 
@@ -606,9 +611,9 @@ class _ChainModel:
 
     def _fit_level(
         self, k: float, sig: float
-    ) -> tuple[float, list[float], list[list[float]], list[list[float]], list[tuple[float, ...]]]:
+    ) -> tuple[float, list[float], list[list[tuple[float, float]]], list[tuple[float, ...]]]:
         """The least-squares ``a``, each valuation date's level ``M`` there,
-        the base and slope values ``b`` and ``s`` of each date's quotes
+        the pairs ``(b, s)`` of base and slope values of each date's quotes
         ``M (b + v_eff s)``, and each date's sums of products ``(b.b, b.s,
         b.mids, s.s, s.mids)``.
 
@@ -620,38 +625,35 @@ class _ChainModel:
         """
         tf = self._time_factors(k, sig)
         gs = [factor_exponent(t, k) for t in self.valuation_dates]
-        refs = [min(two_rs) if g > 0.0 else max(two_rs) for g, two_rs in zip(gs, self.day_two_rs)]
-        rho = [math.exp((refs[j] - two_r) * gs[j]) for j, two_r in zip(self.day_of, self.two_rs)]
+        refs = [lo if g > 0.0 else hi for g, (lo, hi) in zip(gs, self.day_refs)]
+        rho = [math.exp((refs[j] - two_r) * gs[j]) for j, two_r in self.date_rates]
         rho_tf = [p * f for p, f in zip(rho, tf)]
-        b, s, sums = [], [], []
+        day_pairs, sums = [], []
         for group in self.groups:
-            b_day, s_day = [], []
+            pairs = []
             bb = bs = bm = ss = sm = 0.0
             for c, d, mid in group:
                 call, dd = call_and_d1d2_at(*c, sig)
                 bi, si = rho[d] * call, rho_tf[d] * dd
-                b_day.append(bi)
-                s_day.append(si)
+                pairs.append((bi, si))
                 bb += bi * bi
                 bs += bi * si
                 bm += bi * mid
                 ss += si * si
                 sm += si * mid
-            b.append(b_day)
-            s.append(s_day)
+            day_pairs.append(pairs)
             sums.append((bb, bs, bm, ss, sm))
         if len(gs) == 1:
             a, level = _level_fit(self.a_pieces, refs[0], gs[0], sums[0], self.v_box)
-            return a, [level], b, s, sums
-        a, levels = self._solve_a(refs, gs, b, s, sums)
-        return a, levels, b, s, sums
+            return a, [level], day_pairs, sums
+        a, levels = self._solve_a(refs, gs, day_pairs, sums)
+        return a, levels, day_pairs, sums
 
     def _solve_a(
         self,
         refs: list[float],
         gs: list[float],
-        b: list[list[float]],
-        s: list[list[float]],
+        day_pairs: list[list[tuple[float, float]]],
         sums: list[tuple[float, ...]],
     ) -> tuple[float, list[float]]:
         """Over several valuation dates: the least-squares ``a`` of the quotes
@@ -684,8 +686,8 @@ class _ChainModel:
             raise NumericalOverflowError("the mids' sum of squares overflows")
         v_abs = max(-self.v_box[0], self.v_box[1])
         a_lo, a_hi = -math.inf, math.inf
-        for ref, g, b_day, s_day in zip(refs, gs, b, s):
-            size = sum(abs(bi) + v_abs * abs(si) for bi, si in zip(b_day, s_day))
+        for ref, g, pairs in zip(refs, gs, day_pairs):
+            size = sum(abs(bi) + v_abs * abs(si) for bi, si in pairs)
             if size > 0.0:
                 # the largest log level, below half the float range's so that
                 # the products of a level stay finite
@@ -737,18 +739,18 @@ class _ChainModel:
         the box and outside every band around ``2r``.  Outside the (k,
         sigma_bar) box it is ``1e6 (1 + excess)``, and at an infeasible point
         1e9."""
-        k, sig = (float(v) for v in x)
+        k, sig = x
         if not self._in_box(k, sig):
             excess = sum(max(lo - v, 0.0) + max(v - hi, 0.0) for v, (lo, hi) in zip((k, sig), self.box[1:]))
             return 1e6 * (1.0 + excess)
         try:
-            _, levels, b, s, sums = self._fit_level(k, sig)
+            _, levels, day_pairs, sums = self._fit_level(k, sig)
         except _INFEASIBLE:
             return 1e9
         v = self._profile_levels(levels, sums)
         sse = 0.0
-        for level, b_day, s_day, mids in zip(levels, b, s, self.group_mids):
-            for bi, si, mid in zip(b_day, s_day, mids):
+        for level, pairs, mids in zip(levels, day_pairs, self.group_mids):
+            for (bi, si), mid in zip(pairs, mids):
                 r = (mid - level * bi) - v * (level * si)
                 sse += r * r
         return math.sqrt(sse / self.n_quotes)
@@ -763,7 +765,9 @@ class CalibResult:
     starts and restarts.  ``evaluations`` counts the objective evaluations
     summed the same way, each start's first included; each is one pass over
     the quotes for the level fit's sums and one for the misfit.
-    ``restart_objectives`` holds the final objective of each start.
+    ``restart_objectives`` holds the final objective of each start that ran,
+    in order: one for the data-driven start and at most ``n_restarts`` more,
+    since the search stops at the first start at the rounding floor.
     """
 
     a_hat: float
@@ -793,12 +797,16 @@ def calibrate_effective(
     (:meth:`_ChainModel.level_objective`).  Where ``BOUNDS["k"]`` reaches past
     ``2 / T_max``, at which the longest maturity's time factor has no value,
     the search's upper ``k`` is ``(2 - 2 SINGULAR_FLOOR) / T_max``.  Runs the
-    data-driven start (ATM implied vol) plus ``n_restarts`` seeded random
-    starts inside that box; each start is a chain of adaptive Nelder-Mead
-    descents restarted on their own result until the objective stalls, or
-    until it is at or below the rounding floor ``ROUNDING_FLOOR * max(spot,
-    discounted strike)``, where a fit is exact to rounding.  Deterministic for
-    fixed (quotes, seed).
+    data-driven start (ATM implied vol), then up to ``n_restarts`` seeded
+    random starts inside that box; each start is a chain of adaptive
+    Nelder-Mead descents restarted on their own result until the objective
+    stalls, or until it is at or below the rounding floor ``ROUNDING_FLOOR *
+    max(spot, discounted strike)``, where a fit is exact to rounding.  The
+    search stops at the first start whose fit reaches that floor: a later
+    start could only pick another fit within rounding of it.  A chain that
+    no fit takes to the floor, such as any noisy chain, runs every start.
+    The seeded starts are all drawn first, so each seed keeps its starts.
+    Deterministic for fixed (quotes, seed).
 
     Raises:
         InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
@@ -832,7 +840,8 @@ def calibrate_effective(
         evaluations += 1
         return model.level_objective(x)
 
-    # a start whose misfit reaches this is exact to rounding: it stops re-descending
+    # a fit whose misfit reaches this is exact to rounding: its start stops
+    # re-descending, and no later start runs
     floor = ROUNDING_FLOOR * max(max(spot, disc_strike) for spot, _, disc_strike, *_ in model.consts)
 
     rng = np.random.default_rng(seed)
@@ -864,6 +873,8 @@ def calibrate_effective(
         if best is None or fval < best[1]:
             best = (x, fval)
             converged = success
+        if best[1] <= floor:  # exact to rounding: a later start could differ only by rounding
+            break
     (k_hat, sigma_hat), obj = best
     a_hat = model.fit_a(k_hat, sigma_hat)
     v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)

@@ -12,7 +12,10 @@ keys those of ``OptionSpec`` and the simulation keys those of ``SimConfig``,
 plus ``vol_kind`` (one of ``averaging.VOL_KINDS``), ``vol_table`` and
 simulate's ``eps_sweep``; ``z_scheme`` takes one of ``params.Z_SCHEMES``.
 ``calibrate`` builds no model: it takes ``chain``, ``fit`` and the arguments
-of that fit's function, ``k``/``r`` or ``seed``/``n_restarts``.
+of that fit's function, ``k``/``r`` or ``seed``/``n_restarts``; ``n_restarts``
+is the most seeded starts the effective fit runs, since its search stops at
+the first fit at the rounding floor, and it prints one ``restart_objective_<i>``
+row per start that ran.
 
 A failure prints one ``error:`` line and exits with the ``exit_code`` of its
 :class:`~parabolic_sv.errors.PricingError` class: 2 config/validation errors,

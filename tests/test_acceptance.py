@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from parabolic_sv import (
-    AveragingCache,
     BsInputs,
     ModelParams,
     OptionSpec,

@@ -673,9 +673,8 @@ class TestCalibrateCommand:
         report = parse_report(capsys.readouterr().out)
         assert list(report) == [
             "command", "fit", "n_quotes", "a_hat", "k_hat", "v_eff_hat", "sigma_bar_hat", "objective",
-            "iterations", "evaluations", "converged", "restart_objective_0", "restart_objective_1",
-            "restart_objective_2",
-        ]
+            "iterations", "evaluations", "converged", "restart_objective_0",
+        ]  # the data-driven start fits to rounding, so no seeded start runs
         assert int(report["n_quotes"]) == 15
         largest_term = max(max(100.0, strike * math.exp(-r * tau)) for strike in (90.0, 100.0, 110.0)
                            for tau in (0.25, 0.5, 1.0, 0.5, 1.2))
