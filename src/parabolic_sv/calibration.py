@@ -22,9 +22,9 @@ misfit's derivative in ``a``, which the pass's sums give in O(dates).
   that reaches it, so ``n_restarts`` is an upper bound.
 
 The model works on plain floats through the one scalar Black-Scholes formula,
-:func:`~parabolic_sv.black_scholes.call_and_d1d2_at`.  Only the restarts of
-:func:`calibrate_effective` load numpy, for its seeded generator, so
-:func:`estimate_a` runs without it.
+:func:`~parabolic_sv.black_scholes.call_and_d1d2_at`, and neither fit loads
+numpy: the seeded restarts draw from :func:`_uniforms`, a plain-integer port
+of ``numpy.random.default_rng(seed).random()``.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -756,6 +756,73 @@ class _ChainModel:
         return math.sqrt(sse / self.n_quotes)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: The multiplier of PCG64's 128-bit linear congruential step.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniforms(seed: int):
+    """The doubles of ``numpy.random.default_rng(seed).random()``, one per ``next``.
+
+    A plain-integer port of numpy's two stages, so that the seeded starts
+    load no numpy.  ``SeedSequence(seed)`` hashes the seed's 32-bit words
+    into a pool of 4 (``hashmix`` and ``mix``) and draws 4 64-bit words from
+    it; PCG64 (O'Neill, HMC-CS-2014-0905) takes two as its initial state and
+    two as its increment, steps a 128-bit linear congruential state and
+    outputs its XSL-RR 64 bits, of which a double keeps the top 53.
+    """
+    words = []  # the seed's 32-bit words, least significant first
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # the constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B and MULT_B
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): 8 words from the pool, paired little-endian
+    hash_const = 0x8B51F9DD
+    state32 = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state32.append(value ^ (value >> 16))
+    s0, s1, i0, i1 = (state32[2 * i] | state32[2 * i + 1] << 32 for i in range(4))
+
+    # pcg64_srandom_r: step from 0, add the initial state, step again
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        out = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        out = (out >> rot | out << (64 - rot)) & _MASK64
+        yield (out >> 11) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class CalibResult:
     """Fit of (a, k, v_eff, sigma_bar); objective is the price RMSE.
@@ -805,8 +872,10 @@ def calibrate_effective(
     search stops at the first start whose fit reaches that floor: a later
     start could only pick another fit within rounding of it.  A chain that
     no fit takes to the floor, such as any noisy chain, runs every start.
-    The seeded starts are all drawn first, so each seed keeps its starts.
-    Deterministic for fixed (quotes, seed).
+    Seeded start ``i`` takes draws ``3i`` to ``3i + 2`` of
+    ``numpy.random.default_rng(seed).random()``, drawn only when the search
+    reaches that start, so each seed keeps its starts and a start that does
+    not run costs nothing.  Deterministic for fixed (quotes, seed).
 
     Raises:
         InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
@@ -826,8 +895,6 @@ def calibrate_effective(
             f"{len(quotes)} quotes, {n_maturities} maturities, {n_strikes} strikes"
         )
 
-    import numpy as np  # the seeded restarts draw from numpy's generator
-
     (k_lo, k_hi), (s_lo, s_hi) = BOUNDS["k"], BOUNDS["sigma_bar"]
     t_max = max(q.maturity for q in quotes)
     if k_hi * t_max > 2.0:  # past 2 / T_max every point is infeasible
@@ -844,22 +911,25 @@ def calibrate_effective(
     # re-descending, and no later start runs
     floor = ROUNDING_FLOOR * max(max(spot, disc_strike) for spot, _, disc_strike, *_ in model.consts)
 
-    rng = np.random.default_rng(seed)
     try:
         sigma_start = _atm_sigma(quotes)
     except InsufficientDataError:
         sigma_start = 0.2
-    starts = [[0.05, min(max(sigma_start, s_lo), s_hi)]]
-    for _ in range(n_restarts):
-        # the first of the three draws was once a's start: each seed keeps its starts
-        _, u_k, u_s = rng.random(3).tolist()
-        starts.append([k_lo + (k_hi - k_lo) * u_k, s_lo + (s_hi - s_lo) * u_s])
+
+    def starts():
+        yield [0.05, min(max(sigma_start, s_lo), s_hi)]
+        draws = _uniforms(seed)
+        for _ in range(n_restarts):
+            # seeded start i takes draws 3i..3i+2, the first once a's start: each
+            # seed keeps its starts, and a start that never runs draws nothing
+            _, u_k, u_s = next(draws), next(draws), next(draws)
+            yield [k_lo + (k_hi - k_lo) * u_k, s_lo + (s_hi - s_lo) * u_s]
 
     best = None
     total_iters = 0
     restart_objs = []
     converged = False
-    for x0 in starts:
+    for x0 in starts():
         x, fval = x0, objective(x0)
         success = False
         for _round in range(6):

@@ -6,7 +6,8 @@ and therefore calibration's reports, are the same bits:
 ``scipy.optimize.minimize(method="Nelder-Mead")`` with ``adaptive=True``
 (Gao & Han, *Comput. Optim. Appl.* 51(1), 2012): the default initial simplex,
 ``xatol``/``fatol``/``maxiter``, no bounds and no callback.  The search
-runs on tuples of floats; numpy is loaded only to order tied vertices.
+runs on tuples of floats.  A 2-D search, calibration's, loads no numpy;
+one in 3 or more dimensions loads it only to order tied vertices.
 """
 from __future__ import annotations
 
@@ -29,14 +30,20 @@ def _ordered(sim: list, fsim: list) -> tuple[list, list]:
     """The vertices and values in the order of scipy's ``np.argsort(fsim)``.
 
     Distinct values have one ascending order, which a plain sort finds.
-    Ties (and NaN) go to ``np.argsort`` itself: it does not keep tied values
-    in their order for 4 vertices, and the search path depends on it.
+    For 3 vertices, the 2-D search's simplex, ``np.argsort`` keeps tied
+    values in vertex order and puts NaN last, which a stable sort on
+    ``(is NaN, value)`` gives.  Ties (and NaN) among 4 or more go to
+    ``np.argsort`` itself: it does not keep tied values in their order for
+    4 vertices, and the search path depends on it.
     """
     order = sorted(range(len(fsim)), key=fsim.__getitem__)
     if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-        import numpy as np
+        if len(fsim) == 3:
+            order = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        else:
+            import numpy as np
 
-        order = np.argsort(fsim).tolist()
+            order = np.argsort(fsim).tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 

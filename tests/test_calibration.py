@@ -1,6 +1,7 @@
 """Chain IO, implied vol, and both fitting modes on synthetic chains."""
 import logging
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -754,7 +755,7 @@ class TestRestarts:
 
     def test_exact_chain_descends_once_per_start(self, monkeypatch):
         # the data-driven start reaches the floor in one descent; the three
-        # seeded starts are drawn but not descended
+        # seeded starts are neither drawn nor descended
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
         res, descents = self.fit_counting(monkeypatch, quotes, 3)
         assert len(descents) == len(res.restart_objectives) == 1
@@ -785,6 +786,62 @@ class TestRestarts:
         # the descents' own evaluations plus the one at each start
         res, descents = self.fit_counting(monkeypatch, TestVectorObjective.CHAINS[chain], 1)
         assert res.evaluations == sum(calls for _, calls in descents) + len(res.restart_objectives)
+
+
+class TestSeededStarts:
+    """The seeded starts draw numpy's default_rng(seed).random() stream from
+    plain integers, three draws per start, and only for starts that run."""
+
+    @pytest.mark.parametrize(
+        "seeds", [range(1000), [True, 2**32 - 1, 2**64 - 1, 2**100 + 17]], ids=["small", "wide"]
+    )
+    def test_draws_match_numpy(self, seeds):
+        for seed in seeds:
+            draws = calibration._uniforms(seed)
+            got = [next(draws) for _ in range(3 * 10)]
+            assert got == np.random.default_rng(seed).random(3 * 10).tolist(), seed
+
+    @staticmethod
+    def counting_draws(monkeypatch):
+        drawn = []
+        real = calibration._uniforms
+
+        def counting(seed):
+            for u in real(seed):
+                drawn.append(u)
+                yield u
+
+        monkeypatch.setattr(calibration, "_uniforms", counting)
+        return drawn
+
+    def test_exact_chain_draws_nothing(self, monkeypatch):
+        # the data-driven start reaches the floor, so however many restarts
+        # are allowed, none is drawn
+        drawn = self.counting_draws(monkeypatch)
+        res = calibrate_effective(synth_quotes(a=0.06, sigma=0.21, v_eff=0.003), n_restarts=10**6)
+        assert drawn == [] and len(res.restart_objectives) == 1
+
+    def test_a_start_draws_when_it_runs(self, monkeypatch):
+        # the data-driven start stalls above the floor, the first seeded start
+        # reaches it: three draws, the head of the seed's stream
+        drawn = self.counting_draws(monkeypatch)
+        monkeypatch.setattr(calibration, "_atm_sigma", lambda quotes: BOUNDS["sigma_bar"][0])
+        res = calibrate_effective(synth_quotes(a=0.06, sigma=0.21, v_eff=0.003), seed=5, n_restarts=3)
+        assert len(res.restart_objectives) == 2
+        assert drawn == np.random.default_rng(5).random(3).tolist()
+
+    def test_noisy_chain_draws_every_start(self, monkeypatch):
+        drawn = self.counting_draws(monkeypatch)
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
+        res = calibrate_effective(quotes, seed=3, n_restarts=3)
+        assert len(res.restart_objectives) == 1 + 3
+        assert drawn == np.random.default_rng(3).random(3 * 3).tolist()
+
+    def test_fit_runs_with_numpy_blocked(self, monkeypatch):
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
+        want = calibrate_effective(quotes, seed=7, n_restarts=2)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert calibrate_effective(quotes, seed=7, n_restarts=2) == want
 
 
 def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0, noise_rel=0.0, seed=0):

@@ -23,7 +23,7 @@ from parabolic_sv import (
     p1_time_factor,
     price_first_order,
 )
-from parabolic_sv import errors
+from parabolic_sv import errors, optimize
 from parabolic_sv.calibration import ROUNDING_FLOOR
 from parabolic_sv.cli import load_run_config, main
 from parabolic_sv.monte_carlo import BLOCK_SIZE
@@ -75,7 +75,9 @@ def parse_report(text):
 
 
 def write_chain(path, a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.003,
-                maturities=(0.25, 0.5, 1.0), strikes=(90.0, 100.0, 110.0)):
+                maturities=(0.25, 0.5, 1.0), strikes=(90.0, 100.0, 110.0), exact=False):
+    """A t = 0 chain priced by the quote model, its mids to 12 digits or,
+    with ``exact``, to the last bit."""
     lines = ["t,T,K,mid,x,r"]
     for maturity in maturities:
         for strike in strikes:
@@ -83,7 +85,8 @@ def write_chain(path, a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.003,
             mid = modification_factor(0.0, a, r, k) * (
                 bs_call_price(inp) + v_eff * p1_time_factor(0.0, maturity, k) * d1d2_call(inp)
             )
-            lines.append(f"0.0,{maturity},{strike},{format(mid, '.12g')},100.0,{r}")
+            text = repr(mid) if exact else format(mid, ".12g")
+            lines.append(f"0.0,{maturity},{strike},{text},100.0,{r}")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -878,7 +881,7 @@ class TestScipyImport:
 
     def test_calibrate_never_loads_scipy(self, tmp_path):
         got = run_fresh(["calibrate", "--config", "configs/calibrate.cfg", "--out", str(tmp_path / "fit.out")])
-        assert got["codes"] == [0] and got["loaded"] == ["numpy"]
+        assert got["codes"] == [0] and got["loaded"] == []
         report = dict(line.split("=", 1) for line in (tmp_path / "fit.out").read_text().splitlines())
         assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
         assert report["converged"] == "true"
@@ -934,6 +937,31 @@ class TestNumpyImport:
         assert blocked["codes"] == free["codes"] == [0]
         assert blocked["stdout"] == free["stdout"]
         assert "a_hat" in free["stdout"][0]
+        assert free["loaded"] == []
+
+    def test_calibrate_effective_runs_with_numpy_blocked(self, tmp_path, monkeypatch):
+        # an exact v_eff = 0 chain: its fit reaches the rounding floor, where
+        # the simplex orders tied vertices, which once went to np.argsort
+        chain = write_chain(tmp_path / "chain.csv", v_eff=0.0, exact=True)
+        tied, ordered = 0, optimize._ordered
+
+        def counting(sim, fsim):
+            nonlocal tied
+            tied += len(set(fsim)) < len(fsim)
+            return ordered(sim, fsim)
+
+        monkeypatch.setattr(optimize, "_ordered", counting)
+        res = calibrate_effective(load_chain(chain))
+        assert tied > 0 and res.objective <= 1e-13
+        argvs = [
+            ["calibrate", "--config", "configs/calibrate.cfg"],
+            ["calibrate", "--config", write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective")],
+        ]
+        blocked = run_fresh(*argvs, blocked={"numpy"})
+        free = run_fresh(*argvs)
+        assert blocked["codes"] == free["codes"] == [0, 0]
+        assert blocked["stdout"] == free["stdout"]
+        assert all("v_eff_hat" in out for out in free["stdout"])
         assert free["loaded"] == []
 
     def test_package_prices_without_numpy(self):

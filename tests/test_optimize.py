@@ -1,5 +1,7 @@
 """The simplex minimiser against scipy, bit for bit."""
+import itertools
 import math
+import sys
 
 import numpy as np
 import scipy.optimize
@@ -99,3 +101,27 @@ class TestOrdering:
                 unstable += order != sorted(range(n), key=fsim.__getitem__)
         # the ties include orders that a stable sort would not give
         assert ties >= 400 and unstable >= 10
+
+    def test_three_vertices_order_without_numpy(self, monkeypatch):
+        # every rank, tie and NaN pattern of three values, with signed zeros
+        # and infinities: a stable sort with NaN last is np.argsort's order
+        values = [1.0, 2.0, 3.0, math.nan, 0.0, -0.0, math.inf, -math.inf]
+        patterns = [list(p) for p in itertools.product(values, repeat=3)]
+        orders = [np.argsort(fsim).tolist() for fsim in patterns]
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        sim = [(0.0,), (1.0,), (2.0,)]
+        for fsim, order in zip(patterns, orders):
+            got_sim, got_f = _ordered(sim, fsim)
+            assert got_sim == [sim[i] for i in order], fsim
+            assert got_f == [fsim[i] for i in order], fsim
+
+    def test_two_dimensional_search_needs_no_numpy(self, monkeypatch):
+        # the 2-D staircases end on tied vertices, ordered as scipy orders them
+        problems = [simplex_problem(seed) for seed in range(2, 400, 10)]
+        wants = [scipy_simplex(fun, x0, **SIMPLEX_OPTIONS) for fun, x0 in problems]
+        assert sum(len(set(w.final_simplex[1].tolist())) < 3 for w in wants) >= 10
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for (fun, x0), want in zip(problems, wants):
+            got = minimize(fun, x0.tolist(), **SIMPLEX_OPTIONS)
+            assert list(got.x) == want.x.tolist()
+            assert (got.fun, got.nit, got.success) == (want.fun, want.nit, want.success)

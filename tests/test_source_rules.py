@@ -102,7 +102,7 @@ def test_scipy_rule_sees_nested_module_level_imports():
 
 #: The modules that build arrays.  The package and the CLI load them on first
 #: use, so a process that only prices (``price``) never imports numpy, nor one
-#: that fits ``a`` alone (``calibrate`` with ``fit = a``).
+#: that calibrates (``calibrate``, with either fit).
 ARRAY_MODULES = ("arrays.py", "monte_carlo.py")
 
 
@@ -111,6 +111,12 @@ def test_only_array_modules_import_numpy_at_module_level(path):
     # a function may import numpy where it builds arrays, once per call
     lines = imports_of(ast.parse(path.read_text(), filename=str(path)), "numpy", module_level_only=True)
     assert not lines, f"{path.name}: module-level numpy import at line(s) {lines}"
+
+
+def test_calibration_imports_no_numpy():
+    # the seeded starts draw from a plain-integer port of numpy's generator
+    path = next(p for p in SOURCES if p.name == "calibration.py")
+    assert imports_of(ast.parse(path.read_text(), filename=str(path)), "numpy") == []
 
 
 def test_numpy_rule_sees_module_level_imports_only():
