@@ -17,9 +17,9 @@ misfit's derivative in ``a``, which the pass's sums give in O(dates).
   (:meth:`_ChainModel.level_objective`: one pass over the quotes for the
   level fit's sums, one for the misfit).  Seeded random restarts inside the
   box :data:`BOUNDS`, with ``k`` kept below ``2 / T_max``, keep the search
-  deterministic per seed.  A start stops re-descending once its misfit
-  reaches :data:`ROUNDING_FLOOR`, and the search stops at the first start
-  that reaches it, so ``n_restarts`` is an upper bound.
+  deterministic per seed.  Each start is one simplex descent, and the search
+  stops at the first start whose misfit reaches :data:`ROUNDING_FLOOR`, so
+  ``n_restarts`` is an upper bound.
 
 The model works on plain floats through the one scalar Black-Scholes formula,
 :func:`~parabolic_sv.black_scholes.call_and_d1d2_at`, and neither fit loads
@@ -77,7 +77,7 @@ A_EXCLUSION = 1e-4
 #: How far a mid may sit below the discounted intrinsic value before
 #: load_chain rejects its row.
 INTRINSIC_TOL = 1e-6
-#: Iteration cap of each Nelder-Mead descent in calibrate_effective.
+#: Iteration cap of each start's Nelder-Mead descent in calibrate_effective.
 SIMPLEX_MAX_ITER = 4000
 #: Rounding floor of the quote model's price RMSE, per unit of the chain's
 #: largest term ``L = max(spot, discounted strike)``.  A quote is
@@ -598,15 +598,12 @@ class _ChainModel:
 
     def fit_a(self, k: float, sig: float) -> float:
         """The least-squares ``a`` at fixed (k, sigma_bar), with ``v_eff``
-        profiled (:meth:`_fit_level`).  Outside the (k, sigma_bar) box ``a`` is
-        the lower a-bound.
+        profiled (:meth:`_fit_level`).
 
         Raises:
             SingularTimeError, LogDomainError, InputDomainError,
             NumericalOverflowError: at a point where the model is infeasible.
         """
-        if not self._in_box(k, sig):
-            return self.box[0][0]
         return self._fit_level(k, sig)[0]
 
     def _fit_level(
@@ -829,9 +826,10 @@ class CalibResult:
 
     ``iterations`` counts the Nelder-Mead iterations of the (k, sigma_bar)
     search, with ``a`` and ``v_eff`` solved exactly inside it, summed over
-    starts and restarts.  ``evaluations`` counts the objective evaluations
-    summed the same way, each start's first included; each is one pass over
-    the quotes for the level fit's sums and one for the misfit.
+    the starts that ran, one descent each.  ``evaluations`` counts the
+    objective evaluations summed the same way, each start's first vertex
+    included; each is one pass over the quotes for the level fit's sums and
+    one for the misfit.
     ``restart_objectives`` holds the final objective of each start that ran,
     in order: one for the data-driven start and at most ``n_restarts`` more,
     since the search stops at the first start at the rounding floor.
@@ -865,13 +863,12 @@ def calibrate_effective(
     ``2 / T_max``, at which the longest maturity's time factor has no value,
     the search's upper ``k`` is ``(2 - 2 SINGULAR_FLOOR) / T_max``.  Runs the
     data-driven start (ATM implied vol), then up to ``n_restarts`` seeded
-    random starts inside that box; each start is a chain of adaptive
-    Nelder-Mead descents restarted on their own result until the objective
-    stalls, or until it is at or below the rounding floor ``ROUNDING_FLOOR *
-    max(spot, discounted strike)``, where a fit is exact to rounding.  The
-    search stops at the first start whose fit reaches that floor: a later
-    start could only pick another fit within rounding of it.  A chain that
-    no fit takes to the floor, such as any noisy chain, runs every start.
+    random starts inside that box; each start is one adaptive Nelder-Mead
+    descent.  The search stops at the first start whose fit is at or below
+    the rounding floor ``ROUNDING_FLOOR * max(spot, discounted strike)``,
+    where a fit is exact to rounding: a later start could only pick another
+    fit within rounding of it.  A chain that no fit takes to the floor, such
+    as any noisy chain, runs every start.
     Seeded start ``i`` takes draws ``3i`` to ``3i + 2`` of
     ``numpy.random.default_rng(seed).random()``, drawn only when the search
     reaches that start, so each seed keeps its starts and a start that does
@@ -883,6 +880,9 @@ def calibrate_effective(
             factor is not a positive float.
         InsufficientDataError: unless the chain has >= 4 quotes spanning
             >= 2 maturities and >= 2 strikes.
+        NoInteriorMinimumError: the best start ends outside the (k,
+            sigma_bar) box, where every point inside scores worse than the
+            out-of-box score.
     """
     for name, value in (("seed", seed), ("n_restarts", n_restarts)):
         if not isinstance(value, int) or value < 0:
@@ -907,8 +907,7 @@ def calibrate_effective(
         evaluations += 1
         return model.level_objective(x)
 
-    # a fit whose misfit reaches this is exact to rounding: its start stops
-    # re-descending, and no later start runs
+    # a fit whose misfit reaches this is exact to rounding: no later start runs
     floor = ROUNDING_FLOOR * max(max(spot, disc_strike) for spot, _, disc_strike, *_ in model.consts)
 
     try:
@@ -928,24 +927,20 @@ def calibrate_effective(
     best = None
     total_iters = 0
     restart_objs = []
-    converged = False
     for x0 in starts():
-        x, fval = x0, objective(x0)
-        success = False
-        for _round in range(6):
-            res = minimize(objective, x, maxiter=SIMPLEX_MAX_ITER, xatol=1e-12, fatol=1e-14)
-            total_iters += res.nit
-            improved = fval - res.fun
-            x, fval, success = res.x, res.fun, res.success
-            if fval <= floor or improved <= 1e-15 * max(1.0, abs(fval)):
-                break
-        restart_objs.append(fval)
-        if best is None or fval < best[1]:
-            best = (x, fval)
-            converged = success
-        if best[1] <= floor:  # exact to rounding: a later start could differ only by rounding
+        res = minimize(objective, x0, maxiter=SIMPLEX_MAX_ITER, xatol=1e-12, fatol=1e-14)
+        total_iters += res.nit
+        restart_objs.append(res.fun)
+        if best is None or res.fun < best.fun:
+            best = res
+        if best.fun <= floor:  # exact to rounding: a later start could differ only by rounding
             break
-    (k_hat, sigma_hat), obj = best
+    k_hat, sigma_hat = best.x
+    if not model._in_box(k_hat, sigma_hat):
+        raise NoInteriorMinimumError(
+            f"the best fit (k = {k_hat!r}, sigma_bar = {sigma_hat!r}) lies outside the search box "
+            f"k in [{k_lo!r}, {k_hi!r}], sigma_bar in [{s_lo!r}, {s_hi!r}]"
+        )
     a_hat = model.fit_a(k_hat, sigma_hat)
     v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
     return CalibResult(
@@ -953,9 +948,9 @@ def calibrate_effective(
         k_hat=k_hat,
         v_eff_hat=v_best,
         sigma_bar_hat=sigma_hat,
-        objective=obj,
+        objective=best.fun,
         iterations=total_iters,
         evaluations=evaluations,
-        converged=converged,
+        converged=best.success,
         restart_objectives=tuple(restart_objs),
     )

@@ -692,6 +692,28 @@ class TestCalibrateCommand:
         report = parse_report(capsys.readouterr().out)
         assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
 
+    def test_fit_effective_outside_the_box_is_refused(self, tmp_path):
+        # a 1%-noise chain at spot 1e10: every point inside the box scores above
+        # the out-of-box score, so the best start ends outside it.  The fit is
+        # refused with one error line that names the point
+        rng = np.random.default_rng(1)
+        lines = ["t,T,K,mid,x,r"]
+        for maturity in (0.25, 0.5, 1.0):
+            for strike in (90.0, 100.0, 110.0):
+                inp = BsInputs(100.0, strike, 0.0264, 0.21, maturity)
+                mid = modification_factor(0.0, 0.06, 0.0264, 0.008) * (
+                    bs_call_price(inp) + 0.003 * p1_time_factor(0.0, maturity, 0.008) * d1d2_call(inp)
+                ) * (1.0 + 0.01 * rng.standard_normal())
+                lines.append(f"0.0,{maturity},{strike * 1e8!r},{mid * 1e8!r},1e10,0.0264")
+        chain = tmp_path / "chain.csv"
+        chain.write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0)
+        proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "calibrate", "--config", cfg)
+        assert proc.returncode == 3
+        assert_one_error_line(proc.stderr, "best fit (k = 9.99", "outside the search box")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
 
 #: Each bundled config with the commands that run it; the fit = a variant of
 #: calibrate.cfg is the one its comment offers.
