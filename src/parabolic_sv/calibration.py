@@ -3,14 +3,16 @@
 Both fits run on one chain model, :class:`_ChainModel`: each quote is
 ``M * (Q0 + v_eff * time_factor * D1D2 Q0)`` with ``M = modification_factor(t;
 a, r, k)`` and ``v_eff = sqrt(epsilon) * V``.  At each valuation date the
-quotes are linear in ``(M, M v_eff)``, so :meth:`_ChainModel.fit_a` solves the
-best ``(a, v_eff)`` at fixed ``(k, sigma_bar)`` from one pass over the quotes:
-in closed form at one valuation date, and over several as the root of the
-misfit's derivative in ``a``, which the pass's sums give in O(dates).
+quotes are linear in ``(M, M v_eff)``, so :meth:`_ChainModel.fit` solves the
+best ``(a, v_eff)`` at fixed ``(k, sigma_bar)`` from one pass over the quotes
+(in closed form at one valuation date, and over several as the root of the
+misfit's derivative in ``a``, which the pass's sums give in O(dates)) and
+takes the misfit there in one more.  Every reported ``a``, ``v_eff`` and
+misfit comes from that one evaluation.
 
 * :func:`estimate_a` -- least-squares fit of the empirical constant ``a``
   alone: ``v_eff`` is pinned at 0, ``k`` is given and ``sigma_bar`` is pinned
-  from the nearest-the-money implied vol, so the fit is one ``fit_a`` call.
+  from the nearest-the-money implied vol, so the fit is one ``fit`` call.
 * :func:`calibrate_effective` -- fit of ``(a, k, v_eff, sigma_bar)``: a
   derivative-free simplex searches ``(k, sigma_bar)`` only, at any number of
   valuation dates, and ``(a, v_eff)`` is solved at each of its points
@@ -55,7 +57,7 @@ from .errors import (
 )
 from .optimize import minimize
 from .params import ModelParams, discount_factor
-from .pricer import factor_exponent, modification_factor, p1_time_factor
+from .pricer import factor_exponent, p1_time_factor
 from .slow_factor import SINGULAR_FLOOR
 
 __all__ = [
@@ -363,10 +365,11 @@ def estimate_a(
     rate and the factor at ``r``, by default the chain's one rate.  The band
     ``|a - 2r| < 1e-4`` is excluded from the search (the factor degenerates at
     its centre); landing on the band edge is allowed, landing on an edge of
-    the box ``BOUNDS["a"]`` is not.  ``a`` comes from :meth:`_ChainModel.fit_a`:
-    with one valuation date the factor is one scalar ``M`` and the fit is the
-    closed form ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``;
-    with several it is the root of the misfit's derivative on each side of the
+    the box ``BOUNDS["a"]`` is not.  ``a`` and the objective, the misfit's sum
+    of squares there, come from one :meth:`_ChainModel.fit`: with one
+    valuation date the factor is one scalar ``M`` and the fit is the closed
+    form ``M = (Q0 . mid) / (Q0 . Q0)`` clamped to the feasible ``M``; with
+    several it is the root of the misfit's derivative on each side of the
     band, compared with the sides' ends.
 
     Raises:
@@ -394,23 +397,21 @@ def estimate_a(
     def model(chain: list[OptionQuote]) -> _ChainModel:
         return _ChainModel(chain, lo, hi, (0.0, 0.0), rate)
 
-    whole = model(quotes)
-    a_hat = whole.fit_a(k, sigma)
+    a_hat, _, sse = model(quotes).fit(k, sigma)
     if min(a_hat - a_lo, a_hi - a_hat) < 1e-6 * (a_hi - a_lo):
         raise NoInteriorMinimumError(f"a-fit pinned to bound {a_hat:.6g} of [{a_lo:g}, {a_hi:g}]")
-    _, resid = whole.profiled_v(a_hat, k, sigma)
 
     per_strike = []
     for strike in sorted({q.strike for q in quotes}):
         try:
-            a_k = model([q for q in quotes if q.strike == strike]).fit_a(k, sigma)
+            a_k = model([q for q in quotes if q.strike == strike]).fit(k, sigma)[0]
         except PricingError:
             a_k = math.nan
         per_strike.append((strike, a_k))
 
     return AEstimate(
         a_hat=a_hat,
-        objective=sum(x * x for x in resid),
+        objective=sse,
         sigma_bar_used=sigma,
         n_quotes=len(quotes),
         per_strike=tuple(per_strike),
@@ -483,7 +484,7 @@ class _ChainModel:
     and ``M v_eff`` there: one pass over the quotes keeps, per valuation date,
     the sums of products of the quotes' base values ``b``, slopes ``s`` and
     mids, and ``a`` and ``v_eff`` are solved from those sums
-    (:meth:`_fit_level`).  Each quote's
+    (:meth:`fit`).  Each quote's
     :func:`~parabolic_sv.black_scholes.call_constants` are computed once, and
     every ``(k, sigma_bar)`` point calls the one scalar formula per quote on
     plain floats.  On the chains a fit serves, a dozen or two quotes, that is
@@ -509,11 +510,10 @@ class _ChainModel:
                 raise InputDomainError(f"r = {r!r} is too large: 2r overflows")
         for q in quotes:
             discount_factor(q.rate, q.tau)
-        self.mids = [q.mid for q in quotes]
-        self.mid_abs = max(abs(m) for m in self.mids)
+        self.mid_abs = max(abs(q.mid) for q in quotes)
         self.consts = [call_constants(q.spot, q.strike, q.rate, q.tau) for q in quotes]
         self.dates = list(dict.fromkeys(keys))
-        self.date_of = [self.dates.index(key) for key in keys]
+        date_of = [self.dates.index(key) for key in keys]
         self.valuation_dates = valuation_dates
         day_of = [valuation_dates.index(t) for t, _, _ in self.dates]
         two_rs = [2.0 * r for _, _, r in self.dates]
@@ -524,7 +524,7 @@ class _ChainModel:
         self.day_refs = [(min(rs), max(rs)) for rs in day_two_rs]
         #: each valuation date's (call constants, date, mid) of its quotes, and its mids
         self.groups = [
-            [(c, d, mid) for c, d, mid in zip(self.consts, self.date_of, self.mids) if day_of[d] == j]
+            [(c, d, q.mid) for c, d, q in zip(self.consts, date_of, quotes) if day_of[d] == j]
             for j in range(len(valuation_dates))
         ]
         self.group_mids = [[mid for _, _, mid in group] for group in self.groups]
@@ -534,93 +534,47 @@ class _ChainModel:
         self.v_pinned = v_box[0] == v_box[1] == 0.0
         self.a_pieces = _a_pieces(*self.box[0], two_rs)
 
-    def _time_factors(self, k: float, sig: float) -> list[float]:
-        """The per-date time factors at ``k``, once ``sigma_bar`` is checked."""
-        if not 0.0 < sig < math.inf:
-            raise InputDomainError(f"sigma_bar = {sig!r} must be positive and finite")
-        if self.v_pinned:  # tf is multiplied by v_eff = 0
-            return [0.0] * len(self.dates)
-        return [p1_time_factor(t, mat, k) for t, mat, _ in self.dates]
-
-    def _kernel(self, k: float, sig: float) -> tuple[list[tuple[float, float]], list[float]]:
-        """Each quote's (call, D1D2) and the per-date time factors at (k, sigma_bar)."""
-        tf = self._time_factors(k, sig)
-        return [call_and_d1d2_at(*c, sig) for c in self.consts], tf
-
-    def profiled_v(self, a: float, k: float, sig: float) -> tuple[float, list[float]]:
-        """Least-squares v_eff given the nonlinear parameters (model is linear
-        in it), clamped to the v box, and the residuals there, quote by quote.
-
-        Raises:
-            SingularTimeError, NumericalOverflowError: from a modification
-                factor, and NumericalOverflowError also where the factor is
-                finite but the misfit's sums of squares would overflow.
-        """
-        kernel, tf = self._kernel(k, sig)
-        mod = [modification_factor(t, a, r, k) for t, _, r in self.dates]
-        # each entry of target, slope and the residual is at most `bound` in
-        # size (|v| is clamped to the v box), so each sum of squares is at most
-        # n bound^2 and finite when this is; a sum, not a max, so that a NaN
-        # term (0 * inf) is not skipped
-        v_abs = max(-self.v_box[0], self.v_box[1])
-        bound = self.mid_abs + sum(
-            mod[d] * (abs(call) + v_abs * abs(tf[d] * dd)) for d, (call, dd) in zip(self.date_of, kernel)
-        )
-        if not 2.0 * self.n_quotes * bound * bound < math.inf:
-            raise NumericalOverflowError(
-                f"modification factor {max(mod):.6g} overflows the misfit (a = {a:g}, k = {k:g})"
-            )
-        mod_tf = [m * f for m, f in zip(mod, tf)]
-        target = [mid - mod[d] * call for mid, d, (call, _) in zip(self.mids, self.date_of, kernel)]
-        slope = [mod_tf[d] * dd for d, (_, dd) in zip(self.date_of, kernel)]
-        v = self._profile(sum(x * y for x, y in zip(slope, target)), sum(x * x for x in slope))
-        return v, [y - v * x for y, x in zip(target, slope)]
-
-    def _profile(self, slope_target: float, slope_slope: float) -> float:
-        """The least-squares ``v`` of ``target ~ v slope``, from the two sums of
-        products, clamped to the v box."""
-        v = slope_target / slope_slope if slope_slope > 1e-300 else 0.0
-        return min(max(v, self.v_box[0]), self.v_box[1])
-
     def _profile_levels(self, levels: list[float], sums: list[tuple[float, ...]]) -> float:
-        """:meth:`_profile` of the quotes ``mids ~ M (b + v s)`` at each
-        valuation date's level ``M``, from the date's sums: the slope is
-        ``M s`` and the target ``mids - M b``."""
+        """The least-squares ``v`` of the quotes ``mids ~ M (b + v s)`` at each
+        valuation date's level ``M``, from the date's sums, clamped to the v
+        box: the slope is ``M s`` and the target ``mids - M b``."""
         slope_target = slope_slope = 0.0
         for m, (_, bs, _, ss, sm) in zip(levels, sums):
             slope_target += m * (sm - m * bs)
             slope_slope += m * (m * ss)
-        return self._profile(slope_target, slope_slope)
+        v = slope_target / slope_slope if slope_slope > 1e-300 else 0.0
+        return min(max(v, self.v_box[0]), self.v_box[1])
 
     def _in_box(self, k: float, sig: float) -> bool:
         _, (k_lo, k_hi), (s_lo, s_hi) = self.box
         return k_lo <= k <= k_hi and s_lo <= sig <= s_hi
 
-    def fit_a(self, k: float, sig: float) -> float:
-        """The least-squares ``a`` at fixed (k, sigma_bar), with ``v_eff``
-        profiled (:meth:`_fit_level`).
+    def fit(self, k: float, sig: float) -> tuple[float, float, float]:
+        """The least-squares ``a`` and ``v_eff`` at fixed (k, sigma_bar), and
+        the misfit's sum of squares there: the one evaluation of the model.
+
+        One pass over the quotes prices each as the pair ``(b, s)`` of its base
+        and slope values, ``M (b + v_eff s)``, and adds it to its valuation
+        date's sums of products ``(b.b, b.s, b.mids, s.s, s.mids)``.  The rate
+        ratios of a valuation date are taken against the rate whose ratios
+        stay <= 1.  At one valuation date ``a`` is the closed form of
+        :func:`_level_fit`; over several, :meth:`_solve_a` solves it from the
+        sums.  ``v_eff`` is profiled from the sums at each date's level, and
+        the misfit is taken from the pairs, ``mids - M (b + v_eff s)``, in one
+        more pass: read from the sums, it would cancel to about eps times the
+        mids' sum of squares.
 
         Raises:
             SingularTimeError, LogDomainError, InputDomainError,
-            NumericalOverflowError: at a point where the model is infeasible.
+            NumericalOverflowError: at a point where the model is infeasible,
+                and NumericalOverflowError also where the misfit is not finite.
         """
-        return self._fit_level(k, sig)[0]
-
-    def _fit_level(
-        self, k: float, sig: float
-    ) -> tuple[float, list[float], list[list[tuple[float, float]]], list[tuple[float, ...]]]:
-        """The least-squares ``a``, each valuation date's level ``M`` there,
-        the pairs ``(b, s)`` of base and slope values of each date's quotes
-        ``M (b + v_eff s)``, and each date's sums of products ``(b.b, b.s,
-        b.mids, s.s, s.mids)``.
-
-        One pass over the quotes prices each and adds it to its date's sums.
-        The rate ratios of a valuation date are taken against the rate whose
-        ratios stay <= 1.  At one valuation date ``a`` is the closed form of
-        :func:`_level_fit`; over several, :meth:`_solve_a` solves it from the
-        sums.
-        """
-        tf = self._time_factors(k, sig)
+        if not 0.0 < sig < math.inf:
+            raise InputDomainError(f"sigma_bar = {sig!r} must be positive and finite")
+        if self.v_pinned:  # tf is multiplied by v_eff = 0
+            tf = [0.0] * len(self.dates)
+        else:
+            tf = [p1_time_factor(t, mat, k) for t, mat, _ in self.dates]
         gs = [factor_exponent(t, k) for t in self.valuation_dates]
         refs = [lo if g > 0.0 else hi for g, (lo, hi) in zip(gs, self.day_refs)]
         rho = [math.exp((refs[j] - two_r) * gs[j]) for j, two_r in self.date_rates]
@@ -642,9 +596,18 @@ class _ChainModel:
             sums.append((bb, bs, bm, ss, sm))
         if len(gs) == 1:
             a, level = _level_fit(self.a_pieces, refs[0], gs[0], sums[0], self.v_box)
-            return a, [level], day_pairs, sums
-        a, levels = self._solve_a(refs, gs, day_pairs, sums)
-        return a, levels, day_pairs, sums
+            levels = [level]
+        else:
+            a, levels = self._solve_a(refs, gs, day_pairs, sums)
+        v = self._profile_levels(levels, sums)
+        sse = 0.0
+        for level, pairs, mids in zip(levels, day_pairs, self.group_mids):
+            for (bi, si), mid in zip(pairs, mids):
+                r = (mid - level * bi) - v * (level * si)
+                sse += r * r
+        if not sse < math.inf:  # NaN too
+            raise NumericalOverflowError(f"the misfit overflows (a = {a:g}, k = {k:g}, sigma_bar = {sig:g})")
+        return a, v, sse
 
     def _solve_a(
         self,
@@ -675,9 +638,10 @@ class _ChainModel:
         top = max(range(len(gs)), key=lambda j: abs(gs[j]))
         if gs[top] == 0.0:  # M = 1 for every a
             return self.a_pieces[0][0], [1.0] * len(gs)
-        # keep profiled_v's bound, mid_abs + sum_j M_j sum (|b| + |v| |s|), below
-        # sqrt(max float / 8 n), so that n bound^2 stays finite; each date's
-        # M_j sum (|b| + |v| |s|) may take `room` of it
+        # each residual and each term of the misfit's sums is at most
+        # mid_abs + sum_j M_j sum (|b| + |v| |s|) in size; keep that bound
+        # below sqrt(max float / 8 n), so that n bound^2 stays finite.  Each
+        # date's M_j sum (|b| + |v| |s|) may take `room` of it
         room = (math.sqrt(sys.float_info.max / (8.0 * self.n_quotes)) - self.mid_abs) / len(gs)
         if not room > 0.0:
             raise NumericalOverflowError("the mids' sum of squares overflows")
@@ -729,27 +693,17 @@ class _ChainModel:
 
     def level_objective(self, x: tuple[float, float]) -> float:
         """The price RMSE over (k, sigma_bar), with ``(a, v_eff)`` solved at
-        each point (:meth:`_fit_level`).  The misfit is taken from the level
-        fit's own values, ``mids - M (b + v_eff s)``, in one more pass, with
-        ``v_eff`` profiled from the sums: read from the sums, it would cancel
-        to about eps times the mids' sum of squares.  The fitted ``a`` lies in
-        the box and outside every band around ``2r``.  Outside the (k,
-        sigma_bar) box it is ``1e6 (1 + excess)``, and at an infeasible point
-        1e9."""
+        each point (:meth:`fit`).  The fitted ``a`` lies in the box and
+        outside every band around ``2r``.  Outside the (k, sigma_bar) box it
+        is ``1e6 (1 + excess)``, and at an infeasible point 1e9."""
         k, sig = x
         if not self._in_box(k, sig):
             excess = sum(max(lo - v, 0.0) + max(v - hi, 0.0) for v, (lo, hi) in zip((k, sig), self.box[1:]))
             return 1e6 * (1.0 + excess)
         try:
-            _, levels, day_pairs, sums = self._fit_level(k, sig)
+            _, _, sse = self.fit(k, sig)
         except _INFEASIBLE:
             return 1e9
-        v = self._profile_levels(levels, sums)
-        sse = 0.0
-        for level, pairs, mids in zip(levels, day_pairs, self.group_mids):
-            for (bi, si), mid in zip(pairs, mids):
-                r = (mid - level * bi) - v * (level * si)
-                sse += r * r
         return math.sqrt(sse / self.n_quotes)
 
 
@@ -824,6 +778,8 @@ def _uniforms(seed: int):
 class CalibResult:
     """Fit of (a, k, v_eff, sigma_bar); objective is the price RMSE.
 
+    ``a_hat``, ``v_eff_hat`` and ``objective`` come from one evaluation of
+    the chain model (:meth:`_ChainModel.fit`) at ``(k_hat, sigma_bar_hat)``.
     ``iterations`` counts the Nelder-Mead iterations of the (k, sigma_bar)
     search, with ``a`` and ``v_eff`` solved exactly inside it, summed over
     the starts that ran, one descent each.  ``evaluations`` counts the
@@ -941,12 +897,11 @@ def calibrate_effective(
             f"the best fit (k = {k_hat!r}, sigma_bar = {sigma_hat!r}) lies outside the search box "
             f"k in [{k_lo!r}, {k_hi!r}], sigma_bar in [{s_lo!r}, {s_hi!r}]"
         )
-    a_hat = model.fit_a(k_hat, sigma_hat)
-    v_best, _ = model.profiled_v(a_hat, k_hat, sigma_hat)
+    a_hat, v_hat, _ = model.fit(k_hat, sigma_hat)
     return CalibResult(
         a_hat=a_hat,
         k_hat=k_hat,
-        v_eff_hat=v_best,
+        v_eff_hat=v_hat,
         sigma_bar_hat=sigma_hat,
         objective=best.fun,
         iterations=total_iters,

@@ -314,6 +314,23 @@ class TestEstimateA:
         with pytest.raises(InsufficientDataError):
             estimate_a(single_maturity, k=0.008)
 
+    @pytest.mark.parametrize("p", range(504, 508))
+    def test_power_of_two_rescaling_is_exact(self, p):
+        # spot, strikes and mids times 2^p, which takes the sums of squares
+        # near the float range's end: every price scales exactly, so a and
+        # sigma_bar keep their bits and the sum of squares scales by 2^2p
+        quotes = synth_quotes(a=0.05)
+        want = estimate_a(quotes, k=0.008)
+        scale = 2.0**p
+        got = estimate_a(
+            [OptionQuote(q.t, q.maturity, q.strike * scale, q.mid * scale, q.spot * scale, q.rate) for q in quotes],
+            k=0.008,
+        )
+        assert got.a_hat == want.a_hat
+        assert got.sigma_bar_used == want.sigma_bar_used
+        assert got.objective == want.objective * 2.0 ** (2 * p)
+        assert [a for _, a in got.per_strike] == [a for _, a in want.per_strike]
+
     def test_pinned_to_bound_raises(self):
         # truth a = -0.8 sits below the box [-0.5, 0.5], so the fit slides onto
         # its lower edge and must refuse rather than report the edge as an optimum
@@ -428,7 +445,8 @@ def quotes_at(t, maturities, rate=0.0264, strikes=(90.0, 100.0, 110.0)):
 
 
 class TestVectorObjective:
-    """The chain model's misfit and its infeasible points against a per-quote loop."""
+    """The chain model's one evaluation, :meth:`_ChainModel.fit`: its kernel,
+    the fit it reports and its infeasible points against a per-quote loop."""
 
     CHAINS = {
         "single_date": synth_quotes(a=0.06, sigma=0.21, v_eff=0.003),
@@ -449,38 +467,19 @@ class TestVectorObjective:
     )
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
-    def test_matches_per_quote_loop(self, chain):
-        # the RMSE of profiled_v's residuals, at every point where the loop
-        # adds no penalty: inside the box and outside the bands around 2r
+    def test_fit_is_the_reported_fit(self, chain):
+        # a_hat, v_eff_hat and the objective come from one evaluation at the
+        # fitted (k, sigma_bar), bit for bit
         quotes = self.CHAINS[chain]
-        lo, hi, v_box = box()
-        model = _ChainModel(quotes, lo, hi, v_box)
-        compared = 0
-        for theta in self.THETAS:
-            theta = np.array(theta)
-            if np.any(theta < lo) or np.any(theta > hi) or any(
-                abs(theta[0] - 2.0 * q.rate) < A_EXCLUSION for q in quotes
-            ):
-                continue
-            want = loop_objective(quotes, theta, lo, hi, v_box)
-            assert math.isfinite(want) and want != 1e9, theta
-            _, resid = model.profiled_v(*theta)
-            assert math.sqrt(sum(x * x for x in resid) / len(resid)) == pytest.approx(want, rel=1e-12), theta
-            compared += 1
-        assert compared >= 4
-
-    def test_profiled_v_matches_the_fit(self):
-        quotes = self.CHAINS["single_date"]
         res = calibrate_effective(quotes, seed=0)
-        profiled_v = _ChainModel(quotes, *box()).profiled_v
-        v, resid = profiled_v(res.a_hat, res.k_hat, res.sigma_bar_hat)
-        resid = np.asarray(resid)
-        assert v == res.v_eff_hat
-        assert math.sqrt(float(np.mean(resid**2))) == pytest.approx(res.objective, rel=1e-9, abs=1e-15)
+        a, v, sse = _ChainModel(quotes, *box()).fit(res.k_hat, res.sigma_bar_hat)
+        assert (a, v) == (res.a_hat, res.v_eff_hat)
+        assert math.sqrt(sse / len(quotes)) == res.objective
 
-    def test_kernel_is_the_scalar_formula(self):
-        # mixed spots, strikes, rates and maturities in one chain: each quote's
-        # call and D1D2 are the bits of the one-contract formula
+    def test_kernel_is_the_scalar_formula(self, monkeypatch):
+        # mixed spots, strikes, rates and maturities in one chain: fit's pass
+        # takes each quote's call and D1D2 once, the bits of the one-contract
+        # formula
         quotes = [
             OptionQuote(t, t + tau, strike, 5.0, spot, rate)
             for t, tau, spot, strike, rate in (
@@ -490,9 +489,18 @@ class TestVectorObjective:
                 (0.4, 0.5, 100.0, 20.0, -0.01),
             )
         ]
+        seen = []
+        real = calibration.call_and_d1d2_at
+
+        def recording(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(calibration, "call_and_d1d2_at", recording)
         for sig in (0.01, 0.3, 2.0):
-            kernel, _ = _ChainModel(quotes, *box())._kernel(0.01, sig)
-            assert kernel == [bs_call_and_d1d2(q.spot, q.strike, q.rate, sig, q.tau) for q in quotes], sig
+            seen.clear()
+            _ChainModel(quotes, *box()).fit(0.01, sig)
+            assert seen == [bs_call_and_d1d2(q.spot, q.strike, q.rate, sig, q.tau) for q in quotes], sig
 
     @pytest.mark.parametrize(
         "quotes, theta, why",
@@ -500,32 +508,27 @@ class TestVectorObjective:
             (quotes_at(2.5, (3.0, 3.5)), (0.06, 0.8, 0.2), "k t = 2"),
             (quotes_at(2.5 - 1e-13, (3.0, 3.5)), (0.06, 0.8, 0.2), "k t within the floor of 2"),
             (quotes_at(1.5, (2.2, 2.5)), (0.06, 1.0, 0.2), "t and T straddle 2/k"),
-            (synth_quotes(), (0.5, 1e-5, 0.2), "the factor overflows"),
         ],
         ids=lambda x: x if isinstance(x, str) else "",
     )
     def test_infeasible_points_score_1e9(self, quotes, theta, why):
-        # the model refuses each point the loop scores 1e9; at the first three
-        # every a is infeasible, which TestLevelObjective scores
+        # the model refuses each (k, sigma_bar) point where the loop scores
+        # every a 1e9, which TestLevelObjective scores
         lo, hi, v_box = box()
         assert loop_objective(quotes, np.array(theta), lo, hi, v_box) == 1e9, why
         with pytest.raises(calibration._INFEASIBLE):
-            _ChainModel(quotes, lo, hi, v_box).profiled_v(*theta)
+            _ChainModel(quotes, lo, hi, v_box).fit(*theta[1:])
 
     @pytest.mark.parametrize("k", [1.22e-4, 1.4e-4, 2.4e-4])
     def test_finite_factor_whose_misfit_overflows_scores_1e9(self, k):
         # at a = 0.5 these factors are e^708 to e^360: finite, but mod * call
-        # or slope @ slope is past the float range, where numpy would warn
-        # (an error in this suite) and the objective would read nan.  The
+        # or the misfit's sums of squares are past the float range.  The
         # a-solve keeps to the levels whose misfit is finite.
         quotes = [
             OptionQuote(t, t + tau, strike, 5.0, 100.0, 0.0264)
             for t in (0.0, 0.4) for tau in (0.5, 1.0) for strike in (90.0, 100.0, 110.0)
         ]
-        lo, hi, v_box = box()
-        with pytest.raises(NumericalOverflowError):
-            _ChainModel(quotes, lo, hi, v_box).profiled_v(0.5, k, 0.2)
-        (value,) = TestLevelObjective.check(quotes, [(k, 0.2)], lo, hi, v_box)
+        (value,) = TestLevelObjective.check(quotes, [(k, 0.2)], *box())
         assert math.isfinite(value) and value < 1e6
 
     def test_zero_sigma_scores_1e9_in_a_widened_box(self):
@@ -568,7 +571,7 @@ class TestInnerSolve:
         def objective(theta):
             return loop_objective(quotes, np.asarray(theta), lo, hi, v_box)
 
-        a = model.fit_a(k, sig)
+        a = model.fit(k, sig)[0]
         assert lo[0] <= a <= hi[0]
         assert all(abs(a - 2.0 * q.rate) >= A_EXCLUSION for q in quotes)
         value = objective(np.array([a, k, sig]))
@@ -597,8 +600,8 @@ class TestInnerSolve:
     def test_v_eff_past_its_box(self):
         quotes = TestVectorObjective.CHAINS["single_date"]  # v_eff = 0.003
         lo, hi, v_box = box(v_eff=(-1e-3, 1e-3))
-        a, _ = self.check(quotes, 0.008, 0.21, lo, hi, v_box)
-        assert _ChainModel(quotes, lo, hi, v_box).profiled_v(a, 0.008, 0.21)[0] == 1e-3
+        self.check(quotes, 0.008, 0.21, lo, hi, v_box)
+        assert _ChainModel(quotes, lo, hi, v_box).fit(0.008, 0.21)[1] == 1e-3
 
     @pytest.mark.parametrize("r, offset", [(0.0264, 4e-5), (0.0045, 4e-5), (0.0045, -4e-5)])
     def test_unconstrained_optimum_inside_the_band(self, r, offset):
@@ -680,7 +683,7 @@ class TestLevelObjective:
         values = []
         for k, sig in points:
             try:
-                want = loop_objective(quotes, np.array((model.fit_a(k, sig), k, sig)), lo, hi, v_box)
+                want = loop_objective(quotes, np.array((model.fit(k, sig)[0], k, sig)), lo, hi, v_box)
             except calibration._INFEASIBLE:
                 want = 1e9
             got = model.level_objective((k, sig))
@@ -704,7 +707,7 @@ class TestLevelObjective:
         lo, hi, v_box = box(v_eff=(-1e-3, 1e-3))
         self.check(quotes, self.POINTS, lo, hi, v_box)
         model = _ChainModel(quotes, lo, hi, v_box)
-        assert model.profiled_v(model.fit_a(0.008, 0.21), 0.008, 0.21)[0] == 1e-3
+        assert model.fit(0.008, 0.21)[1] == 1e-3
 
     def test_outside_the_box(self):
         points = [(1.5, 0.2), (0.05, 2.5), (-0.1, 0.2), (0.5, 0.001)]

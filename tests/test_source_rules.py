@@ -166,3 +166,41 @@ def test_getattr_rule_sees_module_level_bindings_only():
         "x = __getattr__\n"
     )
     assert module_bindings(tree, "__getattr__") == [1, 4, 11]
+
+
+def calls_of(tree: ast.AST, name: str, scope: str = "") -> list[str]:
+    """The qualified name, as ``Class.method``, of the function or class body
+    around each call of ``name``, by name or attribute, in source order; ``""``
+    at module level.  A lambda belongs to the body it is written in."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append(scope)
+        found += calls_of(node, name, inner)
+    return found
+
+
+def test_calibration_prices_quotes_in_one_pass():
+    # the chain model's one evaluation, _ChainModel.fit, is the one pass that
+    # prices a chain's quotes, beside implied_vol's bisection: a second
+    # residual path would call the kernel or the modification factor again
+    path = next(p for p in SOURCES if p.name == "calibration.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(calls_of(tree, "call_and_d1d2_at")) == ["_ChainModel.fit", "implied_vol"]
+    assert calls_of(tree, "modification_factor") == []
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "modification_factor" not in imported
+
+
+def test_call_rule_names_the_enclosing_body():
+    tree = ast.parse(
+        "f(1)\n"
+        "def g():\n    h = lambda: f(2)\n    def inner():\n        m.f(3)\n"
+        "class C:\n    def fit(self):\n        return f(4), other(5)\n"
+    )
+    assert calls_of(tree, "f") == ["", "g", "g.inner", "C.fit"]
