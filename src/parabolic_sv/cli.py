@@ -298,13 +298,17 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, paths_dump: str | None) -
         rows.append(("trend", "non-increasing" if ok else "increasing"))
     else:
         est = estimate_from_sample(sample, cfg.model, cfg.option, sim)
-        asym = price_first_order(cfg.option, cfg.model, cfg.vol).total
+        bd = price_first_order(cfg.option, cfg.model, cfg.vol)
+        # the simulated dynamics carry no modification factor, so the gap to
+        # total / mod_factor compares like with like at any a
         rows += [
             ("price", est.price),
             ("std_error", est.std_error),
             ("n_effective", est.n_effective),
-            ("asymptotic", asym),
-            ("abs_gap", abs(asym - est.price)),
+            ("asymptotic", bd.total),
+            ("abs_gap", abs(bd.total - est.price)),
+            ("mod_factor", bd.mod_factor),
+            ("abs_gap_unmod", abs(bd.total / bd.mod_factor - est.price)),
         ]
 
     if paths_dump:

@@ -19,14 +19,15 @@ Reproducibility contract: paths are organised into fixed-size blocks of
 standard normal per path (per pair of paths with antithetic sampling) for
 each noise that drives a factor, ``(W^x, W^y)`` and W^z only where Z is
 stochastic (``z_scheme="ou"`` with ``eta > 0``), correlated by the Cholesky
-factor of their correlation matrix.  The path set is therefore bit-identical
-for identical ``(seed, cfg)`` regardless of how many worker threads process
-the blocks, and reductions run in block order.
+factor of their correlation matrix.  Each block runs its step loop in its own
+slice of the sample's arrays, which are allocated once, ``n_paths`` long, so
+no block's result is copied.  The path set is therefore bit-identical for
+identical ``(seed, cfg)`` regardless of how many worker threads process the
+blocks, and reductions run in block order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -77,6 +78,10 @@ class PathDump:
 
 @dataclass(frozen=True)
 class TerminalSample:
+    """Terminal values of every path, in block order.  A deterministic ``z``
+    (the parabolic arc, or the OU mean path at ``eta = 0``) is one float
+    shared by every path, as a read-only broadcast view."""
+
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -111,26 +116,31 @@ def _simulate_block(
     vol: VolFunction,
     cfg: SimConfig,
     block: int,
-    nb: int,
     n_steps: int,
     dt: float,
     chol: np.ndarray,
     collect: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray | None,
 ):
-    """Terminal (X, Y, Z) of one block of ``nb`` paths, and the dump of its
-    ``collect`` leading paths.
+    """Run one block's paths in ``x`` and ``y``, its slices of the sample, and
+    return its terminal Z and the dump of its ``collect`` leading paths.
 
-    The block's arrays are allocated once and every step updates them in
-    place, with the operations of ``m + (y - m) decay + sd xi`` and of the log
-    scheme applied in that order, so each value rounds as the plain
-    expressions do.  A deterministic Z (the parabolic arc, or the OU mean path
-    at ``eta = 0``) is one float shared by every path.  With antithetic
+    ``x`` holds log X until the last step exponentiates it in place.  Every
+    step updates the slices in place, with the operations of
+    ``m + (y - m) decay + sd xi`` and of the log scheme applied in that
+    order, so each value rounds as the plain expressions do.  ``z`` is the
+    block's slice where Z is random, and None where it is deterministic (the
+    parabolic arc, or the OU mean path at ``eta = 0``): then Z is one float
+    shared by every path, and that float is returned.  With antithetic
     sampling the correlated increments are formed on the drawn half and
     negated into the other half, which is exact.
     """
     rng = _block_rng(cfg.seed, block)
+    nb = x.size
     frozen_z = cfg.z_scheme == "parabolic"
-    random_z = not frozen_z and model.eta > 0.0
+    random_z = z is not None
     dim = 3 if random_z else 2  # W^z is drawn only when it moves Z
     arc = model.arc
     c = chol.tolist()
@@ -141,21 +151,26 @@ def _simulate_block(
     decay_z = math.exp(-model.k * dt)
     sd_z = model.eta * math.sqrt((1.0 - decay_z * decay_z) / (2.0 * model.k))
 
-    y = np.full(nb, model.m)
+    y.fill(model.m)
     if frozen_z:
-        z = float(arc.value(spec.t))
+        z_t = float(arc.value(spec.t))
     else:
         # deterministic state at the valuation date: the OU mean path
-        z = model.m_prime + (model.z0 - model.m_prime) * math.exp(-model.k * spec.t)
+        z_t = model.m_prime + (model.z0 - model.m_prime) * math.exp(-model.k * spec.t)
         if random_z:
-            z = np.full(nb, z)
-    log_x = np.full(nb, math.log(spec.spot))
+            z.fill(z_t)
+            z_t = z
+    x.fill(math.log(spec.spot))
 
     n_draw = nb // 2 if cfg.antithetic else nb
     raw = np.empty((dim, n_draw))
     xi = np.empty((dim, nb))  # correlated increments of W^x, W^y (and W^z)
     term = np.empty(n_draw)
-    f, drift, scale = np.empty(nb), np.empty(nb), np.empty(nb)
+    # vol_values writes only separable_exp's f into a buffer, and f is one
+    # float per step for y_constant with a deterministic Z: the log step
+    # then needs no work buffer either
+    f = np.empty(nb) if vol.kind == "separable_exp" else None
+    work = None if vol.kind == "y_constant" and not random_z else np.empty(nb)
 
     dump = None
     if collect:
@@ -166,10 +181,10 @@ def _simulate_block(
         }
         dump["x"][:, 0] = spec.spot
         dump["y"][:, 0] = y[:collect]
-        dump["z"][:, 0] = z[:collect] if random_z else z
+        dump["z"][:, 0] = z_t[:collect] if random_z else z_t
 
     for j in range(n_steps):
-        sigma = vol_values(vol, y, z, out=f)
+        sigma = vol_values(vol, y, z_t, out=f)
         rng.standard_normal(out=raw)
         for i in range(dim):  # xi_i = chol[i, 0] raw_0 + ... + chol[i, i] raw_i
             row = xi[i, :n_draw]
@@ -179,35 +194,34 @@ def _simulate_block(
         if cfg.antithetic:
             np.negative(xi[:, :n_draw], out=xi[:, n_draw:])
 
-        # log X += (r - sigma^2 / 2) dt + sigma sqrt(dt) xi_x
+        # log X += sigma sqrt(dt) xi_x + (r - sigma^2 / 2) dt
         if isinstance(sigma, float):
-            drift_j, scale_j = (model.r - 0.5 * sigma * sigma) * dt, sigma * sqrt_dt
+            xi[0] *= sigma * sqrt_dt
+            xi[0] += (model.r - 0.5 * sigma * sigma) * dt
         else:
-            drift_j = np.multiply(sigma, 0.5, out=drift)
-            drift_j *= sigma
-            np.subtract(model.r, drift_j, out=drift_j)
-            drift_j *= dt
-            scale_j = np.multiply(sigma, sqrt_dt, out=scale)
-        xi[0] *= scale_j
-        xi[0] += drift_j
-        log_x += xi[0]
+            xi[0] *= np.multiply(sigma, sqrt_dt, out=work)
+            np.multiply(sigma, 0.5, out=work)
+            work *= sigma
+            np.subtract(model.r, work, out=work)
+            work *= dt
+            xi[0] += work
+        x += xi[0]
 
         _ou_step(y, model.m, decay_y, sd_y, xi[1])
         if frozen_z:
-            z = float(arc.value(spec.t + (j + 1) * dt))
+            z_t = float(arc.value(spec.t + (j + 1) * dt))
         elif random_z:
-            _ou_step(z, model.m_prime, decay_z, sd_z, xi[2])
+            _ou_step(z_t, model.m_prime, decay_z, sd_z, xi[2])
         else:
-            z = model.m_prime + (z - model.m_prime) * decay_z
+            z_t = model.m_prime + (z_t - model.m_prime) * decay_z
 
         if collect:
-            dump["x"][:, j + 1] = np.exp(log_x[:collect])
+            dump["x"][:, j + 1] = np.exp(x[:collect])
             dump["y"][:, j + 1] = y[:collect]
-            dump["z"][:, j + 1] = z[:collect] if random_z else z
+            dump["z"][:, j + 1] = z_t[:collect] if random_z else z_t
 
-    x_t = np.exp(log_x, out=log_x)
-    z_t = z if random_z else np.full(nb, z)
-    return x_t, y, z_t, dump
+    np.exp(x, out=x)
+    return z_t, dump
 
 
 def _ou_step(state: np.ndarray, mean: float, decay: float, sd: float, xi: np.ndarray) -> None:
@@ -229,6 +243,9 @@ def simulate_terminal(
 ) -> TerminalSample:
     """Simulate terminal (X, Y, Z) at maturity from the valuation date.
 
+    Every block writes its paths into the returned arrays.  A deterministic
+    Z (the parabolic arc, or the OU mean path at ``eta = 0``) is one float,
+    returned as a read-only broadcast of it over the paths.
     ``return_paths`` keeps the full trajectories of that many leading paths
     (debugging aid; capped at the first block).
 
@@ -249,24 +266,30 @@ def simulate_terminal(
     # a deterministic Z draws no W^z and reads only the leading 2x2 block,
     # which is the factor of the (W^x, W^y) correlations
     chol = np.linalg.cholesky(correlation_matrix(model))
+    x, y = np.empty(cfg.n_paths), np.empty(cfg.n_paths)
+    z = np.empty(cfg.n_paths) if cfg.z_scheme == "ou" and model.eta > 0.0 else None
 
     def job(b: int):
+        # every block but the last is BLOCK_SIZE wide
+        part = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
         return _simulate_block(
-            model, spec, vol, cfg, b, sizes[b], n_steps, dt, chol, collect if b == 0 else 0
+            model, spec, vol, cfg, b, n_steps, dt, chol, collect if b == 0 else 0,
+            x[part], y[part], None if z is None else z[part],
         )
 
     if cfg.n_workers == 1 or len(sizes) == 1:
         results = [job(b) for b in range(len(sizes))]
     else:
+        # imported here, so that a single-threaded run never loads the pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
             results = list(pool.map(job, range(len(sizes))))
-
-    x = np.concatenate([r[0] for r in results])
-    y = np.concatenate([r[1] for r in results])
-    z = np.concatenate([r[2] for r in results])
+    z_t, dump = results[0]
+    if z is None:
+        z = np.broadcast_to(z_t, (cfg.n_paths,))
     paths = None
     if collect:
-        dump = results[0][3]
         times = spec.t + dt * np.arange(n_steps + 1)
         paths = PathDump(times=times, x=dump["x"], y=dump["y"], z=dump["z"])
     return TerminalSample(x=x, y=y, z=z, paths=paths, block_sizes=tuple(sizes))
@@ -283,22 +306,23 @@ def estimate_from_sample(
     """The estimate of :func:`mc_price` from a sample that ``simulate_terminal``
     drew with ``cfg``."""
     disc = discount_factor(model.r, spec.tau)
-    w = disc * np.maximum(sample.x - spec.strike, 0.0)
+    w = np.subtract(sample.x, spec.strike)
+    np.maximum(w, 0.0, out=w)
+    w *= disc
     price = float(np.mean(w))
     if cfg.antithetic:
         # blocks are always even-sized when antithetic is on (n_paths even,
         # BLOCK_SIZE even), so every path has its mirrored partner in-block
-        units = []
+        u = np.empty(w.size // 2)
         offset = 0
         for nb in sample.block_sizes:
             half = nb // 2
-            seg = w[offset : offset + nb]
-            units.append(0.5 * (seg[:half] + seg[half:]))
+            pair = u[offset // 2 : offset // 2 + half]
+            np.add(w[offset : offset + half], w[offset + half : offset + nb], out=pair)
+            pair *= 0.5
             offset += nb
-        u = np.concatenate(units)
-        std_error = float(np.std(u, ddof=1) / math.sqrt(u.size))
-    else:
-        std_error = float(np.std(w, ddof=1) / math.sqrt(w.size))
+        w = u
+    std_error = float(np.std(w, ddof=1) / math.sqrt(w.size))
     return McEstimate(price=price, std_error=std_error, n_effective=cfg.n_paths)
 
 

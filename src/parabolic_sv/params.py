@@ -261,7 +261,7 @@ class SimConfig:
     default 2000/year resolves the fast scale epsilon = 0.01 with 20 steps.
     The fast factor starts at its long-run mean m.  ``antithetic`` mirrors
     the raw normal draws of the second half of every Monte Carlo block;
-    ``n_paths`` must then be even.
+    ``n_paths`` must then be even and at least 4, two pairs.
     """
 
     n_paths: int
@@ -280,7 +280,10 @@ class SimConfig:
             raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer")
         if self.z_scheme not in Z_SCHEMES:
             raise ConfigError(f"z_scheme = {self.z_scheme!r} must be 'ou' or 'parabolic'")
-        if self.antithetic and self.n_paths % 2:
-            raise ConfigError("antithetic sampling needs an even n_paths")
+        if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
+            # the standard error is taken over the pair means, so it needs two
+            raise ConfigError(
+                f"antithetic sampling needs an even n_paths >= 4, got {self.n_paths}"
+            )
         if not isinstance(self.n_workers, int) or self.n_workers < 1:
             raise ConfigError(f"n_workers = {self.n_workers!r} must be an integer >= 1")

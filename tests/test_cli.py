@@ -409,6 +409,22 @@ class TestExitCodes:
         assert_one_error_line(captured.err, "eps_list")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["point", "eps_sweep"])
+    def test_one_antithetic_pair_is_config_error(self, tmp_path, sweep):
+        # one pair mean leaves the standard error no degrees of freedom; a
+        # fresh process shows any numpy warning on its real stderr
+        extra = {"eps_sweep": "0.04,0.01"} if sweep else {}
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.1,
+            n_paths=2, antithetic="true", **extra,
+        )
+        proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "simulate", "--config", cfg)
+        assert proc.returncode == 2
+        assert_one_error_line(proc.stderr, "antithetic", "n_paths >= 4")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_empty_chain_is_data_error(self, tmp_path):
         chain = tmp_path / "chain.csv"
         chain.write_text("t,T,K,mid,x,r\n")
@@ -436,6 +452,30 @@ class TestSimulateCommand:
         gap = abs(float(report["asymptotic"]) - float(report["price"]))
         assert float(report["abs_gap"]) == pytest.approx(gap, abs=5e-9)
         assert "n_workers" not in report
+
+    @pytest.mark.parametrize("a", [0.0529, 0.2])
+    def test_unmodified_gap_rows(self, tmp_path, capsys, a):
+        # the simulated dynamics carry no modification factor: the last rows
+        # compare the estimate with total / mod_factor
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.25, a=a,
+            n_paths=4096, steps_per_year=200, seed=5,
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        report = parse_report(out)
+        assert [line.split()[0] for line in out.splitlines()[-3:]] == ["abs_gap", "mod_factor", "abs_gap_unmod"]
+        # no name is longer than steps_per_year, so the rows before keep their bytes
+        assert max(len(name) for name in report) == len("steps_per_year")
+        bd = price_first_order(
+            OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.25), build_model(a=a), VolFunction.separable_exp()
+        )
+        assert float(report["mod_factor"]) == float(format(bd.mod_factor, ".10g"))
+        assert float(report["asymptotic"]) == float(format(bd.total, ".10g"))
+        # printed to 10 significant digits, so the gap recomputed from the
+        # printed rows holds to their last digits
+        gap = abs(float(report["asymptotic"]) / float(report["mod_factor"]) - float(report["price"]))
+        assert float(report["abs_gap_unmod"]) == pytest.approx(gap, abs=5e-9)
 
     def test_stdout_deterministic(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -921,6 +961,22 @@ class TestScipyImport:
             blocked={"scipy"},
         )
         assert got["codes"] == [0] * 5 and "scipy" not in got["loaded"]
+
+
+class TestThreadPoolImport:
+    def test_single_worker_simulate_never_loads_the_pool(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, "s.cfg", spot=100.0, strike=100.0, maturity=0.02,
+            n_paths=2 * BLOCK_SIZE + 2, steps_per_year=100, n_workers=1,
+        )
+        proc = run_python(
+            "import sys\n"
+            "from parabolic_sv.cli import main\n"
+            f"code = main(['simulate', '--config', {cfg!r}])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestNumpyImport:

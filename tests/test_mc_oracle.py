@@ -1,6 +1,8 @@
 """Simulation oracle: exact distributional reductions, reproducibility
 contract, and the error-sweep plumbing."""
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +194,23 @@ class TestReproducibility:
         p4 = mc_price(model, spec, EXP, SimConfig(**base, n_workers=4))
         assert p1 == p4
 
+    def test_threads_write_disjoint_slices_of_the_sample(self):
+        # more workers than cores, switching threads as often as the
+        # interpreter allows: a block writing outside its slice, or a lost
+        # write, would break the equality with the one-thread run
+        model = build_model(eta=0.05)
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.02)
+        base = dict(n_paths=6 * BLOCK_SIZE + 10, steps_per_year=100, seed=47)
+        one = simulate_terminal(model, spec, EXP, SimConfig(**base))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = simulate_terminal(model, spec, EXP, SimConfig(**base, n_workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        for name in "xyz":
+            assert np.array_equal(getattr(one, name), getattr(many, name)), name
+
     def test_same_seed_same_estimate(self):
         model = build_model()
         spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.1)
@@ -246,6 +265,7 @@ class TestConfigValidation:
             dict(n_paths=1000, z_scheme="euler"),
             dict(n_paths=1000, n_workers=0),
             dict(n_paths=1000, n_workers=2.0),
+            dict(n_paths=2, antithetic=True),  # one pair mean has no spread
         ],
     )
     def test_bad_config_rejected(self, kw):
@@ -376,6 +396,16 @@ class TestDeterministicSlowFactor:
             z = model.m_prime + (z - model.m_prime) * decay
         assert np.all(sample.z == z)
 
+    @pytest.mark.parametrize("scheme", ["ou", "parabolic"])
+    def test_terminal_z_is_one_read_only_float(self, scheme):
+        model = build_model(k=0.5, z0=0.25, m_prime=0.15)
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.2, maturity=0.5)
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 10, steps_per_year=100, seed=43, z_scheme=scheme)
+        sample = simulate_terminal(model, spec, EXP, cfg)
+        want = reference_sample(model, spec, EXP, cfg)[2]
+        assert not sample.z.flags.writeable
+        assert sample.z.strides == (0,) and np.array_equal(sample.z, want)
+
     def test_spot_and_fast_factor_correlation(self):
         # as in test_driving_noise_correlations: after one step log X and Y
         # are linear in the (W^x, W^y) draws
@@ -386,3 +416,32 @@ class TestDeterministicSlowFactor:
         got = np.corrcoef(np.log(sample.x), sample.y)[0, 1]
         se = (1.0 - 0.2 * 0.2) / math.sqrt(sample.x.size)
         assert abs(got - (-0.2)) <= 4.0 * se, got
+
+
+class TestMemory:
+    """The blocks write into the sample's arrays, so a run holds few arrays per path."""
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"antithetic": True}, {"n_workers": 2}], ids=["plain", "antithetic", "two_workers"]
+    )
+    def test_peak_grows_by_four_doubles_per_path(self, kw):
+        # what a run keeps per path: x and y, the payoffs and one np.std
+        # temporary; an antithetic run keeps the pair means and their
+        # temporary at n / 2 in place of the last.  Z is one float here.
+        # 4 KiB covers the Python objects of the extra blocks.
+        model = build_model()
+        spec = OptionSpec(spot=100.0, strike=100.0, t=0.0, maturity=0.01)
+
+        def peak(n_blocks):
+            cfg = SimConfig(n_paths=n_blocks * BLOCK_SIZE, steps_per_year=100, seed=3, **kw)
+            tracemalloc.start()
+            try:
+                mc_price(model, spec, EXP, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call imports and caches stay out of the measured runs
+        extra_paths = 12 * BLOCK_SIZE
+        grown = peak(16) - peak(4)
+        assert grown <= 4 * 8 * extra_paths + 4096, grown / extra_paths

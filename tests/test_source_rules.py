@@ -204,3 +204,12 @@ def test_call_rule_names_the_enclosing_body():
         "class C:\n    def fit(self):\n        return f(4), other(5)\n"
     )
     assert calls_of(tree, "f") == ["", "g", "g.inner", "C.fit"]
+
+
+def test_monte_carlo_writes_blocks_into_the_sample():
+    # each block runs in its slice of the returned arrays and a deterministic
+    # Z is one broadcast float: no block result is stitched or filled anew
+    path = next(p for p in SOURCES if p.name == "monte_carlo.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert calls_of(tree, "concatenate") == []
+    assert calls_of(tree, "full") == []
