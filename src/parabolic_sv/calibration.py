@@ -17,16 +17,16 @@ misfit comes from that one evaluation.
   derivative-free simplex searches ``(k, sigma_bar)`` only, at any number of
   valuation dates, and ``(a, v_eff)`` is solved at each of its points
   (:meth:`_ChainModel.level_objective`: one pass over the quotes for the
-  level fit's sums, one for the misfit).  Seeded random restarts inside the
-  box :data:`BOUNDS`, with ``k`` kept below ``2 / T_max``, keep the search
-  deterministic per seed.  Each start is one simplex descent, and the search
-  stops at the first start whose misfit reaches :data:`ROUNDING_FLOOR`, so
-  ``n_restarts`` is an upper bound.
+  level fit's sums, one for the misfit).  Its starts are fixed points of the
+  box :data:`BOUNDS`, with ``k`` kept below ``2 / T_max``: the data-driven
+  start, then one at the far end of the ``k`` box and further ones on a
+  low-discrepancy sequence.  Each start is one simplex descent, and the
+  search stops at the first start whose misfit reaches
+  :data:`ROUNDING_FLOOR`, so ``n_restarts`` is an upper bound.
 
 The model works on plain floats through the one scalar Black-Scholes formula,
 :func:`~parabolic_sv.black_scholes.call_and_d1d2_at`, and neither fit loads
-numpy: the seeded restarts draw from :func:`_uniforms`, a plain-integer port
-of ``numpy.random.default_rng(seed).random()``.
+numpy.
 
 ``k`` is weakly identified by a single-date chain (it trades off against ``a``
 through the factor level and against ``v_eff`` through the time factor), so
@@ -36,7 +36,6 @@ only its box in :data:`BOUNDS` is guaranteed; see the per-strike diagnostic on
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -70,8 +69,6 @@ __all__ = [
     "implied_vol",
 ]
 
-log = logging.getLogger(__name__)
-
 CHAIN_HEADER = ("t", "T", "K", "mid", "x", "r")
 
 #: Half-width of the excluded band around a = 2r in the a-searches.
@@ -93,6 +90,12 @@ SIMPLEX_MAX_ITER = 4000
 ROUNDING_FLOOR = 16.0 * sys.float_info.epsilon
 #: Log of the largest float: a factor e^x with x beyond it overflows.
 _LOG_MAX = math.log(sys.float_info.max)
+
+#: The steps of the R2 low-discrepancy sequence in two dimensions, ``1 / p``
+#: and ``1 / p^2`` for the plastic number ``p`` (Roberts, "The unreasonable
+#: effectiveness of quasirandom sequences", 2018): calibrate_effective's
+#: restarts past the first sit at its points ``frac(0.5 + i * _R2)``.
+_R2 = (0.7548776662466927, 0.5698402909980532)
 
 #: The search box of calibrate_effective; estimate_a searches its ``a`` range.
 BOUNDS = {
@@ -176,21 +179,24 @@ def load_chain(path) -> list[OptionQuote]:
         try:
             q = OptionQuote(t=t, maturity=mat, strike=strike, mid=mid, spot=spot, rate=rate)
         except InputDomainError as exc:
-            log.warning("%s: line %d: %s; row rejected", path, lineno, exc)
+            _reject_row(path, lineno, str(exc))
             continue
         if q.mid <= q.intrinsic() - INTRINSIC_TOL:
-            log.warning(
-                "%s: line %d: mid %.10g below intrinsic bound %.10g; row rejected",
-                path,
-                lineno,
-                q.mid,
-                q.intrinsic(),
-            )
+            _reject_row(path, lineno, f"mid {q.mid:.10g} below intrinsic bound {q.intrinsic():.10g}")
             continue
         quotes.append(q)
     if not quotes:
         raise EmptyChainError(f"{path}: no usable quotes")
     return quotes
+
+
+def _reject_row(path: Path, lineno: int, reason: str) -> None:
+    """Warn that load_chain rejected a row, on the ``parabolic_sv.calibration``
+    logger; ``logging`` is imported here, so a chain with no rejected row
+    never loads it."""
+    import logging
+
+    logging.getLogger(__name__).warning("%s: line %d: %s; row rejected", path, lineno, reason)
 
 
 def implied_vol(price: float, spot: float, strike: float, rate: float, tau: float) -> float:
@@ -707,73 +713,6 @@ class _ChainModel:
         return math.sqrt(sse / self.n_quotes)
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-#: The multiplier of PCG64's 128-bit linear congruential step.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uniforms(seed: int):
-    """The doubles of ``numpy.random.default_rng(seed).random()``, one per ``next``.
-
-    A plain-integer port of numpy's two stages, so that the seeded starts
-    load no numpy.  ``SeedSequence(seed)`` hashes the seed's 32-bit words
-    into a pool of 4 (``hashmix`` and ``mix``) and draws 4 64-bit words from
-    it; PCG64 (O'Neill, HMC-CS-2014-0905) takes two as its initial state and
-    two as its increment, steps a 128-bit linear congruential state and
-    outputs its XSL-RR 64 bits, of which a double keeps the top 53.
-    """
-    words = []  # the seed's 32-bit words, least significant first
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    # the constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B and MULT_B
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * 0x931E8875) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, uint64): 8 words from the pool, paired little-endian
-    hash_const = 0x8B51F9DD
-    state32 = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = (hash_const * 0x58F38DED) & _MASK32
-        value = (value * hash_const) & _MASK32
-        state32.append(value ^ (value >> 16))
-    s0, s1, i0, i1 = (state32[2 * i] | state32[2 * i + 1] << 32 for i in range(4))
-
-    # pcg64_srandom_r: step from 0, add the initial state, step again
-    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-    while True:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        out = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        out = (out >> rot | out << (64 - rot)) & _MASK64
-        yield (out >> 11) * 2.0**-53
-
-
 @dataclass(frozen=True)
 class CalibResult:
     """Fit of (a, k, v_eff, sigma_bar); objective is the price RMSE.
@@ -788,7 +727,9 @@ class CalibResult:
     one for the misfit.
     ``restart_objectives`` holds the final objective of each start that ran,
     in order: one for the data-driven start and at most ``n_restarts`` more,
-    since the search stops at the first start at the rounding floor.
+    the far end of the ``k`` box first and then the R2 points (see
+    :func:`calibrate_effective`), since the search stops at the first start
+    at the rounding floor.
     """
 
     a_hat: float
@@ -805,8 +746,7 @@ class CalibResult:
 def calibrate_effective(
     quotes: list[OptionQuote],
     *,
-    seed: int = 0,
-    n_restarts: int = 3,
+    n_restarts: int = 1,
 ) -> CalibResult:
     """Joint fit of ``(a, k, v_eff, sigma_bar)`` to a quote chain.
 
@@ -817,32 +757,34 @@ def calibrate_effective(
     points the best ``(a, v_eff)`` is solved from one pass over the quotes
     (:meth:`_ChainModel.level_objective`).  Where ``BOUNDS["k"]`` reaches past
     ``2 / T_max``, at which the longest maturity's time factor has no value,
-    the search's upper ``k`` is ``(2 - 2 SINGULAR_FLOOR) / T_max``.  Runs the
-    data-driven start (ATM implied vol), then up to ``n_restarts`` seeded
-    random starts inside that box; each start is one adaptive Nelder-Mead
-    descent.  The search stops at the first start whose fit is at or below
-    the rounding floor ``ROUNDING_FLOOR * max(spot, discounted strike)``,
-    where a fit is exact to rounding: a later start could only pick another
-    fit within rounding of it.  A chain that no fit takes to the floor, such
-    as any noisy chain, runs every start.
-    Seeded start ``i`` takes draws ``3i`` to ``3i + 2`` of
-    ``numpy.random.default_rng(seed).random()``, drawn only when the search
-    reaches that start, so each seed keeps its starts and a start that does
-    not run costs nothing.  Deterministic for fixed (quotes, seed).
+    the search's upper ``k`` is ``k_hi = (2 - 2 SINGULAR_FLOOR) / T_max``.
+    Each start is one adaptive Nelder-Mead descent, and the search stops at
+    the first start whose fit is at or below the rounding floor
+    ``ROUNDING_FLOOR * max(spot, discounted strike)``, where a fit is exact to
+    rounding: a later start could only pick another fit within rounding of
+    it.  A chain that no fit takes to the floor, such as any noisy chain,
+    runs every start.
+
+    The starts are fixed points of the (k, sigma_bar) box, so the fit is
+    deterministic for a given chain.  The data-driven start is ``k = 0.05``
+    at ``sigma0``, the ATM implied vol clamped to the box.  The first restart
+    is ``(0.9 k_hi, sigma0)``: ``k`` is weakly identified, and a chain whose
+    best fit lies on the box's upper ``k`` edge is reached only from there.
+    Restart ``i >= 2`` is point ``i - 1`` of the R2 sequence over the box
+    (:data:`_R2`).
 
     Raises:
-        InputDomainError: unless ``seed`` and ``n_restarts`` are non-negative
-            integers, or when twice a quote's rate overflows or its discount
-            factor is not a positive float.
+        InputDomainError: unless ``n_restarts`` is a non-negative integer, or
+            when twice a quote's rate overflows or its discount factor is not
+            a positive float.
         InsufficientDataError: unless the chain has >= 4 quotes spanning
             >= 2 maturities and >= 2 strikes.
         NoInteriorMinimumError: the best start ends outside the (k,
             sigma_bar) box, where every point inside scores worse than the
             out-of-box score.
     """
-    for name, value in (("seed", seed), ("n_restarts", n_restarts)):
-        if not isinstance(value, int) or value < 0:
-            raise InputDomainError(f"{name} = {value!r} must be a non-negative integer")
+    if not isinstance(n_restarts, int) or n_restarts < 0:
+        raise InputDomainError(f"n_restarts = {n_restarts!r} must be a non-negative integer")
     n_maturities = len({q.maturity for q in quotes})
     n_strikes = len({q.strike for q in quotes})
     if len(quotes) < 4 or n_maturities < 2 or n_strikes < 2:
@@ -867,17 +809,16 @@ def calibrate_effective(
     floor = ROUNDING_FLOOR * max(max(spot, disc_strike) for spot, _, disc_strike, *_ in model.consts)
 
     try:
-        sigma_start = _atm_sigma(quotes)
+        sigma0 = min(max(_atm_sigma(quotes), s_lo), s_hi)
     except InsufficientDataError:
-        sigma_start = 0.2
+        sigma0 = 0.2
 
     def starts():
-        yield [0.05, min(max(sigma_start, s_lo), s_hi)]
-        draws = _uniforms(seed)
-        for _ in range(n_restarts):
-            # seeded start i takes draws 3i..3i+2, the first once a's start: each
-            # seed keeps its starts, and a start that never runs draws nothing
-            _, u_k, u_s = next(draws), next(draws), next(draws)
+        yield [0.05, sigma0]
+        if n_restarts:
+            yield [0.9 * k_hi, sigma0]
+        for i in range(1, n_restarts):
+            u_k, u_s = ((0.5 + i * step) % 1.0 for step in _R2)
             yield [k_lo + (k_hi - k_lo) * u_k, s_lo + (s_hi - s_lo) * u_s]
 
     best = None

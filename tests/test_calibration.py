@@ -346,7 +346,7 @@ class TestCalibrateEffective:
         quotes = synth_quotes(
             a=self.TRUTH["a"], k=self.TRUTH["k"], sigma=self.TRUTH["sigma"], v_eff=self.TRUTH["v_eff"]
         )
-        res = calibrate_effective(quotes, seed=0)
+        res = calibrate_effective(quotes)
         assert res.objective <= 1e-8
         assert abs(res.sigma_bar_hat - self.TRUTH["sigma"]) <= 1e-4
         assert abs(res.v_eff_hat - self.TRUTH["v_eff"]) <= 1e-4
@@ -360,20 +360,24 @@ class TestCalibrateEffective:
 
     def test_zero_correction_chain_recovers_zero(self):
         quotes = synth_quotes(a=0.06, k=0.008, sigma=0.21, v_eff=0.0)
-        res = calibrate_effective(quotes, seed=0)
+        res = calibrate_effective(quotes)
         assert res.objective <= 1e-8
         assert abs(res.v_eff_hat) <= 1e-3
 
     def test_deterministic_for_fixed_seed(self):
-        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
-        assert calibrate_effective(quotes, seed=7) == calibrate_effective(quotes, seed=7)
+        # the starts are fixed points of the box, not draws: a noisy chain
+        # runs every one of them, and each run is the same fit
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
+        res = calibrate_effective(quotes, n_restarts=3)
+        assert len(res.restart_objectives) == 1 + 3
+        assert calibrate_effective(quotes, n_restarts=3) == res
 
     def test_restart_bookkeeping(self):
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
-        res = calibrate_effective(quotes, seed=0, n_restarts=3)
+        res = calibrate_effective(quotes, n_restarts=3)
         # one data-driven start: with a solved exactly, the two starts either
         # side of the band around 2r are the same (k, sigma_bar) point.  It
-        # fits the exact chain to rounding, so no seeded start runs
+        # fits the exact chain to rounding, so no restart runs
         assert len(res.restart_objectives) == 1
         assert res.objective == min(res.restart_objectives) <= TestRestarts.floor(quotes)
         assert res.iterations > 0
@@ -382,7 +386,7 @@ class TestCalibrateEffective:
         # over several dates a is solved inside the (k, sigma_bar) search as
         # at one, from the one data-driven start
         quotes = two_date_quotes(a=0.06, sigma=0.21, v_eff=0.003)
-        res = calibrate_effective(quotes, seed=0)
+        res = calibrate_effective(quotes)
         assert res.objective <= 1e-8
         assert abs(res.sigma_bar_hat - 0.21) <= 1e-4
         assert abs(res.v_eff_hat - 0.003) <= 1e-4
@@ -471,7 +475,7 @@ class TestVectorObjective:
         # a_hat, v_eff_hat and the objective come from one evaluation at the
         # fitted (k, sigma_bar), bit for bit
         quotes = self.CHAINS[chain]
-        res = calibrate_effective(quotes, seed=0)
+        res = calibrate_effective(quotes)
         a, v, sse = _ChainModel(quotes, *box()).fit(res.k_hat, res.sigma_bar_hat)
         assert (a, v) == (res.a_hat, res.v_eff_hat)
         assert math.sqrt(sse / len(quotes)) == res.objective
@@ -630,7 +634,7 @@ class TestInnerSolve:
     def test_sample_chain_fit(self):
         # the three-parameter simplex over (a, k, sigma_bar) reached
         # 1.482837243299216e-11 on this chain
-        res = calibrate_effective(load_chain(SAMPLE_CHAIN), seed=0)
+        res = calibrate_effective(load_chain(SAMPLE_CHAIN))
         assert res.objective <= 1.482837243299216e-11 + 1e-12
         assert round(res.a_hat, 7) == 0.0555002
 
@@ -726,14 +730,26 @@ class TestLevelObjective:
     def test_infeasible_points_score_1e9(self, quotes, point):
         assert self.check(quotes, [point], *box()) == [1e9]
 
+    def test_extreme_start_scores_a_finite_objective(self):
+        # the first start that the seeded restarts drew at seed 7755, on the
+        # sample chain: at its k the a it drew, a = -0.2657, takes the
+        # modification factor to about e^-444, finite though its terms
+        # overflow.  The point scores a finite objective, the loop's at the
+        # solved a
+        quotes = load_chain(SAMPLE_CHAIN)
+        k, sig, a_drawn = 0.00013831341311368116, 1.0840714598416612, -0.26570684288549462
+        assert (a_drawn - 2 * 0.0264) * factor_exponent(0.0, k) == pytest.approx(-444.8, abs=0.1)
+        (value,) = self.check(quotes, [(k, sig)], *box())
+        assert math.isfinite(value) and value < 1e6
+
 
 class TestRestarts:
-    """Each start runs one descent, and no start runs once a fit has reached
-    the rounding floor."""
+    """Each start runs one descent, the starts are fixed points of the box,
+    and no start runs once a fit has reached the rounding floor."""
 
     @staticmethod
     def fit_counting(monkeypatch, quotes, n_restarts):
-        """The fit, the objective of each descent, and the evaluations each descent made."""
+        """The fit, and the start, the objective and the evaluations of each descent."""
         descents = []
         real = calibration.minimize
 
@@ -744,12 +760,13 @@ class TestRestarts:
                 calls[0] += 1
                 return fun(x)
 
+            start = list(x0)
             res = real(counted, x0, *args, **kwargs)
-            descents.append((res.fun, calls[0]))
+            descents.append((start, res.fun, calls[0]))
             return res
 
         monkeypatch.setattr(calibration, "minimize", counting)
-        return calibrate_effective(quotes, seed=0, n_restarts=n_restarts), descents
+        return calibrate_effective(quotes, n_restarts=n_restarts), descents
 
     @staticmethod
     def floor(quotes):
@@ -759,25 +776,26 @@ class TestRestarts:
 
     def test_exact_chain_descends_once_per_start(self, monkeypatch):
         # the data-driven start reaches the floor in one descent; the three
-        # seeded starts are neither drawn nor descended
+        # restarts are not descended
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
         res, descents = self.fit_counting(monkeypatch, quotes, 3)
         assert len(descents) == len(res.restart_objectives) == 1
         assert max(res.restart_objectives) <= self.floor(quotes)
 
     def test_search_stops_at_the_first_start_on_the_floor(self, monkeypatch):
-        # from sigma_bar at the box's lower edge the data-driven start stalls
-        # far above the floor; the first seeded start reaches it, and the
-        # search ends there, as if that start had been the last one drawn
+        # from sigma_bar at the box's lower edge the data-driven start and the
+        # far-k restart, which share it, stall far above the floor; the first
+        # R2 point reaches it, and the search ends there, as if that start had
+        # been the last one allowed
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
         monkeypatch.setattr(calibration, "_atm_sigma", lambda quotes: BOUNDS["sigma_bar"][0])
         res, descents = self.fit_counting(monkeypatch, quotes, 3)
         floor = self.floor(quotes)
-        assert len(res.restart_objectives) == 2
-        assert res.restart_objectives[0] > floor >= res.restart_objectives[1]
+        assert len(res.restart_objectives) == 3
+        assert min(res.restart_objectives[:2]) > floor >= res.restart_objectives[2]
         assert res.objective == res.restart_objectives[-1]
-        assert descents[-1][0] == res.objective
-        assert res == calibrate_effective(quotes, seed=0, n_restarts=1)
+        assert descents[-1][1] == res.objective
+        assert res == calibrate_effective(quotes, n_restarts=2)
 
     def test_noisy_chain_restarts(self, monkeypatch):
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
@@ -785,11 +803,25 @@ class TestRestarts:
         assert len(descents) == len(res.restart_objectives) == 1 + 3
         assert res.objective > self.floor(quotes)
 
+    def test_starts_are_fixed_points_of_the_box(self, monkeypatch):
+        # the data-driven start, the far end of the k box at the same
+        # sigma_bar, then the R2 sequence's points 1 and 2 over the box
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
+        sigma0 = calibration._atm_sigma(quotes)
+        (k_lo, k_hi), (s_lo, s_hi) = BOUNDS["k"], BOUNDS["sigma_bar"]
+        r2 = [[(0.5 + i * 0.7548776662466927) % 1.0, (0.5 + i * 0.5698402909980532) % 1.0] for i in (1, 2)]
+        _, descents = self.fit_counting(monkeypatch, quotes, 3)
+        assert [start for start, _, _ in descents] == [
+            [0.05, sigma0],
+            [0.9 * k_hi, sigma0],
+            *([k_lo + (k_hi - k_lo) * u_k, s_lo + (s_hi - s_lo) * u_s] for u_k, u_s in r2),
+        ]
+
     @pytest.mark.parametrize("chain", ["single_date", "mixed"])
     def test_evaluations_count_every_objective_call(self, monkeypatch, chain):
         # the descents' own evaluations, each start's first vertex included
         res, descents = self.fit_counting(monkeypatch, TestVectorObjective.CHAINS[chain], 1)
-        assert res.evaluations == sum(calls for _, calls in descents)
+        assert res.evaluations == sum(calls for _, _, calls in descents)
 
     def test_best_fit_outside_the_box_is_refused(self):
         # at spot 1e10 every point inside the box scores above the out-of-box
@@ -799,63 +831,47 @@ class TestRestarts:
             for q in synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
         ]
         with pytest.raises(NoInteriorMinimumError, match=r"best fit \(k = 9\.99.*e-07, .* outside the search box"):
-            calibrate_effective(quotes, seed=0)
-
-
-class TestSeededStarts:
-    """The seeded starts draw numpy's default_rng(seed).random() stream from
-    plain integers, three draws per start, and only for starts that run."""
-
-    @pytest.mark.parametrize(
-        "seeds", [range(1000), [True, 2**32 - 1, 2**64 - 1, 2**100 + 17]], ids=["small", "wide"]
-    )
-    def test_draws_match_numpy(self, seeds):
-        for seed in seeds:
-            draws = calibration._uniforms(seed)
-            got = [next(draws) for _ in range(3 * 10)]
-            assert got == np.random.default_rng(seed).random(3 * 10).tolist(), seed
-
-    @staticmethod
-    def counting_draws(monkeypatch):
-        drawn = []
-        real = calibration._uniforms
-
-        def counting(seed):
-            for u in real(seed):
-                drawn.append(u)
-                yield u
-
-        monkeypatch.setattr(calibration, "_uniforms", counting)
-        return drawn
-
-    def test_exact_chain_draws_nothing(self, monkeypatch):
-        # the data-driven start reaches the floor, so however many restarts
-        # are allowed, none is drawn
-        drawn = self.counting_draws(monkeypatch)
-        res = calibrate_effective(synth_quotes(a=0.06, sigma=0.21, v_eff=0.003), n_restarts=10**6)
-        assert drawn == [] and len(res.restart_objectives) == 1
-
-    def test_a_start_draws_when_it_runs(self, monkeypatch):
-        # the data-driven start stalls above the floor, the first seeded start
-        # reaches it: three draws, the head of the seed's stream
-        drawn = self.counting_draws(monkeypatch)
-        monkeypatch.setattr(calibration, "_atm_sigma", lambda quotes: BOUNDS["sigma_bar"][0])
-        res = calibrate_effective(synth_quotes(a=0.06, sigma=0.21, v_eff=0.003), seed=5, n_restarts=3)
-        assert len(res.restart_objectives) == 2
-        assert drawn == np.random.default_rng(5).random(3).tolist()
-
-    def test_noisy_chain_draws_every_start(self, monkeypatch):
-        drawn = self.counting_draws(monkeypatch)
-        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
-        res = calibrate_effective(quotes, seed=3, n_restarts=3)
-        assert len(res.restart_objectives) == 1 + 3
-        assert drawn == np.random.default_rng(3).random(3 * 3).tolist()
+            calibrate_effective(quotes)
 
     def test_fit_runs_with_numpy_blocked(self, monkeypatch):
         quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=1)
-        want = calibrate_effective(quotes, seed=7, n_restarts=2)
+        want = calibrate_effective(quotes, n_restarts=2)
         monkeypatch.setitem(sys.modules, "numpy", None)
-        assert calibrate_effective(quotes, seed=7, n_restarts=2) == want
+        assert calibrate_effective(quotes, n_restarts=2) == want
+
+
+class TestSeededStarts:
+    """The restart starts, fixed points of the box in place of seeded draws,
+    are laid out one at a time, and only for starts that run."""
+
+    @staticmethod
+    def head_of_starts(quotes, n):
+        """The first ``n`` starts of the fixed sequence: the data-driven one,
+        the far end of the k box, then the R2 points over the box."""
+        sigma0 = min(max(calibration._atm_sigma(quotes), BOUNDS["sigma_bar"][0]), BOUNDS["sigma_bar"][1])
+        (k_lo, k_hi), (s_lo, s_hi) = BOUNDS["k"], BOUNDS["sigma_bar"]
+        r2 = [[(0.5 + i * step) % 1.0 for step in calibration._R2] for i in range(1, n - 1)]
+        starts = [[0.05, sigma0], [0.9 * k_hi, sigma0]]
+        starts += [[k_lo + (k_hi - k_lo) * u_k, s_lo + (s_hi - s_lo) * u_s] for u_k, u_s in r2]
+        return starts[:n]
+
+    def test_exact_chain_draws_nothing(self, monkeypatch):
+        # the data-driven start reaches the floor, so however many restarts
+        # are allowed, no restart start is laid out
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
+        res, descents = TestRestarts.fit_counting(monkeypatch, quotes, 10**6)
+        assert [start for start, _, _ in descents] == self.head_of_starts(quotes, 1)
+        assert len(res.restart_objectives) == 1
+
+    def test_a_start_draws_when_it_runs(self, monkeypatch):
+        # the data-driven start and the far-k restart stall above the floor,
+        # the first R2 point reaches it: three starts, the head of the
+        # sequence, and the fourth that three restarts allow is never laid out
+        quotes = synth_quotes(a=0.06, sigma=0.21, v_eff=0.003)
+        monkeypatch.setattr(calibration, "_atm_sigma", lambda quotes: BOUNDS["sigma_bar"][0])
+        res, descents = TestRestarts.fit_counting(monkeypatch, quotes, 3)
+        assert len(res.restart_objectives) == 3
+        assert [start for start, _, _ in descents] == self.head_of_starts(quotes, 3)
 
 
 def two_date_quotes(a=0.05, k=0.008, r=0.0264, sigma=0.2, v_eff=0.0, noise_rel=0.0, seed=0):
@@ -987,32 +1003,36 @@ class TestSeveralDates:
     def test_exact_chain(self, i):
         # no worse than the old fit by more than the rounding floor
         quotes = self.EXACT[i]
-        res = calibrate_effective(quotes, seed=0)
+        res = calibrate_effective(quotes)
         assert res.objective <= self.EXACT_OBJECTIVES[i] + TestRestarts.floor(quotes)
 
     @pytest.mark.parametrize("seed", sorted(NOISY_OBJECTIVES))
     def test_noisy_chain(self, seed):
         quotes = two_date_quotes(a=0.06, sigma=0.21, v_eff=0.003, noise_rel=0.01, seed=seed)
-        res = calibrate_effective(quotes, seed=0)
+        res = calibrate_effective(quotes)
         assert res.objective <= self.NOISY_OBJECTIVES[seed] * (1.0 + 1e-9)
 
     def test_mixed_chain(self):
-        res = calibrate_effective(TestVectorObjective.CHAINS["mixed"], seed=0)
+        res = calibrate_effective(TestVectorObjective.CHAINS["mixed"])
         assert res.objective <= self.MIXED_OBJECTIVE * (1.0 + 1e-9)
 
-    def test_k_box_ends_before_the_singular_time(self):
+    def test_k_box_ends_before_the_singular_time(self, monkeypatch):
         # T_max = 2.2, so BOUNDS["k"] reaches past 2 / T_max, where every
-        # point is infeasible, and seed 6 draws a start at 0.987 of the k box:
-        # the search box must end at (2 - 2 SINGULAR_FLOOR) / T_max.  The
-        # exact chain stops after the data-driven start, so the seeded starts
-        # run on the same chain with 1% noise, which no fit takes to the floor
+        # point is infeasible: the search box must end at k_hi = (2 - 2
+        # SINGULAR_FLOOR) / T_max.  The far-k restart sits at 0.9 k_hi, and
+        # the R2 points lie inside the box.  The exact chain stops after the
+        # data-driven start, so the restarts run on the same chain with 1%
+        # noise, which no fit takes to the floor
         quotes = self.EXACT[0]
-        res = calibrate_effective(quotes, seed=6)
+        res = calibrate_effective(quotes)
         assert res.objective <= TestRestarts.floor(quotes)
         rng = np.random.default_rng(1)
         noisy = [OptionQuote(q.t, q.maturity, q.strike, q.mid * (1.0 + 0.01 * rng.standard_normal()),
                              q.spot, q.rate) for q in quotes]
-        res = calibrate_effective(noisy, seed=6)
+        res, descents = TestRestarts.fit_counting(monkeypatch, noisy, 3)
+        k_hi = (2.0 - 2.0 * calibration.SINGULAR_FLOOR) / 2.2
+        assert descents[1][0][0] == 0.9 * k_hi
+        assert all(start[0] < k_hi for start, _, _ in descents)
         assert len(res.restart_objectives) == 1 + 3
         assert max(res.restart_objectives) < 1e6
 
@@ -1075,11 +1095,14 @@ def random_chains(n):
 
 
 class TestChainSet:
-    """calibrate_effective at seed 0 over 135 chains, against the objectives
-    of the fit that re-ran each start's simplex on its own result until it
-    stalled: no chain fits worse by more than its rounding floor or 1e-9
-    relative, whichever is larger.  98 random chains keep the test near 5 s;
-    the next 98 of the same stream hold too."""
+    """calibrate_effective over 233 chains, against frozen objectives: no
+    chain fits worse by more than its rounding floor or 1e-9 relative,
+    whichever is larger.  The first 135 chains' objectives are those of the
+    fit that re-ran each start's simplex on its own result until it stalled.
+    The ``random_next`` group, the next 98 chains of the random stream, holds
+    the objectives of the seeded restarts that the fixed starts replaced,
+    ``calibrate_effective(quotes, seed=0)`` with three restarts drawn from
+    ``numpy.random.default_rng(0)``."""
 
     CHAINS = {
         "sample": [load_chain(SAMPLE_CHAIN)],
@@ -1093,6 +1116,7 @@ class TestChainSet:
         "exact_two_dates": TestSeveralDates.EXACT,
         "benchmark": benchmark_chains(20),
         "random": random_chains(98),
+        "random_next": random_chains(196)[98:],
     }
     OBJECTIVES = {
         "sample": (
@@ -1156,13 +1180,48 @@ class TestChainSet:
             2.042842166730382, 0.0014152861722822206, 0.006883318158337941,
             0.7337159335352008, 0.018314061945924685,
         ),
+        "random_next": (
+            0.8586103546006452, 0.11912108342606346, 0.0016503136880651693,
+            1.1366198571264834e-13, 3.165265768226536e-14, 0.09153843666926328,
+            0.19436176679184103, 2.149257911651732, 1.9061088672363924e-14,
+            0.015890358563205524, 1.5447677138291105e-14, 0.234788507399346,
+            0.0016544190716974675, 1.2188342317443617, 0.016068888649217673,
+            0.006676177524162985, 0.0019954638617978673, 1.3618388315457803,
+            5.464641392230531e-15, 0.08481767537600504, 1.0283524162253472,
+            0.011287742106468258, 0.7279413089521888, 0.5466046633511455,
+            0.004467142302769826, 0.016042816267428435, 0.0005086206125381252,
+            0.0014678387173793332, 0.9012529235086746, 0.0013268077108059047,
+            0.0016719329773986495, 0.0021071583791190352, 0.001546783218144825,
+            2.0905030813808664e-14, 0.4804433452710214, 2.0322709206428292e-14,
+            0.14450373130975275, 1.757087103155755e-14, 0.1047916953764878,
+            2.5341927176476915e-14, 0.0014152396433162297, 0.2482749028276797,
+            0.0016868198240374927, 0.006336456963923409, 0.29615026798529176,
+            0.07623306295332637, 0.014646629419482204, 0.0007922283055243336,
+            0.011111650779742441, 0.0022880235739257235, 1.6013747557393897e-14,
+            1.4038101906401155e-14, 0.001248325946363451, 2.7815599605661298e-15,
+            0.13505133081125392, 0.01759883285862322, 0.008001503999848251,
+            2.715356962449079e-14, 0.008231834070067227, 0.17924190655512062,
+            0.1981416347503455, 0.030950757040598846, 0.3603724403909141,
+            0.5254809938614534, 0.31506676125329547, 0.11286722086266285,
+            1.0508345887131932e-15, 0.28096846584929436, 0.15637468776276087,
+            0.7589869135259822, 1.284183625031807, 0.7625980783335736,
+            5.12936713056834e-15, 0.07207550703606438, 1.1222232051342933,
+            5.803093419697724e-14, 3.832225318168907e-15, 3.0766700394262575e-15,
+            0.7532535576824619, 0.5753592806348726, 0.4812547664282218,
+            1.2729730237635044, 0.184973969774017, 0.0017487990685200482,
+            1.1404488696345604e-15, 8.367675680774138e-15, 0.5927727440714838,
+            0.10019042749408902, 0.30463314254470586, 0.001830514473320186,
+            0.4968515254967259, 0.6689173797954214, 6.808853065287805e-15,
+            0.3192607975143339, 0.5598053650136688, 0.6260176663554328,
+            0.15734221412121113, 0.0013381445984670022,
+        ),
     }
 
     @pytest.mark.parametrize("group", list(CHAINS))
     def test_no_worse_than_the_re_descending_fit(self, group):
         worse = []
         for i, (quotes, frozen) in enumerate(zip(self.CHAINS[group], self.OBJECTIVES[group], strict=True)):
-            got = calibrate_effective(quotes, seed=0).objective
+            got = calibrate_effective(quotes).objective
             if not got <= frozen + max(TestRestarts.floor(quotes), 1e-9 * frozen):
                 worse.append((i, got, frozen))
         assert worse == []

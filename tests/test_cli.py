@@ -360,7 +360,7 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 2
         assert_one_error_line(capsys.readouterr().err, cfg, "key z_scheme: expected one of ou, parabolic")
 
-    @pytest.mark.parametrize("key,value", [("seed", -1), ("n_restarts", -2)])
+    @pytest.mark.parametrize("key,value", [("n_restarts", -2)])
     def test_negative_calibrate_count_is_config_error(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, **{key: value})
         assert main(["calibrate", "--config", cfg]) == 2
@@ -370,7 +370,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "fit, key, value",
-        [("a", "seed", 1), ("a", "n_restarts", 2), ("effective", "k", 0.01), ("effective", "r", 0.03)],
+        [("a", "n_restarts", 2), ("effective", "k", 0.01), ("effective", "r", 0.03)],
     )
     def test_other_fits_key_is_config_error(self, tmp_path, capsys, fit, key, value):
         cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, fit=fit, **{key: value})
@@ -378,6 +378,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert_one_error_line(captured.err, cfg, f"keys not read by fit = {fit}: {key}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fit", ["a", "effective"])
+    def test_seed_is_unknown_to_calibrate(self, tmp_path, fit):
+        # the effective fit's starts are fixed points, so no fit takes a seed
+        cfg = write_cfg(tmp_path, "c.cfg", chain=SAMPLE_CHAIN, fit=fit, seed=0)
+        proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "calibrate", "--config", cfg)
+        assert proc.returncode == 2
+        assert_one_error_line(proc.stderr, cfg, "unknown keys for calibrate: seed")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     @pytest.mark.parametrize(
         "key, value", [("vol_table", "none.txt"), ("vol_kind", "tabulated"), ("z0", 0.1), ("a", 0.05)]
@@ -671,7 +681,7 @@ class TestCalibrateCommand:
 
     def test_fit_effective_report(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "chain.csv", a=0.06, sigma=0.21, v_eff=0.003)
-        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0)
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective")
         assert main(["calibrate", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
         assert float(report["objective"]) <= 1e-8
@@ -681,17 +691,17 @@ class TestCalibrateCommand:
 
     def test_fit_effective_reports_evaluations(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "chain.csv", a=0.06, sigma=0.21, v_eff=0.003)
-        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0)
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective")
         assert main(["calibrate", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
         rows = list(report)
         assert rows.index("evaluations") == rows.index("iterations") + 1
-        res = calibrate_effective(load_chain(chain), seed=0)
+        res = calibrate_effective(load_chain(chain))
         assert int(report["evaluations"]) == res.evaluations > res.iterations
 
     def test_fit_effective_deterministic(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "chain.csv", a=0.06, sigma=0.21, v_eff=0.003)
-        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=3)
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", n_restarts=3)
         assert main(["calibrate", "--config", cfg]) == 0
         first = capsys.readouterr().out
         assert main(["calibrate", "--config", cfg]) == 0
@@ -711,25 +721,26 @@ class TestCalibrateCommand:
                     lines.append(f"{t},{maturity},{strike},{mid!r},100.0,{r}")
         chain = tmp_path / "chain.csv"
         chain.write_text("\n".join(lines) + "\n")
-        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0, n_restarts=2)
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", n_restarts=2)
         assert main(["calibrate", "--config", cfg]) == 0
         report = parse_report(capsys.readouterr().out)
         assert list(report) == [
             "command", "fit", "n_quotes", "a_hat", "k_hat", "v_eff_hat", "sigma_bar_hat", "objective",
             "iterations", "evaluations", "converged", "restart_objective_0",
-        ]  # the data-driven start fits to rounding, so no seeded start runs
+        ]  # the data-driven start fits to rounding, so no restart runs
         assert int(report["n_quotes"]) == 15
         largest_term = max(max(100.0, strike * math.exp(-r * tau)) for strike in (90.0, 100.0, 110.0)
                            for tau in (0.25, 0.5, 1.0, 0.5, 1.2))
         assert float(report["objective"]) <= ROUNDING_FLOOR * largest_term
 
-    def test_fit_effective_survives_extreme_random_start(self, tmp_path, capsys):
-        # a random start of seed 7755 lands near k = 1.4e-4, a = -0.27, where the
-        # modification factor is ~e^-444: finite, though its terms overflow
-        chain = Path(__file__).resolve().parents[1] / "configs" / "chain_sample.csv"
-        cfg = write_cfg(tmp_path, "c.cfg", chain=str(chain), fit="effective", seed=7755)
-        assert main(["calibrate", "--config", cfg]) == 0
+    def test_sample_chain_runs_the_far_k_restart(self, capsys):
+        # the data-driven start ends above the rounding floor, so the one
+        # restart at the far end of the k box runs, and it fits lower
+        assert main(["calibrate", "--config", str(ROOT / "configs" / "calibrate.cfg")]) == 0
         report = parse_report(capsys.readouterr().out)
+        restarts = [float(v) for key, v in report.items() if key.startswith("restart_objective_")]
+        assert len(restarts) == 2
+        assert float(report["objective"]) == min(restarts) == restarts[1] < restarts[0]
         assert abs(float(report["a_hat"]) - 0.0555) <= 1e-3
 
     def test_fit_effective_outside_the_box_is_refused(self, tmp_path):
@@ -747,7 +758,7 @@ class TestCalibrateCommand:
                 lines.append(f"0.0,{maturity},{strike * 1e8!r},{mid * 1e8!r},1e10,0.0264")
         chain = tmp_path / "chain.csv"
         chain.write_text("\n".join(lines) + "\n")
-        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective", seed=0)
+        cfg = write_cfg(tmp_path, "c.cfg", chain=chain, fit="effective")
         proc = run_python("import sys; from parabolic_sv.cli import main; sys.exit(main(sys.argv[1:]))",
                           "calibrate", "--config", cfg)
         assert proc.returncode == 3
@@ -977,6 +988,22 @@ class TestThreadPoolImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+class TestLoggingImport:
+    def test_calibrate_never_loads_logging(self, tmp_path):
+        # load_chain imports logging only to warn of a rejected row, and the
+        # bundled chain has none
+        fit_a = tmp_path / "fit_a.cfg"
+        fit_a.write_text((ROOT / "configs" / "calibrate.cfg").read_text().replace("fit = effective", "fit = a"))
+        proc = run_python(
+            "import sys\n"
+            "from parabolic_sv.cli import main\n"
+            f"codes = [main(['calibrate', '--config', cfg]) for cfg in {['configs/calibrate.cfg', str(fit_a)]!r}]\n"
+            "print(codes, 'logging' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 class TestNumpyImport:

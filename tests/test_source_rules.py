@@ -119,6 +119,16 @@ def test_calibration_imports_no_numpy():
     assert imports_of(ast.parse(path.read_text(), filename=str(path)), "numpy") == []
 
 
+def test_calibration_imports_no_random_source_nor_logging():
+    # the effective fit's starts are fixed points of its box, so it draws
+    # nothing; load_chain imports logging only to warn of a rejected row.
+    # numpy.random is ruled out with numpy
+    path = next(p for p in SOURCES if p.name == "calibration.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for package in ("random", "secrets", "numpy", "logging"):
+        assert imports_of(tree, package, module_level_only=True) == [], package
+
+
 def test_numpy_rule_sees_module_level_imports_only():
     tree = ast.parse(
         "import numpy as np\n"
